@@ -32,7 +32,7 @@ from .core import (
     validate_nwa,
 )
 from .determinize import materialize_deterministic
-from .meanpayoff import CycleWitness, RatioGraph, infimum_ratio, threshold_emptiness
+from .meanpayoff import CycleWitness, RatioGraph, check_ratio_bound, infimum_ratio
 from .reduce import (
     NegInfinityFragmentError,
     SilentLimAvgAutomaton,
@@ -93,6 +93,8 @@ class Pipeline:
                 return
             self.graph = _ratio_graph(self.fragments)
             self._infimum, self._witness = infimum_ratio(self.graph)
+            if self._witness is not None:
+                assert check_ratio_bound(self.graph, self._witness.ratio, self._witness.potentials)
         else:
             self._infimum = NEG_INFINITY
 
@@ -124,13 +126,11 @@ class Pipeline:
             )
         if self._infimum is NEG_INFINITY:
             return True, Certificate(kind="star", value=NEG_INFINITY, flags=self.flags)
-        if self.graph is None:
+        if self._witness is None:
             return False, Certificate(kind="infimum", value=PLUS_INFINITY)
-        answer, witness = threshold_emptiness(self.graph, t)
-        if answer:
-            return True, Certificate(
-                kind="lasso", value=ValueResult.finite(witness.ratio), lasso=self._expand(witness)
-            )
+        # the least-ratio cycle is a witness exactly when the threshold admits the infimum
+        if t.admits(self._witness.ratio):
+            return True, Certificate(kind="lasso", value=self._infimum, lasso=self._expand(self._witness))
         return False, Certificate(kind="infimum", value=self._infimum)
 
     def _expand(self, witness: CycleWitness) -> LassoWord:

@@ -1,23 +1,34 @@
-"""Threshold emptiness and exact infimum for limit-average graphs with silent
-edges, by strongly-connected-component restricted cycle-ratio analysis.
+"""Exact infimum and threshold emptiness for limit-average graphs with silent
+edges, by Howard policy iteration on each qualifying strongly connected
+component.
 
 A qualifying cycle is reachable from an initial node, lies in a component
 containing an accepting node, and contains at least one tick (non-silent)
-edge; its ratio is cost divided by ticks. Thresholds are decided exactly by
-negative-cycle detection on shifted integer weights q*cost - p*ticks; the
-non-strict variant orders weights lexicographically with the tick count so a
-zero-shift cycle qualifies only when it ticks. Silent edges carry cost 0, so
-cost is bounded by max|cost| per tick and every minimum is attained on a
-simple cycle with denominator at most the node count.
+edge; its ratio is cost divided by ticks. Silent edges carry cost 0, so every
+minimum is attained on a simple cycle.
+
+Reachability and components are computed once. Policy iteration
+(Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat, 1998) then keeps
+one out-edge per node of a component; each node leads to one policy cycle,
+whose ratio and the potentials that lead to it are evaluated exactly. A node
+switches edge only on a strict improvement: to a successor with a lower cycle
+ratio or, when no node can do that, to one with a lower potential at the same
+ratio. The first policy leads every node to a tick edge, and a strict switch
+can only close a cycle of negative reduced cost, so no policy cycle is ever
+silent. At the fixed point the ratio p/q is the same on the whole component
+and the integer potentials pi satisfy q*cost - p*ticks + pi(v) - pi(u) >= 0
+on every internal edge u -> v. Summed around any cycle of the component this
+proves that none has a lower ratio; `check_ratio_bound` verifies it in
+integer arithmetic. A threshold is decided by comparing it with the minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
-from .core import NEG_INFINITY, PLUS_INFINITY, Threshold, ValueResult
+from .core import PLUS_INFINITY, Threshold, ValueResult
 
 
 @dataclass(frozen=True)
@@ -41,11 +52,18 @@ class RatioGraph:
 
 @dataclass(frozen=True)
 class CycleWitness:
-    """A qualifying cycle with an access path from an initial node."""
+    """A qualifying cycle of least ratio, with an access path from an initial
+    node, and the potentials that prove no qualifying cycle has a lower ratio.
+
+    `potentials` holds one map per qualifying component, from its nodes to
+    integers pi with q*cost - p*ticks + pi(v) - pi(u) >= 0 on each of its
+    internal edges u -> v, where ratio = p/q; see `check_ratio_bound`.
+    """
 
     access: tuple[int, ...]  # edge indexes
     cycle: tuple[int, ...]  # edge indexes
     ratio: Fraction
+    potentials: tuple[Mapping[int, int], ...]
 
 
 def _reachable(g: RatioGraph) -> set[int]:
@@ -127,70 +145,133 @@ def _qualifying_sccs(g: RatioGraph):
     return out
 
 
-def _lex_negative_cycle(g: RatioGraph, edge_idxs: list[int], p: int, q: int, strict: bool):
-    """Cycle with shifted weight < 0, or, non-strict, <= 0 with a tick.
+def _policy_iteration(g: RatioGraph, edge_idxs: list[int]):
+    """Least cycle ratio of one component, with a cycle attaining it and the
+    potentials q*x per node, where the ratio is p/q.
 
-    Bellman-Ford over pairs (q*cost - p*ticks, -ticks) compared
-    lexicographically; silent cycles weigh (0, 0) and never qualify.
+    `edge_idxs` are the component's internal edges in index order; every scan
+    follows that order, so the result is reproducible.
     """
-    nodes = sorted({g.edges[n][0] for n in edge_idxs} | {g.edges[n][1] for n in edge_idxs})
-    pos = {u: i for i, u in enumerate(nodes)}
-    zero = (0, 0)
-
-    def wt(n: int):
-        u, v, cost, ticks = g.edges[n]
-        first = q * cost - p * ticks
-        return (first, -ticks) if not strict else (first, 0)
-
-    dist = [zero] * len(nodes)
-    pred: list[Optional[int]] = [None] * len(nodes)
-    marked = None
-    for _ in range(len(nodes)):
-        marked = None
-        for n in edge_idxs:
-            u, v, _, _ = g.edges[n]
-            w = wt(n)
-            cand = (dist[pos[u]][0] + w[0], dist[pos[u]][1] + w[1])
-            if cand < dist[pos[v]]:
-                dist[pos[v]] = cand
-                pred[pos[v]] = n
-                marked = pos[v]
-        if marked is None:
-            return None
-    at = marked
-    for _ in range(len(nodes)):
-        at = pos[g.edges[pred[at]][0]]
-    cycle = []
-    start = at
+    edges = g.edges
+    out: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
+    for n in edge_idxs:
+        u, v, _, _ = edges[n]
+        out.setdefault(u, []).append(n)
+        into.setdefault(v, []).append(n)
+    nodes = sorted(out)
+    # first policy: a tick edge where one leaves the node, else the first
+    # step of a shortest way to one (reverse breadth-first search)
+    policy: dict[int, int] = {}
+    for n in edge_idxs:
+        if edges[n][3] and edges[n][0] not in policy:
+            policy[edges[n][0]] = n
+    queue = list(policy)
+    for v in queue:
+        for n in into.get(v, ()):
+            u = edges[n][0]
+            if u not in policy:
+                policy[u] = n
+                queue.append(u)
     while True:
-        n = pred[at]
-        cycle.append(n)
-        at = pos[g.edges[n][0]]
-        if at == start:
-            break
-    cycle.reverse()
-    total_w = sum(q * g.edges[n][2] - p * g.edges[n][3] for n in cycle)
-    total_t = sum(g.edges[n][3] for n in cycle)
-    if strict:
-        assert total_w < 0, "extracted cycle must be negative"
-    else:
-        assert total_w < 0 or (total_w == 0 and total_t > 0), "extracted cycle must be lex-negative"
-    return cycle
+        # evaluate: each node's policy cycle (its ratio p/q) and potential,
+        # rooted at the least node of the cycle so a kept cycle keeps its root
+        cycle_of: dict[int, int] = {}
+        cycles: list[tuple[Fraction, list[int]]] = []
+        pot: dict[int, int] = {}
+        for s in nodes:
+            path: list[int] = []
+            at: dict[int, int] = {}
+            u = s
+            while u not in cycle_of and u not in at:
+                at[u] = len(path)
+                path.append(u)
+                u = edges[policy[u]][1]
+            if u in at:
+                loop = path[at[u]:]
+                ring = [policy[w] for w in loop]
+                ticks = sum(edges[n][3] for n in ring)
+                assert ticks > 0, "policy cycles always tick"
+                ratio = Fraction(sum(edges[n][2] for n in ring), ticks)
+                r = loop.index(min(loop))
+                root = loop[r]
+                cycle_of[root] = len(cycles)
+                cycles.append((ratio, ring[r:] + ring[:r]))
+                pot[root] = 0
+                path = path[: at[u]] + loop[r + 1 :] + loop[:r]
+            for w in reversed(path):
+                _, v, cost, tick = edges[policy[w]]
+                c = cycle_of[v]
+                p, q = cycles[c][0].numerator, cycles[c][0].denominator
+                cycle_of[w] = c
+                pot[w] = q * cost - p * tick + pot[v]
+        order = {ratio: i for i, ratio in enumerate(sorted({ratio for ratio, _ in cycles}))}
+        rank_of = [order[ratio] for ratio, _ in cycles]
+        rank = {u: rank_of[cycle_of[u]] for u in nodes}
+        improved = False
+        # type 1: move to a successor whose cycle has a lower ratio
+        for u in nodes:
+            best, choice = rank[u], None
+            for n in out[u]:
+                if rank[edges[n][1]] < best:
+                    best, choice = rank[edges[n][1]], n
+            if choice is not None:
+                policy[u] = choice
+                improved = True
+        if improved:
+            continue
+        # type 2: at an equal ratio, move to a successor of lower potential
+        for u in nodes:
+            ratio = cycles[cycle_of[u]][0]
+            p, q = ratio.numerator, ratio.denominator
+            best, choice = pot[u], None
+            for n in out[u]:
+                _, v, cost, tick = edges[n]
+                if rank[v] == rank[u]:
+                    val = q * cost - p * tick + pot[v]
+                    if val < best:
+                        best, choice = val, n
+            if choice is not None:
+                policy[u] = choice
+                improved = True
+        if not improved:
+            # no type-1 switch left: the ratio is constant on the component
+            ratio, ring = cycles[0]
+            return ratio, ring, pot
+
+
+def check_ratio_bound(g: RatioGraph, lam: Fraction, potentials: Sequence[Mapping[int, int]]) -> bool:
+    """Do integer potentials prove that no cycle inside one of their
+    components has a ratio below `lam`?
+
+    With lam = p/q, every edge u -> v whose ends lie in the same map must
+    satisfy q*cost - p*ticks + pi(v) - pi(u) >= 0; around a cycle the
+    potentials cancel, leaving q*cost - p*ticks >= 0. A node in two maps
+    fails the check.
+    """
+    p, q = lam.numerator, lam.denominator
+    owner: dict[int, int] = {}
+    for i, pi in enumerate(potentials):
+        for u in pi:
+            if u in owner:
+                return False
+            owner[u] = i
+    for u, v, cost, ticks in g.edges:
+        i = owner.get(u)
+        if i is not None and owner.get(v) == i:
+            pi = potentials[i]
+            if q * cost - p * ticks + pi[v] - pi[u] < 0:
+                return False
+    return True
 
 
 def threshold_emptiness(g: RatioGraph, t: Threshold) -> tuple[bool, Optional[CycleWitness]]:
-    """Is there a qualifying cycle with ratio <= (or <, when strict) the threshold?"""
-    p, q = t.value.numerator, t.value.denominator
-    for edge_idxs in _qualifying_sccs(g):
-        cycle = _lex_negative_cycle(g, edge_idxs, p, q, t.strict)
-        if cycle is None:
-            continue
-        ticks = sum(g.edges[n][3] for n in cycle)
-        if ticks == 0:
-            continue  # cannot happen: silent cycles weigh zero
-        cost = sum(g.edges[n][2] for n in cycle)
-        access = _access_path(g, g.edges[cycle[0]][0])
-        return True, CycleWitness(access=tuple(access), cycle=tuple(cycle), ratio=Fraction(cost, ticks))
+    """Is there a qualifying cycle with ratio <= (or <, when strict) the
+    threshold? Decided by comparing it with the least ratio; the witness is
+    the least-ratio cycle."""
+    _, witness = infimum_ratio(g)
+    if witness is not None and t.admits(witness.ratio):
+        return True, witness
     return False, None
 
 
@@ -222,49 +303,28 @@ def _access_path(g: RatioGraph, target: int) -> list[int]:
 
 
 def infimum_ratio(g: RatioGraph) -> tuple[ValueResult, Optional[CycleWitness]]:
-    """Exact minimum ratio over qualifying cycles, found by threshold probes.
+    """Exact minimum ratio over qualifying cycles, by policy iteration.
 
-    Candidate values have denominators bounded by the node count, so after an
-    integer binary search the exact answer is the least Farey candidate the
-    non-strict threshold check admits. +inf when no cycle qualifies; the -inf
-    guard probes once below the least possible ratio and cannot fire on a
-    well-formed graph.
+    +inf, with no witness, when no cycle qualifies. Otherwise the witness
+    cycle attains the minimum and its potentials prove it is a lower bound
+    (`check_ratio_bound`). The value is never -inf: the minimum is attained
+    on one of finitely many simple cycles.
     """
-    maxabs = max((abs(c) for _, _, c, _ in g.edges), default=0)
-    hi = Fraction(maxabs)
-    probe_hit: dict[Fraction, tuple[bool, Optional[CycleWitness]]] = {}
-
-    def probe(x: Fraction) -> bool:
-        if x not in probe_hit:
-            probe_hit[x] = threshold_emptiness(g, Threshold(x, strict=False))
-        return probe_hit[x][0]
-
-    if not probe(hi):
+    best = None
+    solved = []
+    for edge_idxs in _qualifying_sccs(g):
+        ratio, ring, pot = _policy_iteration(g, edge_idxs)
+        solved.append((ratio, pot))
+        if best is None or ratio < best[0]:
+            best = (ratio, ring)
+    if best is None:
         return PLUS_INFINITY, None
-    if probe(Fraction(-maxabs - 1)):
-        return NEG_INFINITY, None
-    lo_i, hi_i = -maxabs - 1, maxabs
-    while hi_i - lo_i > 1:
-        mid = (hi_i + lo_i) // 2
-        if probe(Fraction(mid)):
-            hi_i = mid
-        else:
-            lo_i = mid
-    # least candidate c/t in (hi_i - 1, hi_i] with t <= n_nodes
-    best = Fraction(hi_i)
-    candidates = sorted(
-        {
-            Fraction(c, t)
-            for t in range(1, g.n_nodes + 1)
-            for c in range(t * (hi_i - 1) + 1, t * hi_i + 1)
-        }
-    )
-    lo_c, hi_c = -1, len(candidates) - 1  # candidates[hi_c] == hi_i, known true
-    while hi_c - lo_c > 1:
-        mid = (hi_c + lo_c) // 2
-        if probe(candidates[mid]):
-            hi_c = mid
-        else:
-            lo_c = mid
-    best = candidates[hi_c]
-    return ValueResult.finite(best), probe_hit[best][1]
+    ratio, ring = best
+    # potentials q_c*x proving a component's own ratio p_c/q_c also bound the
+    # least ratio p/q <= p_c/q_c; flooring q*x keeps them integers and keeps
+    # every edge inequality, whose other terms are integers
+    q = ratio.denominator
+    potentials = tuple({u: q * x // own.denominator for u, x in pot.items()} for own, pot in solved)
+    access = _access_path(g, g.edges[ring[0]][0])
+    witness = CycleWitness(access=tuple(access), cycle=tuple(ring), ratio=ratio, potentials=potentials)
+    return ValueResult.finite(ratio), witness

@@ -173,3 +173,20 @@ def test_nondeterministic_pipeline():
 
     bound, _ = enumerate_lasso_infimum(nwa, 2, 4, 2)
     assert value.sort_key() <= bound.sort_key()
+
+
+def test_emptiness_answers_from_infimum():
+    ladder = [(art_types(k), k) for k in (2, 3, 4)] + [(k_art(k), k) for k in range(2, 7)]
+    for nwa, k in ladder:
+        pipe = Pipeline(nwa, k)
+        value, _ = pipe.infimum()
+        assert value.is_finite(), nwa.name
+        lam = value.value
+        thresholds = [Threshold(lam + d) for d in (-Fraction(1, 7), Fraction(0), Fraction(1, 7))]
+        for t in thresholds + [Threshold(lam, strict=True)]:
+            answer, cert = pipe.emptiness(t)
+            assert answer == t.admits(lam), (nwa.name, str(t))
+            if answer:
+                assert cert.kind == "lasso"
+                replay = evaluate_lasso(nwa, cert.lasso, k)
+                assert replay.is_finite() and t.admits(replay.value), (nwa.name, str(t))

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import min_cycle_ratio_brute
+from helpers import min_cycle_ratio_brute, min_cycle_ratio_karp, qualifying_components
 from nwaq.core import PLUS_INFINITY, Threshold, ValueResult
-from nwaq.meanpayoff import RatioGraph, infimum_ratio, threshold_emptiness
+from nwaq.corpus import art_types, k_art
+from nwaq.decide import Pipeline
+from nwaq.meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio, threshold_emptiness
 
 
 def two_node_cycle() -> RatioGraph:
@@ -117,3 +119,80 @@ def test_threshold_monotone():
         answers = [threshold_emptiness(g, Threshold(Fraction(t)))[0] for t in range(-9, 10)]
         for a, b in zip(answers, answers[1:]):
             assert b or not a
+
+
+def random_large_graph(rng: random.Random) -> RatioGraph:
+    n = rng.randint(20, 60)
+    edges = []
+    for _ in range(rng.randint(n, 4 * n)):
+        ticks = int(rng.random() < 0.6)
+        edges.append((rng.randrange(n), rng.randrange(n), rng.randint(-8, 8) if ticks else 0, ticks))
+    initials = frozenset(rng.sample(range(n), rng.randint(1, 2)))
+    accepting = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
+    return RatioGraph(n, tuple(edges), initials, accepting)
+
+
+@pytest.fixture(scope="module")
+def ladder_graphs():
+    graphs = {f"art_types({k})": Pipeline(art_types(k), k).graph for k in (2, 3, 4)}
+    graphs.update({f"k_art({k})": Pipeline(k_art(k), k).graph for k in range(2, 7)})
+    return graphs
+
+
+def assert_certified(g: RatioGraph, value: ValueResult, witness) -> None:
+    """The witness cycle attains the value, its potentials prove the value is
+    a lower bound, and they cover every qualifying component that ticks."""
+    assert witness.ratio == value.value
+    cost = sum(g.edges[i][2] for i in witness.cycle)
+    ticks = sum(g.edges[i][3] for i in witness.cycle)
+    assert Fraction(cost, ticks) == value.value
+    assert check_ratio_bound(g, value.value, witness.potentials)
+    assert not check_ratio_bound(g, value.value + Fraction(1, g.n_nodes + 1), witness.potentials)
+    ticking = {
+        comp for comp in qualifying_components(g) if any(e[3] and e[0] in comp and e[1] in comp for e in g.edges)
+    }
+    assert {frozenset(pi) for pi in witness.potentials} == ticking
+
+
+def test_karp_on_large_random_graphs():
+    rng = random.Random(2024)
+    finite = 0
+    for trial in range(120):
+        g = random_large_graph(rng)
+        expected = min_cycle_ratio_karp(g)
+        value, witness = infimum_ratio(g)
+        if expected is None:
+            assert value is PLUS_INFINITY and witness is None, trial
+            continue
+        finite += 1
+        assert value == ValueResult.finite(expected), trial
+        assert_certified(g, value, witness)
+    assert finite >= 60
+
+
+def test_certificates_on_small_random_graphs():
+    rng = random.Random(4242)
+    for trial in range(300):
+        g = random_graph(rng)
+        value, witness = infimum_ratio(g)
+        if witness is not None:
+            assert_certified(g, value, witness)
+
+
+def test_ladder_graphs_against_karp(ladder_graphs):
+    for name, g in ladder_graphs.items():
+        value, witness = infimum_ratio(g)
+        assert value == ValueResult.finite(1), name
+        assert_certified(g, value, witness)
+        if name != "art_types(4)":
+            assert min_cycle_ratio_karp(g) == 1, name
+
+
+def test_ratio_bound_rejects_broken_potentials():
+    g = two_node_cycle()
+    value, witness = infimum_ratio(g)
+    assert check_ratio_bound(g, Fraction(2), witness.potentials)
+    (pi,) = witness.potentials
+    assert not check_ratio_bound(g, Fraction(2), ({0: pi[0] + 1, 1: pi[1]},))
+    # a node claimed by two components proves nothing
+    assert not check_ratio_bound(g, Fraction(2), ({0: pi[0]}, {0: pi[0], 1: pi[1]}))
