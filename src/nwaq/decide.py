@@ -31,7 +31,7 @@ from .core import (
     is_deterministic,
     validate_nwa,
 )
-from .determinize import materialize_deterministic
+from .determinize import ConfigGraph, explore, materialize_deterministic
 from .meanpayoff import CycleWitness, RatioGraph, check_ratio_bound, infimum_ratio
 from .reduce import (
     NegInfinityFragmentError,
@@ -69,14 +69,25 @@ class Pipeline:
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
-        okw, witness = has_width(nwa, k)
-        if not okw:
+        graph = ConfigGraph(*explore(nwa, k))
+        if graph.overflow:
+            _, witness = has_width(nwa, k)
             raise PreconditionError(f"automaton exceeds width {k} (witness {' '.join(witness)})")
         self.original = nwa
         self.k = k
         det, _ = is_deterministic(nwa)
         self.determinized = nwa if det else materialize_deterministic(nwa, k)
-        self.star = check_star_condition(self.determinized, k)
+        self.star: Optional[StarWitness] = None
+        self._config_graph: Optional[ConfigGraph] = None
+        # the descent test needs the decided automaton's graph only when some
+        # weight is negative; a hit keeps it for the pumping witness
+        if self.determinized.min_effective_weight() < 0:
+            if not det:
+                graph = ConfigGraph(*explore(self.determinized, k))
+            self.star = check_star_condition(self.determinized, k, graph)
+            if self.star is not None:
+                self._config_graph = graph
+        del graph  # the reduction below does not need it
         self.flags: tuple[str, ...] = ()
         self.fragments: Optional[SilentLimAvgAutomaton] = None
         self.graph: Optional[RatioGraph] = None
@@ -104,7 +115,7 @@ class Pipeline:
                 kind="star",
                 value=NEG_INFINITY,
                 star=self.star,
-                pumped=pump_witness(self.determinized, self.star, self.k, pumps=8),
+                pumped=pump_witness(self.determinized, self.star, self.k, pumps=8, graph=self._config_graph),
             )
         if self._infimum is NEG_INFINITY:
             return NEG_INFINITY, Certificate(kind="star", value=NEG_INFINITY, flags=self.flags)
@@ -122,7 +133,7 @@ class Pipeline:
                 kind="star",
                 value=NEG_INFINITY,
                 star=self.star,
-                pumped=pump_witness(self.determinized, self.star, self.k, pumps=pumps),
+                pumped=pump_witness(self.determinized, self.star, self.k, pumps=pumps, graph=self._config_graph),
             )
         if self._infimum is NEG_INFINITY:
             return True, Certificate(kind="star", value=NEG_INFINITY, flags=self.flags)

@@ -9,7 +9,10 @@ choice functions is never materialized as data.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -20,6 +23,7 @@ from .core import (
     ValueFn,
     WeightedAutomaton,
 )
+from .meanpayoff import _sccs
 
 
 class CapExceededError(NwaError):
@@ -142,14 +146,13 @@ def explore(nwa: Nwa, k: int, cap: Optional[int] = None) -> tuple[list[Configura
 
     Overflow edges are reported but their targets are not expanded.
     """
-    initials = sorted(config_initials(nwa), key=_config_key)
-    seen = set(initials)
-    todo = list(initials)
+    todo = [(_config_key(c), c) for c in config_initials(nwa)]
+    heapq.heapify(todo)
+    seen = {c for _, c in todo}
     configs: list[Configuration] = []
     edges: list[ConfigEdge] = []
     while todo:
-        todo.sort(key=_config_key, reverse=True)
-        c = todo.pop()
+        _, c = heapq.heappop(todo)
         configs.append(c)
         if cap is not None and len(configs) > cap:
             raise CapExceededError(f"more than {cap} reachable configurations")
@@ -158,8 +161,38 @@ def explore(nwa: Nwa, k: int, cap: Optional[int] = None) -> tuple[list[Configura
                 edges.append(e)
                 if not e.width_overflow and e.to_config not in seen:
                     seen.add(e.to_config)
-                    todo.append(e.to_config)
+                    heapq.heappush(todo, (_config_key(e.to_config), e.to_config))
     return configs, edges
+
+
+class ConfigGraph:
+    """The reachable configuration graph of one exploration, on integer ids.
+
+    Built as `ConfigGraph(*explore(nwa, k))`. Configurations are numbered in
+    canonical (master state, slots) order. `edges` are the edges that stay
+    within width k, sorted by source and then letter, with endpoint ids
+    `src[n]` and `dst[n]`. `overflow` is set when some reachable step needs
+    a (k+1)-th slot. `comp` gives each configuration's strongly connected
+    component, computed on first use.
+    """
+
+    def __init__(self, configs: list[Configuration], edges: list[ConfigEdge]):
+        self.configs = tuple(sorted(configs, key=_config_key))
+        self.index = {c: n for n, c in enumerate(self.configs)}
+        self.overflow = any(e.width_overflow for e in edges)
+        index = self.index
+        # explore lists each source's edges together, by letter
+        self.edges = tuple(sorted((e for e in edges if not e.width_overflow), key=lambda e: index[e.from_config]))
+        self.src = [index[e.from_config] for e in self.edges]
+        self.dst = [index[e.to_config] for e in self.edges]
+
+    def out(self, u: int) -> range:
+        """Indexes of the edges leaving configuration u."""
+        return range(bisect_left(self.src, u), bisect_left(self.src, u + 1))
+
+    @cached_property
+    def comp(self) -> list[int]:
+        return _sccs(len(self.configs), zip(self.src, self.dst))
 
 
 def _config_key(c: Configuration):

@@ -1,22 +1,31 @@
 """The negative-descent test: is the infimum over all words minus infinity?
 
-The decision works on the reachable configuration graph. The infimum is
-unbounded below iff some strongly connected component that can reach (and be
-reached from) a configuration with an accepting master state contains a cycle
-along which, for some j, the j least recently invoked slaves never terminate
-and their summed step weights are negative. Pumping such a cycle drives the
-partial averages of the returned-value sequence arbitrarily low.
+The decision works on the reachable configuration graph, explored once
+(`determinize.ConfigGraph`) and shared with the pumping witness. The infimum
+is unbounded below iff some strongly connected component that contains a
+configuration with an accepting master state contains a cycle along which,
+for some j, the j least recently invoked slaves never terminate and their
+summed step weights are negative, and from which a path inside the component
+can release every active slave and come back. Pumping such a cycle drives
+the partial averages of the returned-value sequence arbitrarily low.
+
+For each j and component, the internal edges that keep the j oldest slots
+alive are searched for a negative cycle by Bellman-Ford over integer
+(u, v, w_j) arrays. The search stops at the first pass after which the
+parent graph has a cycle, since such a cycle is always negative, instead of
+running all n passes. Whether the slots can be released depends only on the
+component: a path from any configuration can reach one that has such a way
+back, take it, and return.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import Configuration, LassoWord, Nwa, NondeterministicInputError, PreconditionError, is_deterministic
-from .determinize import ConfigEdge, config_initials, explore
-from .width import has_width
+from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,8 @@ class StarWitness:
     The cycle never terminates a slot at position <= j, so slot identity is
     stable along it; j_sum is the (negative) total of those slots' weights
     over one turn. The anchor lies in a component containing a configuration
-    whose master state is accepting.
+    whose master state is accepting, and a path inside it leads from the
+    anchor back to it releasing every slot alive at the anchor.
     """
 
     j: int
@@ -38,203 +48,168 @@ class StarWitness:
         return sum(sum(e.slot_weights[: self.j]) for e in self.cycle)
 
 
-def check_star_condition(nwa: Nwa, k: int) -> Optional[StarWitness]:
+def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
-    or None when every such cycle test is empty or no slave weight is negative."""
+    or None when every such cycle test is empty or no slave weight is negative.
+
+    `graph` is the configuration graph of `nwa` at width k, when the caller
+    has explored it already; without it the test explores the graph itself.
+    """
     ok, site = is_deterministic(nwa)
     if not ok:
         raise NondeterministicInputError(site or "input is not deterministic")
-    okw, _ = has_width(nwa, k)
-    if not okw:
+    if graph is None:
+        graph = ConfigGraph(*explore(nwa, k))
+    if graph.overflow:
         raise PreconditionError(f"input exceeds width {k}")
     if nwa.min_effective_weight() >= 0:
         return None
 
-    configs, edges = explore(nwa, k)
-    edges = [e for e in edges if not e.width_overflow]
-    comp_of, comps = _sccs(configs, edges)
-    accepting_comps = []
-    for ci, members in enumerate(comps):
-        if any(c.master_state in nwa.master.accepting for c in members):
-            accepting_comps.append(ci)
-
-    edges_by_comp: dict[int, list[ConfigEdge]] = {}
-    for e in edges:
-        ci = comp_of[e.from_config]
-        if comp_of.get(e.to_config) == ci:
-            edges_by_comp.setdefault(ci, []).append(e)
-
+    comp = graph.comp
+    live = sorted({comp[u] for u, c in enumerate(graph.configs) if c.master_state in nwa.master.accepting})
     for j in range(1, k + 1):
-        for ci in accepting_comps:
-            sub = [
-                e
-                for e in edges_by_comp.get(ci, [])
-                if len(e.from_config.slots) >= j and all(pos > j for pos in e.returned)
+        # per component, the internal edges that keep the j oldest slots alive
+        kept: dict[int, list[int]] = {ci: [] for ci in live}
+        for n, e in enumerate(graph.edges):
+            u, v = graph.src[n], graph.dst[n]
+            if comp[u] == comp[v] and comp[u] in kept:
+                if len(e.from_config.slots) >= j and all(pos > j for pos in e.returned):
+                    kept[comp[u]].append(n)
+        for ci, ns in kept.items():
+            ids: dict[int, int] = {}
+            arcs = [
+                (ids.setdefault(graph.src[n], len(ids)), ids.setdefault(graph.dst[n], len(ids)),
+                 sum(graph.edges[n].slot_weights[:j]))
+                for n in ns
             ]
-            cycle = _negative_cycle(sub, j)
-            if cycle is not None:
-                total = sum(sum(e.slot_weights[:j]) for e in cycle)
-                return StarWitness(j=j, cycle=tuple(cycle), anchor=cycle[0].from_config, j_sum=total)
+            cycle = _negative_cycle(len(ids), arcs)
+            if cycle is None:
+                continue
+            # pumping needs a way back that releases the pumped slots; either
+            # every configuration of a component has one or none has
+            if _closing_path(nwa, graph, graph.src[ns[cycle[0]]]) is None:
+                live.remove(ci)
+                continue
+            edges = tuple(graph.edges[ns[i]] for i in cycle)
+            total = sum(arcs[i][2] for i in cycle)
+            return StarWitness(j=j, cycle=edges, anchor=edges[0].from_config, j_sum=total)
     return None
 
 
-def _sccs(configs, edges):
-    """Kosaraju components in deterministic discovery order."""
-    order_key = {c: (c.master_state, c.slots) for c in configs}
-    nodes = sorted(configs, key=order_key.get)
-    fwd: dict[Configuration, list[Configuration]] = {c: [] for c in nodes}
-    rev: dict[Configuration, list[Configuration]] = {c: [] for c in nodes}
-    for e in edges:
-        if e.to_config in fwd:
-            fwd[e.from_config].append(e.to_config)
-            rev[e.to_config].append(e.from_config)
-    for adj in (fwd, rev):
-        for c in adj:
-            adj[c] = sorted(set(adj[c]), key=order_key.get)
-    finish: list[Configuration] = []
-    seen: set[Configuration] = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter(fwd[root]))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(fwd[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                finish.append(node)
-                stack.pop()
-    comp_of: dict[Configuration, int] = {}
-    comps: list[list[Configuration]] = []
-    for root in reversed(finish):
-        if root in comp_of:
-            continue
-        ci = len(comps)
-        members = []
-        stack = [root]
-        comp_of[root] = ci
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nxt in rev[node]:
-                if nxt not in comp_of:
-                    comp_of[nxt] = ci
-                    stack.append(nxt)
-        comps.append(sorted(members, key=order_key.get))
-    return comp_of, comps
+def _negative_cycle(n: int, arcs: Sequence[tuple[int, int, int]]) -> Optional[list[int]]:
+    """A negative cycle on nodes 0..n-1 with arcs (u, v, w), as arc indexes
+    in path order, or None when there is none.
 
-
-def _negative_cycle(edges: list[ConfigEdge], j: int) -> Optional[list[ConfigEdge]]:
-    """Bellman-Ford negative-cycle extraction over the j-prefix slot weights."""
-    if not edges:
-        return None
-    nodes = sorted({e.from_config for e in edges} | {e.to_config for e in edges},
-                   key=lambda c: (c.master_state, c.slots))
-    idx = {c: i for i, c in enumerate(nodes)}
-    order = sorted(
-        edges,
-        key=lambda e: (idx[e.from_config], e.letter, idx[e.to_config], e.slot_weights, e.returned),
-    )
-    dist = [0] * len(nodes)
-    pred: list[Optional[ConfigEdge]] = [None] * len(nodes)
-    marked = None
-    for _ in range(len(nodes)):
-        marked = None
-        for e in order:
-            w = sum(e.slot_weights[:j])
-            u, v = idx[e.from_config], idx[e.to_config]
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred[v] = e
-                marked = v
-        if marked is None:
-            return None
-    # walk predecessors n steps to land inside a negative cycle
-    v = marked
-    for _ in range(len(nodes)):
-        v = idx[pred[v].from_config]
-    cycle = []
-    start = v
+    Bellman-Ford from a virtual source at distance 0 to every node. After
+    each pass the parent graph (the last improving arc into each node) is
+    checked for a cycle, and the first one found is returned: every parent
+    cycle is negative (Cherkassky and Goldberg, 1999). While the parent
+    graph stays a forest each distance is at least the weight of a simple
+    path, so with integer weights and a negative cycle present a parent
+    cycle must form; without one a pass eventually changes nothing.
+    """
+    dist = [0] * n
+    parent = [-1] * n
     while True:
-        e = pred[v]
-        cycle.append(e)
-        v = idx[e.from_config]
-        if v == start:
-            break
-    cycle.reverse()
-    assert sum(sum(e.slot_weights[:j]) for e in cycle) < 0
-    return cycle
+        changed = False
+        for i, (u, v, w) in enumerate(arcs):
+            d = dist[u] + w
+            if d < dist[v]:
+                dist[v] = d
+                parent[v] = i
+                changed = True
+        if not changed:
+            return None
+        walked = [-1] * n  # the start of the walk that first reached each node
+        for s in range(n):
+            v = s
+            while v >= 0 and walked[v] < 0:
+                walked[v] = s
+                v = arcs[parent[v]][0] if parent[v] >= 0 else -1
+            if v >= 0 and walked[v] == s:
+                # this walk closed a parent cycle through v
+                cycle = [parent[v]]
+                while arcs[cycle[-1]][0] != v:
+                    cycle.append(parent[arcs[cycle[-1]][0]])
+                cycle.reverse()
+                assert sum(arcs[i][2] for i in cycle) < 0
+                return cycle
 
 
-def pump_witness(nwa: Nwa, witness: StarWitness, k: int, pumps: int) -> LassoWord:
-    """Lasso (path to the cycle, cycle^pumps . closing path through acceptance).
+def pump_witness(
+    nwa: Nwa, witness: StarWitness, k: int, pumps: int, graph: Optional[ConfigGraph] = None
+) -> LassoWord:
+    """Lasso (path to the cycle, cycle^pumps . closing path).
 
-    The closing path runs from the cycle anchor through a configuration with
-    an accepting master state and back to the anchor, inside the witness
-    component, so the pumped word is accepted whenever the automaton can keep
-    terminating the pumped slaves (the witness construction guarantees it).
+    The closing path runs inside the witness component from the cycle
+    anchor back to it. On the way it passes a configuration with an
+    accepting master state and releases every slot that was alive when it
+    started, the pumped slots among them, so each period terminates every
+    slave that entered it. `graph` is the configuration graph of `nwa` at
+    width k, as for `check_star_condition`.
     """
     letters = nwa.alphabet.letters
-    configs, edges = explore(nwa, k)
-    edges = [e for e in edges if not e.width_overflow]
-    anchor = witness.anchor
-
-    access = _shortest_path(edges, sorted(config_initials(nwa), key=lambda c: (c.master_state, c.slots)), {anchor})
+    if graph is None:
+        graph = ConfigGraph(*explore(nwa, k))
+    anchor = graph.index[witness.anchor]
+    access = _shortest_path(
+        sorted(graph.index[c] for c in config_initials(nwa)),
+        lambda u: ((n, graph.dst[n]) for n in graph.out(u)),
+        lambda u: u == anchor,
+    )
     if access is None:
         raise PreconditionError("witness anchor unreachable")
-    comp_of, comps = _sccs(configs, edges)
-    comp = comp_of[anchor]
-    inside = [e for e in edges if comp_of.get(e.from_config) == comp and comp_of.get(e.to_config) == comp]
-    acc_configs = {c for c in comps[comp] if c.master_state in nwa.master.accepting}
-    if anchor in acc_configs:
-        closing: list[ConfigEdge] = []
-    else:
-        first = _shortest_path(inside, [anchor], acc_configs)
-        if first is None:
-            raise PreconditionError("no accepting configuration in the witness component")
-        back = _shortest_path(inside, [first[-1].to_config], {anchor})
-        closing = first + (back or [])
+    closing = _closing_path(nwa, graph, anchor)
+    if closing is None:
+        raise PreconditionError("no closing path through acceptance releases the pumped slots")
     cycle_letters = [letters[e.letter] for e in witness.cycle]
-    prefix = tuple(letters[e.letter] for e in access)
-    period = tuple(cycle_letters * pumps) + tuple(letters[e.letter] for e in closing)
+    prefix = tuple(letters[graph.edges[n].letter] for n in access)
+    period = tuple(cycle_letters * pumps) + tuple(letters[graph.edges[n].letter] for n in closing)
     return LassoWord(prefix, period)
 
 
-def _shortest_path(edges, sources, targets) -> Optional[list[ConfigEdge]]:
-    targets = set(targets)
-    adj: dict[Configuration, list[ConfigEdge]] = {}
-    for e in edges:
-        adj.setdefault(e.from_config, []).append(e)
-    for lst in adj.values():
-        lst.sort(key=lambda e: (e.letter, e.to_config.master_state, e.to_config.slots))
-    parent: dict[Configuration, Optional[ConfigEdge]] = {c: None for c in sources}
-    queue = deque(sources)
-    found = None
-    for c in sources:
-        if c in targets:
-            return []
-    while queue and found is None:
-        c = queue.popleft()
-        for e in adj.get(c, ()):
-            if e.to_config not in parent:
-                parent[e.to_config] = e
-                if e.to_config in targets:
-                    found = e.to_config
-                    break
-                queue.append(e.to_config)
-    if found is None:
-        return None
-    path = []
-    node = found
-    while parent[node] is not None:
-        e = parent[node]
-        path.append(e)
-        node = e.from_config
-    path.reverse()
-    return path
+def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
+    """Edge indexes of a shortest path from configuration `anchor` back to it
+    that releases every slot alive at its start and passes a configuration
+    with an accepting master state, or None.
+
+    The search runs breadth first over (configuration, number of the
+    starting slots still alive, accepting seen). The starting slots still
+    alive are always the oldest, a prefix of the slot list.
+    """
+    comp = graph.comp
+
+    def moves(state):
+        u, alive, seen = state
+        for n in graph.out(u):
+            v = graph.dst[n]
+            if comp[v] == comp[anchor]:
+                e = graph.edges[n]
+                left = alive - sum(1 for pos in e.returned if pos <= alive)
+                yield n, (v, left, seen or e.master_accepting)
+
+    c = graph.configs[anchor]
+    start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)
+    return _shortest_path([start], moves, lambda state: state == (anchor, 0, True))
+
+
+def _shortest_path(starts, moves, goal) -> Optional[list[int]]:
+    """Edge indexes of a shortest path from a start state to a goal state,
+    breadth first; `moves(state)` yields (edge index, next state) pairs in a
+    fixed order, so the first shortest path in that order is returned."""
+    parent = {s: None for s in starts}
+    queue = deque(starts)
+    while queue:
+        state = queue.popleft()
+        if goal(state):
+            path = []
+            while parent[state] is not None:
+                state, n = parent[state]
+                path.append(n)
+            path.reverse()
+            return path
+        for n, nxt in moves(state):
+            if nxt not in parent:
+                parent[nxt] = (state, n)
+                queue.append(nxt)
+    return None

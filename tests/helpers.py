@@ -163,3 +163,24 @@ def _karp(nodes: list[int], edges) -> Optional[Fraction]:
         if best is None or worst < best:
             best = worst
     return best
+
+
+def has_negative_cycle_fw(n_nodes: int, arcs) -> bool:
+    """Does the graph on nodes 0..n-1 with arcs (u, v, w) have a negative
+    cycle? Floyd-Warshall with d[i][i] = 0: some d[i][i] ends below 0 exactly
+    when one exists."""
+    d: list[list[Optional[int]]] = [[0 if i == j else None for j in range(n_nodes)] for i in range(n_nodes)]
+    for u, v, w in arcs:
+        if d[u][v] is None or w < d[u][v]:
+            d[u][v] = w
+    for m in range(n_nodes):
+        row_m = d[m]
+        for i in range(n_nodes):
+            row_i = d[i]
+            dim = row_i[m]
+            if dim is None:
+                continue
+            for j in range(n_nodes):
+                if row_m[j] is not None and (row_i[j] is None or dim + row_m[j] < row_i[j]):
+                    row_i[j] = dim + row_m[j]
+    return any(d[i][i] < 0 for i in range(n_nodes))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 from nwaq.core import (
@@ -12,7 +13,7 @@ from nwaq.core import (
     ValueResult,
     WeightedAutomaton,
 )
-from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, k_art
+from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, mirror, universality_deterministic
 from nwaq.oracle import evaluate_lasso, lasso_values, min_partial_average
 
@@ -190,3 +191,41 @@ def test_emptiness_answers_from_infimum():
                 assert cert.kind == "lasso"
                 replay = evaluate_lasso(nwa, cert.lasso, k)
                 assert replay.is_finite() and t.admits(replay.value), (nwa.name, str(t))
+
+
+def _sign_masked(nwa, negative):
+    """Negate the weights of the listed (1-based) slaves, which become Sum slaves."""
+    slaves = tuple(
+        WeightedAutomaton(
+            replace(sl.base, transitions=tuple((q, a, q2, -w) for q, a, q2, w in sl.base.transitions)), ValueFn.SUM
+        )
+        if n in negative
+        else sl
+        for n, sl in enumerate(nwa.slaves, start=1)
+    )
+    return Nwa(nwa.master, slaves, name=nwa.name + ".masked")
+
+
+def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
+    import nwaq.determinize
+    import nwaq.width
+
+    original = nwaq.determinize.config_successors
+    for nwa, k, queries in (
+        (cond_a2(), 2, ("infimum", "emptiness")),
+        (_sign_masked(art_types(3), {2}), 3, ("infimum",)),
+    ):
+        for query in queries:
+            calls: dict = {}
+
+            def counting(aut, c, letter, cap=None):
+                if aut is nwa:
+                    calls[(c, letter)] = calls.get((c, letter), 0) + 1
+                return original(aut, c, letter, cap)
+
+            monkeypatch.setattr(nwaq.determinize, "config_successors", counting)
+            monkeypatch.setattr(nwaq.width, "config_successors", counting)
+            pipe = Pipeline(nwa, k)
+            value = pipe.infimum()[0] if query == "infimum" else pipe.emptiness(Threshold(Fraction(-5)))[0]
+            assert value is NEG_INFINITY or value is True
+            assert calls and max(calls.values()) == 1, (nwa.name, query)

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
-from nwaq.core import PLUS_INFINITY
+from helpers import has_negative_cycle_fw
+from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, k_art
+from nwaq.determinize import ConfigGraph, explore
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
-from nwaq.starcond import check_star_condition, pump_witness
+from nwaq.starcond import _negative_cycle, check_star_condition, pump_witness
+from nwaq.textio import parse_nwa
+from nwaq.width import has_width
 
 
 def test_cond_a2_witness(a_cond2):
@@ -84,3 +89,175 @@ def test_completeness_at_desk_scale(all_corpus):
         floor = k * nwa.min_effective_weight() * 8
         if value is not PLUS_INFINITY:
             assert value.value >= floor
+
+
+def _defect_c_automaton():
+    """`c` invokes a Sum slave that loses 1 per `a` and ends after `b`; the
+    master state accepts throughout, so acceptance alone never forces the
+    pumped slave to end."""
+    return parse_nwa(
+        """nwa
+alphabet c a b
+master
+  states m0
+  initial m0
+  accepting m0
+  trans m0 c m0 invoke 1
+  trans m0 a m0 invoke 2
+  trans m0 b m0 invoke 2
+slave 1 valuefn sum
+  states s0 s1 s2
+  initial s0
+  accepting s2
+  trans s0 c s1 weight 0
+  trans s1 a s1 weight -1
+  trans s1 b s2 weight 0
+slave 2 valuefn sum
+  states d0
+  initial d0
+  accepting d0
+"""
+    )
+
+
+def test_pumped_word_releases_the_pumped_slots():
+    nwa = _defect_c_automaton()
+    witness = check_star_condition(nwa, 1)
+    assert witness is not None and witness.j == 1
+    lasso = pump_witness(nwa, witness, 1, pumps=8)
+    assert evaluate_lasso(nwa, lasso, 1) is not PLUS_INFINITY
+    assert min_partial_average(nwa, lasso, 1, 8) < 0
+
+
+def test_negative_cycle_search_matches_floyd_warshall():
+    rng = random.Random(9001)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        arcs = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(-4, 9))
+            for _ in range(rng.randint(1, 3 * n))
+        ]
+        cycle = _negative_cycle(n, arcs)
+        assert (cycle is not None) == has_negative_cycle_fw(n, arcs)
+        found[cycle is not None] += 1
+        if cycle is not None:
+            ring = [arcs[i] for i in cycle]
+            assert all(a[1] == b[0] for a, b in zip(ring, ring[1:] + ring[:1]))
+            assert sum(w for _, _, w in ring) < 0
+    assert min(found.values()) > 50
+
+
+def _random_signed_nwa(rng):
+    """A small deterministic automaton whose Sum slaves have weights of both signs.
+
+    A slave leaves its entry state on `c` (and perhaps on `a` or `b`) and
+    then reads only `a` and `b`, so a slot blocks the next `c` invocation and
+    most draws keep width 1 or 2.
+    """
+    sigma = Alphabet(("a", "b", "c"))
+    slaves = []
+    for _ in range(rng.randint(1, 2)):
+        n = rng.randint(3, 5)
+        trans = {(0, a, rng.randrange(1, n), rng.randint(-3, 2)) for a in range(3) if a == 2 or rng.random() < 0.3}
+        trans |= {
+            (q, a, rng.randrange(1, n), rng.randint(-3, 2))
+            for q in range(1, n - 1)
+            for a in range(2)
+            if rng.random() < 0.85
+        }
+        names = tuple(f"s{i}" for i in range(n))
+        aut = LabeledAutomaton(sigma, n, names, frozenset({0}), tuple(sorted(trans)), frozenset({n - 1}))
+        slaves.append(WeightedAutomaton(aut, ValueFn.SUM))
+    dummy = len(slaves) + 1
+    aut = LabeledAutomaton(sigma, 1, ("d",), frozenset({0}), (), frozenset({0}))
+    slaves.append(WeightedAutomaton(aut, ValueFn.SUM))
+    nm = rng.randint(1, 3)
+    trans = [
+        (q, a, rng.randrange(nm), rng.randrange(1, dummy) if a == 2 or rng.random() < 0.1 else dummy)
+        for q in range(nm)
+        for a in range(3)
+        if rng.random() < 0.9
+    ]
+    names = tuple(f"m{i}" for i in range(nm))
+    master = LabeledAutomaton(sigma, nm, names, frozenset({0}), tuple(trans), frozenset({rng.randrange(nm)}))
+    return Nwa(master, tuple(slaves))
+
+
+def _closure(succ, start) -> set:
+    seen, todo = {start}, [start]
+    while todo:
+        for v in succ(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _components(nodes, edges) -> set[frozenset]:
+    """Node sets of the components of a graph given as (u, v) pairs, found by mutual reachability."""
+    succ: dict = {}
+    for u, v in edges:
+        succ.setdefault(u, set()).add(v)
+    reach = {u: _closure(lambda x: succ.get(x, ()), u) for u in nodes}
+    return {frozenset(v for v in reach[u] if u in reach[v]) for u in nodes}
+
+
+def _descent_by_floyd_warshall(nwa, k) -> bool:
+    """The negative-descent condition, checked independently: inside a
+    component with an accepting master state, from which every slot alive at
+    one of its configurations can be released without leaving it, the edges
+    that keep the j oldest slots alive close a negative cycle (Floyd-Warshall)."""
+    configs, edges = explore(nwa, k)
+    for comp in _components(configs, [(e.from_config, e.to_config) for e in edges]):
+        if not any(c.master_state in nwa.master.accepting for c in comp):
+            continue
+        inner = [e for e in edges if e.from_config in comp and e.to_config in comp]
+
+        def release(state):
+            c, alive = state
+            for e in inner:
+                if e.from_config == c:
+                    yield e.to_config, alive - sum(1 for p in e.returned if p <= alive)
+
+        anchor = min(comp, key=lambda c: (c.master_state, c.slots))
+        if not any(alive == 0 for _, alive in _closure(release, (anchor, len(anchor.slots)))):
+            continue
+        pos = {c: n for n, c in enumerate(comp)}
+        for j in range(1, k + 1):
+            arcs = [
+                (pos[e.from_config], pos[e.to_config], sum(e.slot_weights[:j]))
+                for e in inner
+                if len(e.from_config.slots) >= j and all(p > j for p in e.returned)
+            ]
+            if has_negative_cycle_fw(len(comp), arcs):
+                return True
+    return False
+
+
+def test_descent_test_matches_floyd_warshall_on_random_automata():
+    rng = random.Random(9002)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        nwa = _random_signed_nwa(rng)
+        k = rng.randint(1, 2)
+        if not has_width(nwa, k)[0]:
+            continue
+        witness = check_star_condition(nwa, k)
+        assert (witness is not None) == _descent_by_floyd_warshall(nwa, k)
+        verdicts[witness is not None] += 1
+        if witness is None:
+            continue
+        graph = ConfigGraph(*explore(nwa, k))
+        comp = {graph.comp[graph.index[e.from_config]] for e in witness.cycle}
+        assert len(comp) == 1
+        (ci,) = comp
+        assert any(c.master_state in nwa.master.accepting for n, c in enumerate(graph.configs) if graph.comp[n] == ci)
+        ring = witness.cycle
+        assert all(a.to_config == b.from_config for a, b in zip(ring, ring[1:] + ring[:1]))
+        assert all(len(e.from_config.slots) >= witness.j and all(p > witness.j for p in e.returned) for e in ring)
+        assert witness.recompute_sum() == witness.j_sum < 0
+        lasso = pump_witness(nwa, witness, k, pumps=8, graph=graph)
+        assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
+        assert min_partial_average(nwa, lasso, k, 8) < 0
+    assert min(verdicts.values()) > 30
