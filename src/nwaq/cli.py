@@ -3,7 +3,7 @@
 Every command prints one JSON envelope on stdout:
 {"query": ..., "answer": ..., "value": {"tag", "p", "q"}, "witness": ...}
 Exit codes: 0 = yes/true, 1 = no/false, 2 = usage or validation error,
-3 = internal limit such as the materialization cap.
+3 = internal limit (reserved: no decision command sets a limit yet).
 """
 
 from __future__ import annotations
@@ -207,6 +207,7 @@ def _cmd_empty(args) -> int:
             "kind": cert.kind,
             "value": _value_json(cert.value),
             "witness": _witness_json(cert, nwa),
+            "flags": list(cert.flags),
         }
         with open(args.certificate, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

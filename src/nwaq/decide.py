@@ -1,25 +1,28 @@
 """End-to-end decisions: threshold emptiness, exact infimum, and deterministic
 universality.
 
-The pipeline determinizes nondeterministic input on the configuration graph,
-tests the negative-descent condition (a hit settles every threshold at minus
-infinity), reduces to width 1, summarizes runs as a fragment automaton, and
-decides thresholds on its cycle ratios. Certificates are words over the
-original alphabet wherever a lasso can witness the verdict; a minus-infinity
-verdict carries the witness cycle and a pumping recipe instead, because no
-single lasso need evaluate below the threshold (pumping drives the partial
-averages down, not necessarily the lasso value).
+A `Pipeline` explores one configuration graph, whose edges are joint choices
+of master and slave moves, so nondeterministic input needs no
+determinization. A negative descent settles every threshold at minus
+infinity. Otherwise a lasso is accepted when its period passes a
+master-accepting edge and an edge that releases slot position 1 or leaves no
+slot, and its value is the period's slot weights over its invocations; the
+infimum is the least such cycle ratio (`meanpayoff.infimum_ratio`).
+Certificates are lassos over the input alphabet read off the same graph, or,
+for minus infinity, the witness cycle and a pumped word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     LassoWord,
     NEG_INFINITY,
+    NondeterministicInputError,
     Nwa,
     PLUS_INFINITY,
     PreconditionError,
@@ -31,27 +34,25 @@ from .core import (
     is_deterministic,
     validate_nwa,
 )
-from .determinize import ConfigGraph, explore, materialize_deterministic
-from .meanpayoff import CycleWitness, RatioGraph, check_ratio_bound, infimum_ratio
-from .reduce import (
-    NegInfinityFragmentError,
-    SilentLimAvgAutomaton,
-    fragment_automaton,
-    reduce_width1,
-)
+from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
+from .meanpayoff import RatioGraph, _sccs, _shortest_path, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
 from .width import has_width
+
+# the edge kinds a certificate period must pass
+TICK, ACCEPT, RELEASE = 1, 2, 4
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Evidence behind a verdict.
 
-    kind "lasso": `lasso` (over the original alphabet for deterministic
-    input) replays through the oracle to `value`. kind "star": `star` is the
-    negative cycle; `pumped` is a lasso whose partial averages dip below any
-    bound as the cycle is pumped further. kind "infimum": the computed
-    infimum used to refute a threshold.
+    kind "lasso": `lasso`, a word over the input alphabet, replays to
+    `value`; flagged "not-attained", no lasso attains the infimum and `value`
+    lies above it. kind "star": `star` is the negative cycle; `pumped` is a
+    lasso whose partial averages dip below any bound as the cycle is pumped
+    further. kind "infimum": the infimum that refutes a threshold or, flagged
+    "not-attained", admits one that no lasso reaches.
     """
 
     kind: str
@@ -69,100 +70,144 @@ class Pipeline:
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
-        graph = ConfigGraph(*explore(nwa, k))
-        if graph.overflow:
+        configs = ConfigGraph(*explore(nwa, k))
+        if configs.overflow:
             _, witness = has_width(nwa, k)
             raise PreconditionError(f"automaton exceeds width {k} (witness {' '.join(witness)})")
-        self.original = nwa
+        self.nwa = nwa
         self.k = k
-        det, _ = is_deterministic(nwa)
-        self.determinized = nwa if det else materialize_deterministic(nwa, k)
-        self.star: Optional[StarWitness] = None
-        self._config_graph: Optional[ConfigGraph] = None
-        # the descent test needs the decided automaton's graph only when some
-        # weight is negative; a hit keeps it for the pumping witness
-        if self.determinized.min_effective_weight() < 0:
-            if not det:
-                graph = ConfigGraph(*explore(self.determinized, k))
-            self.star = check_star_condition(self.determinized, k, graph)
-            if self.star is not None:
-                self._config_graph = graph
-        del graph  # the reduction below does not need it
-        self.flags: tuple[str, ...] = ()
-        self.fragments: Optional[SilentLimAvgAutomaton] = None
+        self.configs = configs
+        self.star: Optional[StarWitness] = check_star_condition(nwa, k, configs)
         self.graph: Optional[RatioGraph] = None
-        self._infimum: Optional[ValueResult] = None
-        self._witness: Optional[CycleWitness] = None
+        self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
-            self.reduced = reduce_width1(self.determinized, k)
-            try:
-                self.fragments = fragment_automaton(self.reduced)
-            except NegInfinityFragmentError as err:
-                # should be pre-empted by the descent check; report and flag
-                self.flags = ("neg-infinity-fragment",)
-                self._infimum = NEG_INFINITY
-                return
-            self.graph = _ratio_graph(self.fragments)
-            self._infimum, self._witness = infimum_ratio(self.graph)
+            self.graph = _ratio_graph(nwa, configs)
+            self.value, self._witness = infimum_ratio(self.graph)
             if self._witness is not None:
                 assert check_ratio_bound(self.graph, self._witness.ratio, self._witness.potentials)
-        else:
-            self._infimum = NEG_INFINITY
 
     def infimum(self) -> tuple[ValueResult, Certificate]:
         if self.star is not None:
-            return NEG_INFINITY, Certificate(
-                kind="star",
-                value=NEG_INFINITY,
-                star=self.star,
-                pumped=pump_witness(self.determinized, self.star, self.k, pumps=8, graph=self._config_graph),
-            )
-        if self._infimum is NEG_INFINITY:
-            return NEG_INFINITY, Certificate(kind="star", value=NEG_INFINITY, flags=self.flags)
+            return NEG_INFINITY, self._star(pumps=8)
         if self._witness is None:
             return PLUS_INFINITY, Certificate(kind="infimum", value=PLUS_INFINITY)
-        return self._infimum, Certificate(
-            kind="lasso", value=self._infimum, lasso=self._expand(self._witness)
-        )
+        return self.value, self._lasso(None)
 
     def emptiness(self, t: Threshold) -> tuple[bool, Certificate]:
         """Does some word have value below the threshold?"""
         if self.star is not None:
-            pumps = _pumps_for(self.star, t, self.k)
-            return True, Certificate(
-                kind="star",
-                value=NEG_INFINITY,
-                star=self.star,
-                pumped=pump_witness(self.determinized, self.star, self.k, pumps=pumps, graph=self._config_graph),
-            )
-        if self._infimum is NEG_INFINITY:
-            return True, Certificate(kind="star", value=NEG_INFINITY, flags=self.flags)
-        if self._witness is None:
-            return False, Certificate(kind="infimum", value=PLUS_INFINITY)
-        # the least-ratio cycle is a witness exactly when the threshold admits the infimum
-        if t.admits(self._witness.ratio):
-            return True, Certificate(kind="lasso", value=self._infimum, lasso=self._expand(self._witness))
-        return False, Certificate(kind="infimum", value=self._infimum)
+            return True, self._star(pumps=_pumps_for(self.star, t, self.k))
+        if self._witness is None or not t.admits(self._witness.ratio):
+            return False, Certificate(kind="infimum", value=self.value)
+        return True, self._lasso(t)
 
-    def _expand(self, witness: CycleWitness) -> LassoWord:
-        """Turn a fragment-cycle witness into a word over the input alphabet."""
-        assert self.fragments is not None
-        frag = self.fragments
-        edge_letter = {n: frag.edges[n][1] for n in range(len(frag.edges))}
+    def _star(self, pumps: int) -> Certificate:
+        pumped = pump_witness(self.nwa, self.star, self.k, pumps=pumps, graph=self.configs)
+        return Certificate(kind="star", value=NEG_INFINITY, star=self.star, pumped=pumped)
 
-        def expand(edge_idxs) -> list[str]:
-            out: list[str] = []
-            for n in edge_idxs:
-                out.extend(frag.realizations[edge_letter[n]])
-            return out
+    def _lasso(self, t: Optional[Threshold]) -> Certificate:
+        """A lasso of least value or, when no lasso attains the infimum, one
+        within the threshold t (8 cycle turns from it when t is None)."""
+        w, g = self._witness, self.graph
+        found = self._tight_period()
+        if found is not None:
+            return Certificate(kind="lasso", value=self.value, lasso=self._word(*found))
+        flags = ("not-attained",)
+        if t is not None and t.value == w.ratio:
+            return Certificate(kind="infimum", value=self.value, flags=flags)
+        # turn the least-ratio cycle n times, then detour through acceptance
+        # and a release: (n*a + c) / (n*b + d) falls towards a/b as n grows
+        comp = self.configs.comp
+        root = g.edges[w.cycle[0]][0]
+        detour = self._closed_walk(root, lambda n: comp[g.edges[n][1]] == comp[root], ACCEPT | RELEASE)
+        a, b = sum(g.edges[n][2] for n in w.cycle), sum(g.edges[n][3] for n in w.cycle)
+        c, d = sum(g.edges[n][2] for n in detour), sum(g.edges[n][3] for n in detour)
+        n = 8
+        if t is not None:
+            x = (c - t.value * d) / (t.value * b - a)
+            n = max(1, math.floor(x) + 1 if t.strict else math.ceil(x))
+        value, lasso = ValueResult.finite(Fraction(n * a + c, n * b + d)), self._word(root, list(w.cycle) * n + detour)
+        return Certificate(kind="lasso", value=value, lasso=lasso, flags=flags)
 
-        prefix = expand(witness.access)
-        period = expand(witness.cycle)
-        if self.determinized is not self.original:
-            # map materialized edge letters back to input letters
-            prefix = [_original_letter(self.original, self.determinized, a) for a in prefix]
-            period = [_original_letter(self.original, self.determinized, a) for a in period]
-        return LassoWord(tuple(prefix), tuple(period))
+    def _tight_period(self) -> Optional[tuple[int, list[int]]]:
+        """A closed walk of least ratio p/q through acceptance and a release,
+        with its start, or None when no lasso attains p/q.
+
+        An edge is tight when q*cost - p*ticks + pi(v) - pi(u) = 0 under the
+        witness potentials. Every cycle of tight edges has ratio exactly p/q,
+        and the period of a lasso of value p/q uses only tight edges, so such
+        a lasso exists exactly when some strongly connected piece of the tight
+        edges holds a tick, a master-accepting and a releasing edge. The walk
+        starts at the piece's least node and is a shortest one through all
+        three kinds.
+        """
+        g, w, comp = self.graph, self._witness, self.configs.comp
+        p, q = w.ratio.numerator, w.ratio.denominator
+        pot = {u: x for pi in w.potentials for u, x in pi.items()}
+        tight = [
+            (n, u, v)
+            for n, (u, v, cost, ticks) in enumerate(g.edges)
+            if u in pot and comp[u] == comp[v] and q * cost - p * ticks + pot[v] - pot[u] == 0
+        ]
+        piece = _sccs(g.n_nodes, [(u, v) for _, u, v in tight])
+        kinds: dict[int, int] = {}
+        for n, u, v in tight:
+            if piece[u] == piece[v]:
+                kinds[piece[u]] = kinds.get(piece[u], 0) | _kind(self.configs.edges[n])
+        root = next((u for u in range(g.n_nodes) if kinds.get(piece[u]) == TICK | ACCEPT | RELEASE), None)
+        if root is None:
+            return None
+        inside = {n for n, u, v in tight if piece[u] == piece[v] == piece[root]}
+        return root, self._closed_walk(root, inside.__contains__, TICK | ACCEPT | RELEASE)
+
+    def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
+        """Edge indexes of a shortest closed walk from configuration `root`
+        over allowed edges that passes every edge kind in `need`."""
+        cg = self.configs
+
+        def moves(state):
+            u, got = state
+            for n in cg.out(u):
+                if allowed(n):
+                    yield n, (cg.dst[n], got | _kind(cg.edges[n]) & need)
+
+        return _shortest_path([(root, 0)], moves, (root, need).__eq__)
+
+    def _word(self, root: int, period: list[int]) -> LassoWord:
+        """A shortest path from an initial configuration to `root`, then the
+        closed walk `period` forever, as letters."""
+        cg, letters = self.configs, self.nwa.alphabet.letters
+        access = _shortest_path(
+            sorted(self.graph.initials), lambda u: ((n, cg.dst[n]) for n in cg.out(u)), root.__eq__
+        )
+        return LassoWord(*(tuple(letters[cg.edges[n].letter] for n in walk) for walk in (access, period)))
+
+
+def _kind(e: ConfigEdge) -> int:
+    """The certificate kinds of a configuration edge."""
+    releases = 1 in e.returned or not e.to_config.slots  # frees slot position 1 or leaves no slot
+    return (e.invoked is not None) * TICK | e.master_accepting * ACCEPT | releases * RELEASE
+
+
+def _ratio_graph(nwa: Nwa, cg: ConfigGraph) -> RatioGraph:
+    """The configuration graph as a limit-average graph: cost is the step's
+    total slot weight, a tick is a non-silent invocation, and the accepting
+    nodes are the members of the components with an internal
+    master-accepting edge and an internal releasing edge."""
+    comp = cg.comp
+    kinds: dict[int, int] = {}
+    for n, e in enumerate(cg.edges):
+        if comp[cg.src[n]] == comp[cg.dst[n]]:
+            kinds[comp[cg.src[n]]] = kinds.get(comp[cg.src[n]], 0) | _kind(e)
+    qualifying = {c for c, kind in kinds.items() if kind & (ACCEPT | RELEASE) == ACCEPT | RELEASE}
+    return RatioGraph(
+        n_nodes=len(cg.configs),
+        edges=tuple(
+            (cg.src[n], cg.dst[n], sum(e.slot_weights), int(e.invoked is not None)) for n, e in enumerate(cg.edges)
+        ),
+        initials=frozenset(cg.index[c] for c in config_initials(nwa)),
+        accepting=frozenset(u for u in range(len(cg.configs)) if comp[u] in qualifying),
+    )
 
 
 def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:
@@ -175,26 +220,6 @@ def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:
     need = -t.value if t.value < 0 else Fraction(0)
     per_turn = -star.j_sum
     return max(8, int(need * (k + 2) // per_turn) + 8)
-
-
-def _original_letter(original: Nwa, determinized: Nwa, letter: str) -> str:
-    table = determinized.__dict__.get("letter_projection", {})
-    return table.get(letter, letter)
-
-
-def _ratio_graph(frag: SilentLimAvgAutomaton) -> RatioGraph:
-    edges = []
-    for src, letter, dst, weight in frag.edges:
-        if weight is None:
-            edges.append((src, dst, 0, 0))
-        else:
-            edges.append((src, dst, weight, 1))
-    return RatioGraph(
-        n_nodes=frag.n_states,
-        edges=tuple(edges),
-        initials=frozenset({frag.initial}),
-        accepting=frag.accepting,
-    )
 
 
 def emptiness(nwa: Nwa, k: int, t: Threshold) -> tuple[bool, Certificate]:
@@ -242,8 +267,6 @@ def universality_deterministic(nwa: Nwa, k: int, t: Threshold) -> bool:
     """
     ok, site = is_deterministic(nwa)
     if not ok:
-        from .core import NondeterministicInputError
-
         raise NondeterministicInputError(site or "universality needs a deterministic automaton")
     flipped = Threshold(-t.value, not t.strict)
     answer, _ = emptiness(mirror(nwa), k, flipped)

@@ -2,9 +2,10 @@
 
 A configuration couples the master state with the states of the active
 slaves, least recently invoked first. The explorer enumerates every joint
-choice a nondeterministic automaton has on a letter; the resulting edges are
-the live letters of the determinized automaton, so the huge alphabet of
-choice functions is never materialized as data.
+choice a nondeterministic automaton has on a letter, so each edge is one
+choice and the decisions run on this graph directly. The same edges are the
+letters of `materialize_deterministic`, the paper's explicit determinization,
+kept as a reference for tests.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ class ConfigEdge:
     the newly invoked slot last; weights are effective (absolute for Sum+
     slaves). `returned` lists the 1-based positions of `from_config` slots
     that terminate before the letter is consumed; their values live in run
-    simulations, not in the finite graph. all_terminated marks steps after
-    which no slot from before this step's invocation remains.
+    simulations, not in the finite graph.
     """
 
     from_config: Configuration
@@ -49,7 +49,6 @@ class ConfigEdge:
     slot_weights: tuple[int, ...]
     returned: tuple[int, ...]
     master_accepting: bool
-    all_terminated: bool
     width_overflow: bool = False
 
 
@@ -124,7 +123,6 @@ def config_successors(
                         slot_weights=weights,
                         returned=tuple(released),
                         master_accepting=q2 in nwa.master.accepting,
-                        all_terminated=not combo,
                         width_overflow=cap is not None and len(slots) > cap,
                     )
                 )
@@ -141,7 +139,7 @@ def _product(choices):
             yield (h,) + r
 
 
-def explore(nwa: Nwa, k: int, cap: Optional[int] = None) -> tuple[list[Configuration], list[ConfigEdge]]:
+def explore(nwa: Nwa, k: int) -> tuple[list[Configuration], list[ConfigEdge]]:
     """Reachable configurations and edges under width cap k, in canonical order.
 
     Overflow edges are reported but their targets are not expanded.
@@ -154,8 +152,6 @@ def explore(nwa: Nwa, k: int, cap: Optional[int] = None) -> tuple[list[Configura
     while todo:
         _, c = heapq.heappop(todo)
         configs.append(c)
-        if cap is not None and len(configs) > cap:
-            raise CapExceededError(f"more than {cap} reachable configurations")
         for a in range(len(nwa.alphabet)):
             for e in config_successors(nwa, c, a, cap=k):
                 edges.append(e)
@@ -358,8 +354,4 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
             ValueFn.SUM,
         )
     )
-    out = Nwa(master, tuple(slaves), name=(nwa.name + "_det") if nwa.name else "det")
-    out.__dict__["letter_projection"] = {
-        letter_names[n]: nwa.alphabet.letters[found_edges[n][1]] for n in range(len(found_edges))
-    }
-    return out
+    return Nwa(master, tuple(slaves), name=(nwa.name + "_det") if nwa.name else "det")

@@ -4,7 +4,8 @@ component.
 
 A qualifying cycle is reachable from an initial node, lies in a component
 containing an accepting node, and contains at least one tick (non-silent)
-edge; its ratio is cost divided by ticks. Silent edges carry cost 0, so every
+edge; its ratio is cost divided by ticks. Silent edges may carry cost, but no
+silent cycle inside a qualifying component may be negative; then every
 minimum is attained on a simple cycle.
 
 Reachability and components are computed once. Policy iteration
@@ -14,8 +15,9 @@ whose ratio and the potentials that lead to it are evaluated exactly. A node
 switches edge only on a strict improvement: to a successor with a lower cycle
 ratio or, when no node can do that, to one with a lower potential at the same
 ratio. The first policy leads every node to a tick edge, and a strict switch
-can only close a cycle of negative reduced cost, so no policy cycle is ever
-silent. At the fixed point the ratio p/q is the same on the whole component
+can only close a cycle of negative reduced cost, so a policy cycle can be
+silent only when a silent cycle is negative; that raises ValueError. At the
+fixed point the ratio p/q is the same on the whole component
 and the integer potentials pi satisfy q*cost - p*ticks + pi(v) - pi(u) >= 0
 on every internal edge u -> v. Summed around any cycle of the component this
 proves that none has a lower ratio; `check_ratio_bound` verifies it in
@@ -24,6 +26,7 @@ integer arithmetic. A threshold is decided by comparing it with the minimum.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -33,7 +36,11 @@ from .core import PLUS_INFINITY, Threshold, ValueResult
 
 @dataclass(frozen=True)
 class RatioGraph:
-    """Directed graph with integer edge costs and 0/1 ticks; silent = tick 0."""
+    """Directed graph with integer edge costs and 0/1 ticks; silent = tick 0.
+
+    No silent cycle inside a qualifying component may have negative cost;
+    `infimum_ratio` raises ValueError when one does.
+    """
 
     n_nodes: int
     edges: tuple[tuple[int, int, int, int], ...]  # (from, to, cost, ticks)
@@ -46,8 +53,6 @@ class RatioGraph:
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
             if ticks not in (0, 1):
                 raise ValueError("ticks must be 0 or 1")
-            if ticks == 0 and cost != 0:
-                raise ValueError("silent edges carry no cost")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,28 @@ def _sccs(n: int, edge_list) -> list[int]:
     return comp
 
 
+def _shortest_path(starts, moves, goal) -> Optional[list[int]]:
+    """Edge indexes of a shortest path from a start state to a goal state,
+    breadth first; `moves(state)` yields (edge index, next state) pairs in a
+    fixed order, so the first shortest path in that order is returned."""
+    parent = {s: None for s in starts}
+    queue = deque(starts)
+    while queue:
+        state = queue.popleft()
+        if goal(state):
+            path = []
+            while parent[state] is not None:
+                state, n = parent[state]
+                path.append(n)
+            path.reverse()
+            return path
+        for n, nxt in moves(state):
+            if nxt not in parent:
+                parent[nxt] = (state, n)
+                queue.append(nxt)
+    return None
+
+
 def _qualifying_sccs(g: RatioGraph):
     """Per-component internal edge indexes, for components that are reachable,
     contain an accepting node, and contain a tick edge."""
@@ -191,7 +218,8 @@ def _policy_iteration(g: RatioGraph, edge_idxs: list[int]):
                 loop = path[at[u]:]
                 ring = [policy[w] for w in loop]
                 ticks = sum(edges[n][3] for n in ring)
-                assert ticks > 0, "policy cycles always tick"
+                if ticks == 0:
+                    raise ValueError("a silent cycle of negative cost in a qualifying component")
                 ratio = Fraction(sum(edges[n][2] for n in ring), ticks)
                 r = loop.index(min(loop))
                 root = loop[r]
@@ -275,33 +303,6 @@ def threshold_emptiness(g: RatioGraph, t: Threshold) -> tuple[bool, Optional[Cyc
     return False, None
 
 
-def _access_path(g: RatioGraph, target: int) -> list[int]:
-    parent: dict[int, Optional[int]] = {u: None for u in sorted(g.initials)}
-    if target in parent:
-        return []
-    adj: dict[int, list[int]] = {}
-    for n, (u, v, _, _) in enumerate(g.edges):
-        adj.setdefault(u, []).append(n)
-    queue = sorted(g.initials)
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for n in adj.get(u, ()):
-            v = g.edges[n][1]
-            if v not in parent:
-                parent[v] = n
-                if v == target:
-                    path = []
-                    while parent[v] is not None:
-                        path.append(parent[v])
-                        v = g.edges[parent[v]][0]
-                    path.reverse()
-                    return path
-                queue.append(v)
-    raise ValueError("cycle start unreachable")
-
-
 def infimum_ratio(g: RatioGraph) -> tuple[ValueResult, Optional[CycleWitness]]:
     """Exact minimum ratio over qualifying cycles, by policy iteration.
 
@@ -325,6 +326,11 @@ def infimum_ratio(g: RatioGraph) -> tuple[ValueResult, Optional[CycleWitness]]:
     # every edge inequality, whose other terms are integers
     q = ratio.denominator
     potentials = tuple({u: q * x // own.denominator for u, x in pot.items()} for own, pot in solved)
-    access = _access_path(g, g.edges[ring[0]][0])
+    out: dict[int, list[int]] = {}
+    for n, (u, v, _, _) in enumerate(g.edges):
+        out.setdefault(u, []).append(n)
+    access = _shortest_path(
+        sorted(g.initials), lambda u: ((n, g.edges[n][1]) for n in out.get(u, ())), g.edges[ring[0]][0].__eq__
+    )
     witness = CycleWitness(access=tuple(access), cycle=tuple(ring), ratio=ratio, potentials=potentials)
     return ValueResult.finite(ratio), witness

@@ -15,17 +15,19 @@ alive are searched for a negative cycle by Bellman-Ford over integer
 parent graph has a cycle, since such a cycle is always negative, instead of
 running all n passes. Whether the slots can be released depends only on the
 component: a path from any configuration can reach one that has such a way
-back, take it, and return.
+back, take it, and return. Nondeterministic input needs no determinization:
+each edge is one joint choice of master and slave moves, so each path is a
+run, and a word's value is the least over its runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Configuration, LassoWord, Nwa, NondeterministicInputError, PreconditionError, is_deterministic
+from .core import Configuration, LassoWord, Nwa, PreconditionError
 from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
+from .meanpayoff import _shortest_path
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,6 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
     `graph` is the configuration graph of `nwa` at width k, when the caller
     has explored it already; without it the test explores the graph itself.
     """
-    ok, site = is_deterministic(nwa)
-    if not ok:
-        raise NondeterministicInputError(site or "input is not deterministic")
     if graph is None:
         graph = ConfigGraph(*explore(nwa, k))
     if graph.overflow:
@@ -191,25 +190,3 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
     c = graph.configs[anchor]
     start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)
     return _shortest_path([start], moves, lambda state: state == (anchor, 0, True))
-
-
-def _shortest_path(starts, moves, goal) -> Optional[list[int]]:
-    """Edge indexes of a shortest path from a start state to a goal state,
-    breadth first; `moves(state)` yields (edge index, next state) pairs in a
-    fixed order, so the first shortest path in that order is returned."""
-    parent = {s: None for s in starts}
-    queue = deque(starts)
-    while queue:
-        state = queue.popleft()
-        if goal(state):
-            path = []
-            while parent[state] is not None:
-                state, n = parent[state]
-                path.append(n)
-            path.reverse()
-            return path
-        for n, nxt in moves(state):
-            if nxt not in parent:
-                parent[nxt] = (state, n)
-                queue.append(nxt)
-    return None

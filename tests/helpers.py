@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from nwaq.core import WeightedAutomaton, finite_value
+from nwaq.core import (
+    Alphabet,
+    LabeledAutomaton,
+    Nwa,
+    ValueFn,
+    ValueResult,
+    WeightedAutomaton,
+    finite_value,
+    is_deterministic,
+)
+from nwaq.meanpayoff import RatioGraph, infimum_ratio
+from nwaq.reduce import NegInfinityFragmentError, SilentLimAvgAutomaton, fragment_automaton, reduce_width1
 
 
 def slave_language(slave: WeightedAutomaton, max_len: int) -> dict[tuple[str, ...], int]:
@@ -104,33 +117,33 @@ def min_cycle_ratio_karp(graph) -> Optional[Fraction]:
     algorithm (Karp, 1978), or None.
 
     Inside each qualifying component, every run of silent edges followed by a
-    tick edge u ->* w -> v is contracted into one edge u -> v carrying the
-    tick edge's cost. A cycle with t ticks becomes a cycle of t contracted
-    edges, so its ratio is the mean of the contracted cycle, and every
-    contracted cycle unfolds into a closed walk with the same cost and ticks.
+    tick edge u ->* w -> v is contracted into one edge u -> v whose cost is
+    the least cost of a silent path from u to w plus the tick edge's cost;
+    no silent cycle may be negative, so that least cost exists. A cycle with
+    t ticks becomes a cycle of t contracted edges that costs no more, so its
+    ratio is at least the least contracted mean, and every contracted cycle
+    unfolds into a closed walk with the same cost and ticks.
     """
     best = None
     for comp in qualifying_components(graph):
         inner = [e for e in graph.edges if e[0] in comp and e[1] in comp]
-        silent: dict[int, list[int]] = {}
+        silent: dict[int, list[tuple[int, int]]] = {}
         ticking: dict[int, list[tuple[int, int]]] = {}
         for u, v, cost, ticks in inner:
-            if ticks:
-                ticking.setdefault(u, []).append((v, cost))
-            else:
-                silent.setdefault(u, []).append(v)
+            (ticking if ticks else silent).setdefault(u, []).append((v, cost))
         contracted = set()
         for u in comp:
-            closure = {u}
+            dist = {u: 0}  # least silent-path cost from u, by label correcting
             todo = [u]
             while todo:
-                for v in silent.get(todo.pop(), ()):
-                    if v not in closure:
-                        closure.add(v)
+                w = todo.pop()
+                for v, cost in silent.get(w, ()):
+                    if v not in dist or dist[w] + cost < dist[v]:
+                        dist[v] = dist[w] + cost
                         todo.append(v)
-            for w in closure:
+            for w, d in dist.items():
                 for v, cost in ticking.get(w, ()):
-                    contracted.add((u, v, cost))
+                    contracted.add((u, v, d + cost))
         mean = _karp(sorted(comp), contracted)
         if mean is not None and (best is None or mean < best):
             best = mean
@@ -184,3 +197,124 @@ def has_negative_cycle_fw(n_nodes: int, arcs) -> bool:
                 if row_m[j] is not None and (row_i[j] is None or dim + row_m[j] < row_i[j]):
                     row_i[j] = dim + row_m[j]
     return any(d[i][i] < 0 for i in range(n_nodes))
+
+
+def fragment_ratio_graph(frag: SilentLimAvgAutomaton) -> RatioGraph:
+    """The fragment automaton as a limit-average graph: a valued letter ticks
+    and costs its fragment's least value, a silent letter is free."""
+    edges = tuple((src, dst, 0, 0) if w is None else (src, dst, w, 1) for src, _, dst, w in frag.edges)
+    return RatioGraph(frag.n_states, edges, frozenset({frag.initial}), frag.accepting)
+
+
+def reference_infimum(nwa: Nwa, k: int) -> Optional[ValueResult]:
+    """The paper's own chain on deterministic input without a negative
+    descent: width-1 reduction, fragment summary, least cycle ratio. None
+    when some fragment has no least value."""
+    try:
+        frag = fragment_automaton(reduce_width1(nwa, k))
+    except NegInfinityFragmentError:
+        return None
+    return infimum_ratio(fragment_ratio_graph(frag))[0]
+
+
+def random_draw(rng) -> Nwa:
+    """One automaton of the seeded differential fuzz: 2-3 letters; 1-3
+    master states, each (state, letter) move present with p = 0.85 and
+    invoking a random slave; 1-2 Sum or Sum+ slaves of 2-3 states with
+    weights in [-2, 2], whose last state is an accepting sink."""
+    sigma = Alphabet(("a", "b", "c")[: rng.randint(2, 3)])
+    n_slaves = rng.randint(1, 2)
+
+    def automaton(n, trans, accepting):
+        names = tuple(f"q{i}" for i in range(n))
+        return LabeledAutomaton(sigma, n, names, frozenset({0}), tuple(sorted(trans)), frozenset(accepting))
+
+    n_master = rng.randint(1, 3)
+    trans = [
+        (q, a, rng.randrange(n_master), rng.randint(1, n_slaves))
+        for q in range(n_master)
+        for a in range(len(sigma))
+        if rng.random() < 0.85
+    ]
+    accepting = [q for q in range(n_master) if rng.random() < 0.5] or [rng.randrange(n_master)]
+    master = automaton(n_master, trans, accepting)
+    slaves = []
+    for _ in range(n_slaves):
+        n = rng.randint(2, 3)
+        trans = [
+            (q, a, rng.randint(1, n - 1), rng.randint(-2, 2))
+            for q in range(n - 1)
+            for a in range(len(sigma))
+            if rng.random() < 0.85
+        ]
+        slaves.append(WeightedAutomaton(automaton(n, trans, [n - 1]), rng.choice((ValueFn.SUM, ValueFn.SUM_PLUS))))
+    return Nwa(master, tuple(slaves))
+
+
+def twinned(nwa: Nwa, weight: int, slave: Optional[int] = None, letter: Optional[str] = None) -> Nwa:
+    """Give each step of the chosen slaves (all when None) on the chosen
+    letter (all when None) a parallel twin of the given weight, with the
+    same source and target. Twins make the input nondeterministic; a twin
+    heavier than its step leaves every word's least run unchanged."""
+    slaves = []
+    for i, sl in enumerate(nwa.slaves, start=1):
+        base = sl.base
+        twins = {
+            (q, a, q2, weight)
+            for q, a, q2, _ in base.transitions
+            if slave in (None, i) and letter in (None, base.alphabet.letters[a])
+        }
+        trans = tuple(sorted(set(base.transitions) | twins))
+        slaves.append(WeightedAutomaton(replace(base, transitions=trans), sl.value_fn))
+    return Nwa(nwa.master, tuple(slaves), nwa.master_value_fn, nwa.name + ".twins")
+
+
+def random_nondet(seed):
+    """A small nondeterministic automaton over a b, or None when the seeded
+    draw happens to be deterministic."""
+    rng = random.Random(seed)
+    sigma = Alphabet(("a", "b"))
+    n_master = rng.randint(2, 3)
+    slaves = []
+    for _ in range(rng.randint(1, 2)):
+        n = rng.randint(2, 3)
+        trans = set()
+        for _ in range(rng.randint(3, 6)):
+            trans.add((rng.randrange(n - 1), rng.randrange(2), rng.randrange(n), rng.randint(-2, 2)))
+        # a short accepting path keeps slave terminations reachable
+        trans.add((0, rng.randrange(2), n - 1, rng.randint(-2, 2)))
+        slaves.append(
+            WeightedAutomaton(
+                LabeledAutomaton(
+                    sigma,
+                    n,
+                    tuple(f"s{i}" for i in range(n)),
+                    frozenset({0}),
+                    tuple(sorted(trans)),
+                    frozenset({n - 1}),
+                ),
+                rng.choice((ValueFn.SUM, ValueFn.SUM_PLUS)),
+            )
+        )
+    slaves.append(
+        WeightedAutomaton(
+            LabeledAutomaton(sigma, 1, ("d",), frozenset({0}), (), frozenset({0})), ValueFn.SUM
+        )
+    )
+    trans = set()
+    for _ in range(rng.randint(4, 7)):
+        trans.add((rng.randrange(n_master), rng.randrange(2), rng.randrange(n_master), rng.randint(1, len(slaves))))
+    # force a nondeterministic choice on some (state, letter)
+    q, a = rng.randrange(n_master), rng.randrange(2)
+    trans.add((q, a, rng.randrange(n_master), len(slaves)))
+    trans.add((q, a, (q + 1) % n_master, rng.randint(1, len(slaves))))
+    master = LabeledAutomaton(
+        sigma,
+        n_master,
+        tuple(f"m{i}" for i in range(n_master)),
+        frozenset({0}),
+        tuple(sorted(trans)),
+        frozenset({0, rng.randrange(n_master)}),
+    )
+    nwa = Nwa(master, tuple(slaves), name=f"rand{seed}")
+    return nwa if not is_deterministic(nwa)[0] else None

@@ -12,9 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from helpers import min_cycle_ratio_brute
+from helpers import min_cycle_ratio_brute, random_draw, random_nondet, reference_infimum
 from nwaq.cli import main as cli_main
-from nwaq.core import LassoWord, NEG_INFINITY, PLUS_INFINITY, Threshold, ValueResult, WidthExceededError
+from nwaq.core import (
+    LassoWord,
+    NEG_INFINITY,
+    PLUS_INFINITY,
+    Threshold,
+    ValueResult,
+    WidthExceededError,
+    is_deterministic,
+    validate_nwa,
+)
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
 from nwaq.decide import Pipeline
 from nwaq.determinize import materialize_deterministic
@@ -119,6 +128,42 @@ def test_criterion_4_pipeline_oracle_agreement():
             assert not pipe.emptiness(Threshold(inf_value.value - Fraction(1, 1000)))[0], name
 
 
+def test_criterion_4_differential_fuzz():
+    """Criterion 4 on seeded random automata of width <= 2: the infimum is
+    never above a lasso the oracle evaluates, every lasso certificate replays
+    to exactly its claimed value, and the paper's reduction chain gives the
+    same infimum wherever its own value is not above the oracle's."""
+    with _Budget("4 differential fuzz", 180.0):
+        kept = checked = 0
+        for seed in range(3):
+            rng = random.Random(seed)
+            for draw in range(1500):
+                nwa = random_draw(rng)
+                if validate_nwa(nwa) or not is_deterministic(nwa)[0] or not has_width(nwa, 2)[0]:
+                    continue
+                kept += 1
+                where = (seed, draw)
+                pipe = Pipeline(nwa, 2)
+                value, cert = pipe.infimum()
+                bound, _ = enumerate_lasso_infimum(nwa, 2, 4, 2)
+                assert value.sort_key() <= bound.sort_key(), where
+                certs = [cert]
+                if value.is_finite():
+                    t = Threshold(value.value + Fraction(1, 2))
+                    answer, cert = pipe.emptiness(t)
+                    assert answer and t.admits(cert.value.value), where
+                    certs.append(cert)
+                for cert in certs:
+                    if cert.kind == "lasso":
+                        assert evaluate_lasso(nwa, cert.lasso, 2) == cert.value, where
+                if value is not NEG_INFINITY:
+                    old = reference_infimum(nwa, 2)
+                    if old is not None and old.sort_key() <= bound.sort_key():
+                        assert value == old, where
+                        checked += 1
+        assert kept > 3000 and checked > 2500, (kept, checked)
+
+
 def _random_lassos(alphabet, count, max_prefix, max_period, seed):
     rng = random.Random(seed)
     letters = alphabet.letters
@@ -185,57 +230,6 @@ def test_criterion_7_reduction_fidelity():
                 assert evaluate_lasso(reduced, word, 1) == value, (name, word)
 
 
-def _random_nondet(seed):
-    from nwaq.core import Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton, is_deterministic
-
-    rng = random.Random(seed)
-    sigma = Alphabet(("a", "b"))
-    n_master = rng.randint(2, 3)
-    slaves = []
-    for _ in range(rng.randint(1, 2)):
-        n = rng.randint(2, 3)
-        trans = set()
-        for _ in range(rng.randint(3, 6)):
-            trans.add((rng.randrange(n - 1), rng.randrange(2), rng.randrange(n), rng.randint(-2, 2)))
-        # a short accepting path keeps slave terminations reachable
-        trans.add((0, rng.randrange(2), n - 1, rng.randint(-2, 2)))
-        slaves.append(
-            WeightedAutomaton(
-                LabeledAutomaton(
-                    sigma,
-                    n,
-                    tuple(f"s{i}" for i in range(n)),
-                    frozenset({0}),
-                    tuple(sorted(trans)),
-                    frozenset({n - 1}),
-                ),
-                rng.choice((ValueFn.SUM, ValueFn.SUM_PLUS)),
-            )
-        )
-    slaves.append(
-        WeightedAutomaton(
-            LabeledAutomaton(sigma, 1, ("d",), frozenset({0}), (), frozenset({0})), ValueFn.SUM
-        )
-    )
-    trans = set()
-    for _ in range(rng.randint(4, 7)):
-        trans.add((rng.randrange(n_master), rng.randrange(2), rng.randrange(n_master), rng.randint(1, len(slaves))))
-    # force a nondeterministic choice on some (state, letter)
-    q, a = rng.randrange(n_master), rng.randrange(2)
-    trans.add((q, a, rng.randrange(n_master), len(slaves)))
-    trans.add((q, a, (q + 1) % n_master, rng.randint(1, len(slaves))))
-    master = LabeledAutomaton(
-        sigma,
-        n_master,
-        tuple(f"m{i}" for i in range(n_master)),
-        frozenset({0}),
-        tuple(sorted(trans)),
-        frozenset({0, rng.randrange(n_master)}),
-    )
-    nwa = Nwa(master, tuple(slaves), name=f"rand{seed}")
-    return nwa if not is_deterministic(nwa)[0] else None
-
-
 def test_criterion_8_determinization_fidelity():
     with _Budget("8 determinization fidelity", 120.0):
         done = 0
@@ -243,7 +237,7 @@ def test_criterion_8_determinization_fidelity():
         seed = 0
         while done < 20:
             seed += 1
-            nwa = _random_nondet(8000 + seed)
+            nwa = random_nondet(8000 + seed)
             if nwa is None:
                 continue
             k = random.Random(seed).randint(1, 2)

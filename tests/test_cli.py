@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import twinned
 from nwaq.cli import main
-from nwaq.corpus import corpus, mca_counter
+from nwaq.corpus import cond_a2, corpus, mca_counter
+from nwaq.oracle import min_partial_average
 from nwaq.textio import (
     ParseError,
     parse_mca,
@@ -94,7 +96,7 @@ def test_cli_empty_and_certificate(capsys, tmp_path):
     )
     assert code == 0 and out["answer"] is True
     cert = json.loads(cert_path.read_text())
-    assert cert["answer"] is True
+    assert cert["answer"] is True and cert["flags"] == []
     # the emitted witness replays under eval to a value within the threshold
     code, replay = run_cli(capsys, "eval", str(DATA / "cond_a1.nwa"), "--word", cert["witness"], "--cap", "2")
     assert code == 0
@@ -113,6 +115,24 @@ def test_cli_infimum_star_universal(capsys):
     assert code == 0 and out["witness"]["j"] == 1
     code, out = run_cli(capsys, "universal", str(DATA / "art1.nwa"), "--k", "1", "--le", "1/2")
     assert code == 1 and out["answer"] is False
+
+
+def test_cli_nondeterministic_descent_witness(capsys, tmp_path):
+    # cond_a2 with a weight-5 twin of the decrementing slave's a step
+    nwa = twinned(cond_a2(), 5, slave=2, letter="a")
+    path = tmp_path / "cond_a2_twin.nwa"
+    path.write_text(render_nwa(nwa))
+    letters = set(nwa.alphabet.letters)
+    code, out = run_cli(capsys, "infimum", str(path), "--k", "2")
+    assert code == 0 and out["value"]["tag"] == "neg-infinity"
+    pumped = parse_word(out["witness"]["pumped"])
+    assert set(out["witness"]["cycle_letters"]) | set(pumped.prefix + pumped.period) <= letters
+    code, out = run_cli(capsys, "star", str(path), "--k", "2")
+    assert code == 0 and set(out["witness"]["cycle_letters"]) <= letters
+    # the least run of the pumped word is the deterministic cond_a2's run
+    code, out = run_cli(capsys, "empty", str(path), "--k", "2", "--le", "-150")
+    assert code == 0
+    assert min_partial_average(cond_a2(), parse_word(out["witness"]["pumped"]), 2, 8) <= -150
 
 
 def test_cli_translate_round_trip(capsys, tmp_path):

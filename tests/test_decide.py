@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,9 +14,13 @@ from nwaq.core import (
     ValueResult,
     WeightedAutomaton,
 )
+from helpers import random_nondet, reference_infimum, twinned
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, mirror, universality_deterministic
-from nwaq.oracle import evaluate_lasso, lasso_values, min_partial_average
+from nwaq.determinize import materialize_deterministic
+from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, lasso_values, min_partial_average
+from nwaq.textio import parse_nwa, parse_word
+from nwaq.width import has_width
 
 
 def test_cond_examples(a_cond1, a_cond2):
@@ -67,8 +72,6 @@ def test_pipeline_oracle_soundness(all_corpus):
 
 
 def test_pipeline_oracle_tightness(all_corpus):
-    from nwaq.oracle import enumerate_lasso_infimum
-
     bounds = {
         "art1": (3, 10),
         "cond_a1": (3, 10),
@@ -89,6 +92,10 @@ def test_pipeline_oracle_tightness(all_corpus):
         enum_value, _ = enumerate_lasso_infimum(nwa, mp, mper, k)
         assert enum_value.is_finite()
         assert enum_value.value - star_value.value <= Fraction(1, 2), name
+        # the paper's reduction chain, wherever no lasso undercuts it
+        old = reference_infimum(nwa, k)
+        if old.sort_key() <= enum_value.sort_key():
+            assert star_value == old, name
 
 
 def test_mirror_negates_lasso_values(all_corpus):
@@ -170,8 +177,6 @@ def test_nondeterministic_pipeline():
     assert value.is_finite()
     # nondeterministic certificates are projected to the original alphabet
     assert all(a in sigma.letters for a in cert.lasso.prefix + cert.lasso.period)
-    from nwaq.oracle import enumerate_lasso_infimum
-
     bound, _ = enumerate_lasso_infimum(nwa, 2, 4, 2)
     assert value.sort_key() <= bound.sort_key()
 
@@ -211,9 +216,10 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
     import nwaq.width
 
     original = nwaq.determinize.config_successors
-    for nwa, k, queries in (
-        (cond_a2(), 2, ("infimum", "emptiness")),
-        (_sign_masked(art_types(3), {2}), 3, ("infimum",)),
+    for nwa, k, queries, lowest in (
+        (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY),
+        (_sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY),
+        (twinned(k_art(3), 2), 3, ("infimum", "emptiness"), ValueResult.finite(1)),
     ):
         for query in queries:
             calls: dict = {}
@@ -226,6 +232,93 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
             monkeypatch.setattr(nwaq.determinize, "config_successors", counting)
             monkeypatch.setattr(nwaq.width, "config_successors", counting)
             pipe = Pipeline(nwa, k)
-            value = pipe.infimum()[0] if query == "infimum" else pipe.emptiness(Threshold(Fraction(-5)))[0]
-            assert value is NEG_INFINITY or value is True
+            if query == "infimum":
+                assert pipe.infimum()[0] == lowest, nwa.name
+            else:
+                assert pipe.emptiness(Threshold(Fraction(-5)))[0] == (lowest is NEG_INFINITY), nwa.name
             assert calls and max(calls.values()) == 1, (nwa.name, query)
+
+
+def test_nondeterministic_input_matches_its_determinization():
+    compared = 0
+    for seed in range(1, 300):
+        nwa = random_nondet(8000 + seed)
+        if nwa is None:
+            continue
+        k = random.Random(seed).randint(1, 2)
+        if not has_width(nwa, k)[0]:
+            continue
+        value = Pipeline(nwa, k).infimum()[0]
+        assert value == Pipeline(materialize_deterministic(nwa, k), k).infimum()[0], seed
+        # lassos of nondeterministic input are run lassos: an upper bound
+        assert value.sort_key() <= enumerate_lasso_infimum(nwa, 2, 4, k)[0].sort_key(), seed
+        compared += 1
+    assert compared >= 80
+
+
+# Every c starts a Sum slave that adds -1 on each of the next two letters,
+# so two slaves are live at every position.
+REPRODUCER_A = """nwa
+alphabet c
+master
+  states m0
+  initial m0
+  accepting m0
+  trans m0 c m0 invoke 1
+slave 1 valuefn sum
+  states s0 s1 s2
+  initial s0
+  accepting s2
+  trans s0 c s1 weight -1
+  trans s1 c s2 weight -1
+"""
+
+
+def test_slaves_that_always_overlap():
+    nwa = parse_nwa(REPRODUCER_A)
+    value, cert = infimum(nwa, 2)
+    assert value == ValueResult.finite(-2)
+    assert evaluate_lasso(nwa, cert.lasso, 2) == value == cert.value
+    answer, cert = emptiness(nwa, 2, Threshold(Fraction(0)))
+    assert answer and evaluate_lasso(nwa, cert.lasso, 2) == ValueResult.finite(-2)
+
+
+def _one_letter_slaves(weights: tuple[int, ...], master: str) -> str:
+    """Master lines plus one Sum slave per weight, each returning its weight
+    after one letter."""
+    slaves = "".join(
+        f"slave {i} valuefn sum\n  states t0 t1\n  initial t0\n  accepting t1\n"
+        f"  trans t0 a t1 weight {w}\n  trans t0 b t1 weight {w}\n"
+        for i, w in enumerate(weights, start=1)
+    )
+    return "nwa\nalphabet a b\nmaster\n  states m0 m1\n  initial m0\n  accepting m0\n" + master + slaves
+
+
+def test_certificates_pass_through_acceptance():
+    # only m0 accepts; the least-ratio cycle m1 -b-> m1 never returns to it
+    nwa = parse_nwa(
+        _one_letter_slaves((0, -1), "  trans m0 a m1 invoke 1\n  trans m1 a m0 invoke 1\n  trans m1 b m1 invoke 2\n")
+    )
+    value, cert = infimum(nwa, 1)
+    assert value == ValueResult.finite(-1)
+    # no lasso attains -1: 8 turns of the cycle, then a detour through m0
+    assert cert.flags == ("not-attained",)
+    assert cert.lasso == parse_word("a b | b b b b b b b b a a b")
+    assert cert.value == ValueResult.finite(Fraction(-9, 11)) == evaluate_lasso(nwa, cert.lasso, 1)
+    t = Threshold(Fraction(-1, 2))
+    answer, cert = emptiness(nwa, 1, t)
+    assert answer and cert.flags == ("not-attained",)
+    assert evaluate_lasso(nwa, cert.lasso, 1) == cert.value and t.admits(cert.value.value)
+    # words reach -1 only in the limit, so the infimum itself has no lasso
+    answer, cert = emptiness(nwa, 1, Threshold(Fraction(-1)))
+    assert answer and cert.lasso is None and cert.flags == ("not-attained",)
+    assert not emptiness(nwa, 1, Threshold(Fraction(-1), strict=True))[0]
+    # an attained infimum whose least cycle m1 -b-> m1 also misses m0
+    nwa = parse_nwa(
+        _one_letter_slaves(
+            (0,), "  trans m0 a m1 invoke 1\n  trans m0 b m1 invoke 1\n  trans m1 a m0 invoke 1\n  trans m1 b m1 invoke 1\n"
+        )
+    )
+    value, cert = infimum(nwa, 1)
+    assert value == ValueResult.finite(0) and not cert.flags
+    assert evaluate_lasso(nwa, cert.lasso, 1) == value

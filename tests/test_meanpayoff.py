@@ -64,9 +64,14 @@ def test_infimum_examples():
     assert infimum_ratio(g)[0] == ValueResult.finite(Fraction(-5, 2))
 
 
-def test_silent_edges_must_be_free():
+def test_negative_silent_cycle_is_rejected():
+    # a tick self-loop at 0 and a silent cycle 0 -> 1 -> 0 of cost -1
+    g = RatioGraph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 0, 0, 0)), frozenset({0}), frozenset({0}))
     with pytest.raises(ValueError):
-        RatioGraph(1, ((0, 0, 3, 0),), frozenset({0}), frozenset({0}))
+        infimum_ratio(g)
+    # the same cycle outside every qualifying component is never solved
+    g = RatioGraph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 1, -1, 0)), frozenset({0}), frozenset({0}))
+    assert infimum_ratio(g)[0] == ValueResult.finite(0)
 
 
 def random_graph(rng: random.Random) -> RatioGraph:
@@ -110,6 +115,39 @@ def test_random_graphs_against_cycle_enumeration():
             assert answer == (expected <= t), trial
         answer, _ = threshold_emptiness(g, Threshold(expected, strict=True))
         assert not answer
+
+
+def costed_silent_graph(rng: random.Random, n_min: int, n_max: int) -> RatioGraph:
+    """A random graph whose silent edges carry cost but no silent cycle is
+    negative: a silent edge u -> v costs h(v) - h(u) plus a slack >= 0."""
+    n = rng.randint(n_min, n_max)
+    h = [rng.randint(-6, 6) for _ in range(n)]
+    edges = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.5:
+            edges.append((u, v, rng.randint(-8, 8), 1))
+        else:
+            edges.append((u, v, h[v] - h[u] + rng.randint(0, 3), 0))
+    initials = frozenset({rng.randrange(n)})
+    accepting = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    return RatioGraph(n, tuple(edges), initials, accepting)
+
+
+def test_costed_silent_edges_against_oracles():
+    rng = random.Random(5150)
+    finite = 0
+    for trial in range(300):
+        g = costed_silent_graph(rng, 2, 8) if trial < 200 else costed_silent_graph(rng, 10, 30)
+        expected = min_cycle_ratio_brute(g) if trial < 200 else min_cycle_ratio_karp(g)
+        value, witness = infimum_ratio(g)
+        if expected is None:
+            assert value is PLUS_INFINITY, trial
+            continue
+        finite += 1
+        assert value == ValueResult.finite(expected), trial
+        assert_certified(g, value, witness)
+    assert finite >= 150
 
 
 def test_threshold_monotone():
