@@ -34,7 +34,7 @@ from .core import (
     is_deterministic,
     validate_nwa,
 )
-from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
+from .determinize import ConfigGraph, config_initials, explore
 from .meanpayoff import RatioGraph, _sccs, _shortest_path, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
 from .width import has_width
@@ -81,7 +81,8 @@ class Pipeline:
         self.graph: Optional[RatioGraph] = None
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
-            self.graph = _ratio_graph(nwa, configs)
+            self._kinds = _kinds(configs)
+            self.graph = _ratio_graph(nwa, configs, self._kinds)
             self.value, self._witness = infimum_ratio(self.graph)
             if self._witness is not None:
                 assert check_ratio_bound(self.graph, self._witness.ratio, self._witness.potentials)
@@ -153,7 +154,7 @@ class Pipeline:
         kinds: dict[int, int] = {}
         for n, u, v in tight:
             if piece[u] == piece[v]:
-                kinds[piece[u]] = kinds.get(piece[u], 0) | _kind(self.configs.edges[n])
+                kinds[piece[u]] = kinds.get(piece[u], 0) | self._kinds[n]
         root = next((u for u in range(g.n_nodes) if kinds.get(piece[u]) == TICK | ACCEPT | RELEASE), None)
         if root is None:
             return None
@@ -163,48 +164,50 @@ class Pipeline:
     def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
         """Edge indexes of a shortest closed walk from configuration `root`
         over allowed edges that passes every edge kind in `need`."""
-        cg = self.configs
+        cg, kinds = self.configs, self._kinds
 
         def moves(state):
             u, got = state
             for n in cg.out(u):
                 if allowed(n):
-                    yield n, (cg.dst[n], got | _kind(cg.edges[n]) & need)
+                    yield n, (cg.edges.dst[n], got | kinds[n] & need)
 
         return _shortest_path([(root, 0)], moves, (root, need).__eq__)
 
     def _word(self, root: int, period: list[int]) -> LassoWord:
         """A shortest path from an initial configuration to `root`, then the
         closed walk `period` forever, as letters."""
-        cg, letters = self.configs, self.nwa.alphabet.letters
+        e, letters = self.configs.edges, self.nwa.alphabet.letters
         access = _shortest_path(
-            sorted(self.graph.initials), lambda u: ((n, cg.dst[n]) for n in cg.out(u)), root.__eq__
+            sorted(self.graph.initials), lambda u: ((n, e.dst[n]) for n in self.configs.out(u)), root.__eq__
         )
-        return LassoWord(*(tuple(letters[cg.edges[n].letter] for n in walk) for walk in (access, period)))
+        return LassoWord(*(tuple(letters[e.letter[n]] for n in walk) for walk in (access, period)))
 
 
-def _kind(e: ConfigEdge) -> int:
-    """The certificate kinds of a configuration edge."""
-    releases = 1 in e.returned or not e.to_config.slots  # frees slot position 1 or leaves no slot
-    return (e.invoked is not None) * TICK | e.master_accepting * ACCEPT | releases * RELEASE
+def _kinds(cg: ConfigGraph) -> list[int]:
+    """The certificate kinds of each configuration edge; an edge releases
+    when it frees slot position 1 or leaves no slot."""
+    e, configs = cg.edges, cg.configs
+    return [
+        (invoked is not None) * TICK | accepting * ACCEPT | (1 in returned or not configs[v].slots) * RELEASE
+        for invoked, accepting, returned, v in zip(e.invoked, e.master_accepting, e.returned, e.dst)
+    ]
 
 
-def _ratio_graph(nwa: Nwa, cg: ConfigGraph) -> RatioGraph:
+def _ratio_graph(nwa: Nwa, cg: ConfigGraph, kinds: list[int]) -> RatioGraph:
     """The configuration graph as a limit-average graph: cost is the step's
     total slot weight, a tick is a non-silent invocation, and the accepting
     nodes are the members of the components with an internal
     master-accepting edge and an internal releasing edge."""
-    comp = cg.comp
-    kinds: dict[int, int] = {}
-    for n, e in enumerate(cg.edges):
-        if comp[cg.src[n]] == comp[cg.dst[n]]:
-            kinds[comp[cg.src[n]]] = kinds.get(comp[cg.src[n]], 0) | _kind(e)
-    qualifying = {c for c, kind in kinds.items() if kind & (ACCEPT | RELEASE) == ACCEPT | RELEASE}
+    comp, e = cg.comp, cg.edges
+    inner: dict[int, int] = {}
+    for u, v, kind in zip(e.src, e.dst, kinds):
+        if comp[u] == comp[v]:
+            inner[comp[u]] = inner.get(comp[u], 0) | kind
+    qualifying = {c for c, kind in inner.items() if kind & (ACCEPT | RELEASE) == ACCEPT | RELEASE}
     return RatioGraph(
         n_nodes=len(cg.configs),
-        edges=tuple(
-            (cg.src[n], cg.dst[n], sum(e.slot_weights), int(e.invoked is not None)) for n, e in enumerate(cg.edges)
-        ),
+        edges=tuple(zip(e.src, e.dst, e.cost, (int(i is not None) for i in e.invoked))),
         initials=frozenset(cg.index[c] for c in config_initials(nwa)),
         accepting=frozenset(u for u in range(len(cg.configs)) if comp[u] in qualifying),
     )

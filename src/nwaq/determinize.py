@@ -1,8 +1,10 @@
 """Configuration-graph exploration and the infimum-preserving determinization.
 
 A configuration couples the master state with the states of the active
-slaves, least recently invoked first. The explorer enumerates every joint
-choice a nondeterministic automaton has on a letter, so each edge is one
+slaves, least recently invoked first. `StepTables` compiles an automaton once
+into integer tables and steps a configuration by them; it is the one place
+that knows the release, choose and invoke rule. The explorer enumerates every
+joint choice a nondeterministic automaton has on a letter, so each edge is one
 choice and the decisions run on this graph directly. The same edges are the
 letters of `materialize_deterministic`, the paper's explicit determinization,
 kept as a reference for tests.
@@ -10,10 +12,10 @@ kept as a reference for tests.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .core import (
@@ -52,6 +54,77 @@ class ConfigEdge:
     width_overflow: bool = False
 
 
+class StepTables:
+    """An automaton compiled into integer step tables.
+
+    `accepting[i]` is slave i's accepting set and `moves[i][s][a]` its moves
+    from state s on letter a, as ((i, target), effective weight).
+    `master[q][a]` lists the master moves on letter a as (target, accepting,
+    starts); starts are the choices for the invoked slot, a move of the
+    invoked slave from one of its initial states or None for a silent move
+    (a dummy label, or a slave accepting the empty word). A master move whose
+    invoked slave dies at once is left out.
+    """
+
+    def __init__(self, nwa: Nwa):
+        letters = range(len(nwa.alphabet))
+        self.accepting = (frozenset(),) + tuple(sl.base.accepting for sl in nwa.slaves)
+        self.moves = ((),) + tuple(
+            tuple(
+                tuple(tuple(((i, s2), sl.effective_weight(w)) for s2, w in sl.base.succ(s, a)) for a in letters)
+                for s in range(sl.base.n_states)
+            )
+            for i, sl in enumerate(nwa.slaves, start=1)
+        )
+        self.master = tuple(
+            tuple(tuple(self._master_moves(nwa, q, a)) for a in letters) for q in range(nwa.master.n_states)
+        )
+
+    def _master_moves(self, nwa: Nwa, q: int, a: int):
+        for q2, label in nwa.master.succ(q, a):
+            starts: tuple = (None,)
+            if not nwa.is_dummy(label):
+                aut = nwa.slave(label).base
+                starts = tuple(m for s0 in sorted(aut.initials - aut.accepting) for m in self.moves[label][s0][a])
+                starts += (None,) * bool(aut.initials & aut.accepting)
+                if not starts:
+                    continue
+            yield q2, q2 in nwa.master.accepting, starts
+
+    def step(self, q: int, slots: tuple[tuple[int, int], ...], a: int) -> list[tuple]:
+        """Every joint choice from configuration (q, slots) on letter a, as
+        ((master target, target slots), slot weights, invoked slave or None,
+        released positions, master target accepting).
+
+        Accepting-state slots terminate first (forced), then a master move is
+        chosen, each surviving slot picks a move independently, and a
+        non-silent invocation appends a fresh slot that also consumes the
+        letter. Choices come in master move order, then the surviving slots'
+        moves in lexicographic order, then the invoked slot's.
+        """
+        masters = self.master[q][a]
+        if not masters:
+            return []
+        acc, moves = self.accepting, self.moves
+        returned: tuple[int, ...] = ()
+        per_slot = []
+        for pos, (i, s) in enumerate(slots, start=1):
+            if s in acc[i]:
+                returned += (pos,)
+            else:
+                per_slot.append(moves[i][s][a])
+        combos = [tuple(zip(*c)) or ((), ()) for c in product(*per_slot)]  # (kept slots, their weights)
+        out = []
+        for q2, accepting, starts in masters:
+            for kept, weights in combos:
+                for new in starts:
+                    if new is None:
+                        out.append(((q2, kept), weights, None, returned, accepting))
+                    else:
+                        out.append(((q2, kept + (new[0],)), weights + (new[1],), new[0][0], returned, accepting))
+        return out
+
+
 def config_initials(nwa: Nwa) -> set[Configuration]:
     """One slot-free configuration per master initial state."""
     return {Configuration(q, ()) for q in nwa.master.initials}
@@ -60,139 +133,107 @@ def config_initials(nwa: Nwa) -> set[Configuration]:
 def config_successors(
     nwa: Nwa, c: Configuration, letter: int, cap: Optional[int] = None
 ) -> list[ConfigEdge]:
-    """All joint-choice edges from a configuration on a letter.
+    """All joint-choice edges from a configuration on a letter, by
+    `StepTables.step`. Edges whose slot count passes `cap` carry the
+    width-overflow mark."""
+    return [
+        ConfigEdge(c, letter, Configuration(*target), invoked, weights, returned, accepting,
+                   cap is not None and len(target[1]) > cap)
+        for target, weights, invoked, returned, accepting in StepTables(nwa).step(c.master_state, c.slots, letter)
+    ]
 
-    Accepting-state slots terminate first (forced), then a master transition
-    is chosen, each surviving slot picks a transition independently, and a
-    non-dummy invocation appends a fresh slot that also consumes the letter
-    (a slave accepting the empty word contributes a silent move instead).
-    Edges whose slot count passes `cap` carry the width-overflow mark.
+
+class ConfigEdges(Sequence):
+    """The edges of one exploration as flat per-edge arrays.
+
+    Edge n runs from configuration `src[n]` to `dst[n]` on letter
+    `letter[n]`; `slot_weights[n]` and their sum `cost[n]`, `invoked[n]`,
+    `returned[n]` and `master_accepting[n]` are as in `ConfigEdge`. Edges are
+    sorted by source, then letter, then the order `StepTables.step` emits
+    them; the edges of configuration u are `start[u]` to `start[u + 1] - 1`.
+    `overflow` is set when some reachable step needs a (k+1)-th slot; such
+    steps are not edges. Indexing builds a `ConfigEdge`.
     """
-    released: list[int] = []
-    survivors: list[tuple[int, int]] = []
-    for pos, (i, s) in enumerate(c.slots, start=1):
-        if s in nwa.slave(i).base.accepting:
-            released.append(pos)
-        else:
-            survivors.append((i, s))
-    edges: list[ConfigEdge] = []
-    for q2, label in nwa.master.succ(c.master_state, letter):
-        move_choices: list[list[tuple[int, int, int]]] = []
-        dead = False
-        for i, s in survivors:
-            sl = nwa.slave(i)
-            moves = [(i, s2, sl.effective_weight(w)) for s2, w in sl.base.succ(s, letter)]
-            if not moves:
-                dead = True
-                break
-            move_choices.append(moves)
-        if dead:
-            continue
-        new_choices: list[Optional[tuple[int, int, int]]] = [None]
-        if not nwa.is_dummy(label):
-            aut = nwa.slave(label).base
-            starts: list[Optional[tuple[int, int, int]]] = []
-            silent = False
-            for s0 in sorted(aut.initials):
-                if s0 in aut.accepting:
-                    silent = True  # empty-word acceptance: silent move
-                    continue
-                for s1, w0 in aut.succ(s0, letter):
-                    starts.append((label, s1, nwa.slave(label).effective_weight(w0)))
-            if silent:
-                starts.append(None)
-            if not starts:
-                continue  # the invoked slave dies immediately
-            new_choices = starts
-        for combo in _product(move_choices):
-            for new in new_choices:
-                slots = tuple((i, s2) for i, s2, _ in combo)
-                weights = tuple(w for _, _, w in combo)
-                invoked = None
-                if new is not None:
-                    slots = slots + ((new[0], new[1]),)
-                    weights = weights + (new[2],)
-                    invoked = new[0]
-                to = Configuration(q2, slots)
-                edges.append(
-                    ConfigEdge(
-                        from_config=c,
-                        letter=letter,
-                        to_config=to,
-                        invoked=invoked,
-                        slot_weights=weights,
-                        returned=tuple(released),
-                        master_accepting=q2 in nwa.master.accepting,
-                        width_overflow=cap is not None and len(slots) > cap,
-                    )
-                )
-    return edges
+
+    def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], overflow: bool):
+        self.configs, self.start, self.overflow = configs, start, overflow
+        columns = tuple(zip(*rows)) or ((),) * 8
+        (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
+         self.master_accepting) = columns
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, n: int) -> ConfigEdge:
+        return ConfigEdge(
+            self.configs[self.src[n]], self.letter[n], self.configs[self.dst[n]], self.invoked[n],
+            self.slot_weights[n], self.returned[n], self.master_accepting[n],
+        )
 
 
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    head, *rest = choices
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
+def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigEdges]:
+    """Reachable configurations under width cap k in canonical (master state,
+    slots) order, and the edges between them.
 
-
-def explore(nwa: Nwa, k: int) -> tuple[list[Configuration], list[ConfigEdge]]:
-    """Reachable configurations and edges under width cap k, in canonical order.
-
-    Overflow edges are reported but their targets are not expanded.
+    One breadth-first worklist over (master state, slots) keys expands each
+    configuration on each letter once; steps past the cap are not expanded.
     """
-    todo = [(_config_key(c), c) for c in config_initials(nwa)]
-    heapq.heapify(todo)
-    seen = {c for _, c in todo}
-    configs: list[Configuration] = []
-    edges: list[ConfigEdge] = []
-    while todo:
-        _, c = heapq.heappop(todo)
-        configs.append(c)
+    step = StepTables(nwa).step
+    keys = sorted((q, ()) for q in nwa.master.initials)
+    found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
+    outs: list[list[tuple]] = []  # per discovery number, its edges to discovery numbers
+    overflow = False
+    while len(outs) < len(keys):
+        q, slots = keys[len(outs)]
+        out = []
         for a in range(len(nwa.alphabet)):
-            for e in config_successors(nwa, c, a, cap=k):
-                edges.append(e)
-                if not e.width_overflow and e.to_config not in seen:
-                    seen.add(e.to_config)
-                    heapq.heappush(todo, (_config_key(e.to_config), e.to_config))
-    return configs, edges
+            for target, weights, invoked, returned, accepting in step(q, slots, a):
+                if len(target[1]) > k:
+                    overflow = True
+                    continue
+                d = found.get(target)
+                if d is None:
+                    d = found[target] = len(keys)
+                    keys.append(target)
+                out.append((d, a, weights, sum(weights), invoked, returned, accepting))
+        outs.append(out)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
+    for u, d in enumerate(order):
+        rank[d] = u
+    rows: list[tuple] = []
+    start = [0]
+    for u, d in enumerate(order):
+        rows += [(u, rank[t], *rest) for t, *rest in outs[d]]
+        start.append(len(rows))
+    configs = tuple(Configuration(*keys[d]) for d in order)
+    return configs, ConfigEdges(configs, rows, start, overflow)
 
 
 class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids.
 
     Built as `ConfigGraph(*explore(nwa, k))`. Configurations are numbered in
-    canonical (master state, slots) order. `edges` are the edges that stay
-    within width k, sorted by source and then letter, with endpoint ids
-    `src[n]` and `dst[n]`. `overflow` is set when some reachable step needs
-    a (k+1)-th slot. `comp` gives each configuration's strongly connected
+    canonical (master state, slots) order; `index` maps each to its id.
+    `edges` holds the edges that stay within width k as flat per-edge arrays
+    (`ConfigEdges`). `overflow` is set when some reachable step needs a
+    (k+1)-th slot. `comp` gives each configuration's strongly connected
     component, computed on first use.
     """
 
-    def __init__(self, configs: list[Configuration], edges: list[ConfigEdge]):
-        self.configs = tuple(sorted(configs, key=_config_key))
-        self.index = {c: n for n, c in enumerate(self.configs)}
-        self.overflow = any(e.width_overflow for e in edges)
-        index = self.index
-        # explore lists each source's edges together, by letter
-        self.edges = tuple(sorted((e for e in edges if not e.width_overflow), key=lambda e: index[e.from_config]))
-        self.src = [index[e.from_config] for e in self.edges]
-        self.dst = [index[e.to_config] for e in self.edges]
+    def __init__(self, configs: tuple[Configuration, ...], edges: ConfigEdges):
+        self.configs = configs
+        self.index = {c: n for n, c in enumerate(configs)}
+        self.edges = edges
+        self.overflow = edges.overflow
 
     def out(self, u: int) -> range:
         """Indexes of the edges leaving configuration u."""
-        return range(bisect_left(self.src, u), bisect_left(self.src, u + 1))
+        return range(self.edges.start[u], self.edges.start[u + 1])
 
     @cached_property
     def comp(self) -> list[int]:
-        return _sccs(len(self.configs), zip(self.src, self.dst))
-
-
-def _config_key(c: Configuration):
-    return (c.master_state, c.slots)
+        return _sccs(len(self.configs), zip(self.edges.src, self.edges.dst))
 
 
 def count_configurations(nwa: Nwa, k: int) -> int:
@@ -224,29 +265,25 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
     DSlot = tuple[int, int, int]
     DConfig = tuple[int, tuple[DSlot, ...]]
 
+    tables = StepTables(nwa)
+
     def successors(dc: DConfig, a: int):
         q, slots = dc
-        plain = Configuration(q, tuple((i, s) for i, _, s in slots))
-        for e in config_successors(nwa, plain, a, cap=k):
-            if e.width_overflow:
+        for (q2, slots2), weights, invoked, returned, _ in tables.step(q, tuple((i, s) for i, _, s in slots), a):
+            if len(slots2) > k:
                 continue
-            survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in e.returned]
-            to_slots = []
-            n_old = len(e.to_config.slots) - (1 if e.invoked is not None else 0)
-            for idx in range(n_old):
-                i, s2 = e.to_config.slots[idx]
-                to_slots.append((i, survivors[idx][1], s2))
-            if e.invoked is not None:
-                used = {c for i, c, _ in to_slots if i == e.invoked}
+            survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in returned]
+            to_slots = [(i, cp, s2) for (i, cp, _), (_, s2) in zip(survivors, slots2)]
+            if invoked is not None:
+                used = {c for i, c, _ in to_slots if i == invoked}
                 copy = next(n for n in range(k) if n not in used)
-                i, s2 = e.to_config.slots[-1]
-                to_slots.append((i, copy, s2))
-            yield e, (e.to_config.master_state, tuple(to_slots))
+                to_slots.append((invoked, copy, slots2[-1][1]))
+            yield (weights, -1 if invoked is None else invoked, returned), (q2, tuple(to_slots))
 
     start: list[DConfig] = [(q, ()) for q in initial_master]
     seen: set[DConfig] = set(start)
     todo = list(start)
-    found_edges = []  # (from DConfig, letter, edge, to DConfig)
+    found_edges = []  # (from DConfig, letter, (weights, invoked or -1, returned), to DConfig)
     while todo:
         todo.sort(reverse=True)
         dc = todo.pop()
@@ -259,16 +296,7 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
                     seen.add(dc2)
                     todo.append(dc2)
 
-    found_edges.sort(
-        key=lambda t: (
-            t[0],
-            t[1],
-            t[3],
-            t[2].slot_weights,
-            -1 if t[2].invoked is None else t[2].invoked,
-            t[2].returned,
-        )
-    )
+    found_edges.sort(key=lambda t: (t[0], t[1], t[3], t[2]))
     letter_names = tuple(f"x{n}" for n in range(len(found_edges)))
     from .core import Alphabet
 
@@ -279,7 +307,7 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
     # collect slave copies that actually run
     copies: list[tuple[int, int]] = sorted(
         {(i, cp) for dc, _, _, _ in found_edges for i, cp, _ in dc[1]}
-        | {(dc2[1][-1][0], dc2[1][-1][1]) for _, _, e, dc2 in found_edges if e.invoked is not None}
+        | {(dc2[1][-1][0], dc2[1][-1][1]) for _, _, e, dc2 in found_edges if e[1] >= 0}
     )
     copy_index = {ic: n + 1 for n, ic in enumerate(copies)}
     dummy_index = len(copies) + 1
@@ -300,9 +328,9 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
     master_names = (("start",) if multi_initial else ()) + tuple(dc_name(dc) for dc in dconfigs)
     master_trans = []
     slave_trans: dict[tuple[int, int], list] = {ic: [] for ic in copies}
-    for n, (dc, a, e, dc2) in enumerate(found_edges):
+    for n, (dc, a, (weights, invoked, returned), dc2) in enumerate(found_edges):
         q, slots = dc
-        if e.invoked is not None:
+        if invoked >= 0:
             new_slot = dc2[1][-1]
             label = copy_index[(new_slot[0], new_slot[1])]
         else:
@@ -310,18 +338,15 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
         master_trans.append((dc_index[dc], n, dc_index[dc2], label))
         if multi_initial and dc in start and not slots:
             master_trans.append((start_state, n, dc_index[dc2], label))
-        survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in e.returned]
-        n_old = len(e.to_config.slots) - (1 if e.invoked is not None else 0)
-        for idx in range(n_old):
-            i, cp, s = survivors[idx]
-            s2 = e.to_config.slots[idx][1]
-            slave_trans[(i, cp)].append((s, n, s2, e.slot_weights[idx]))
-        if e.invoked is not None:
+        survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in returned]
+        for (i, cp, s), (_, _, s2), w in zip(survivors, dc2[1], weights):
+            slave_trans[(i, cp)].append((s, n, s2, w))
+        if invoked >= 0:
             i, cp, s2 = dc2[1][-1]
             # each copy gets a fresh entry state so multiple original initials
             # cannot clash; the edge already pinned the post-letter state
             entry = nwa.slave(i).base.n_states
-            slave_trans[(i, cp)].append((entry, n, s2, e.slot_weights[-1]))
+            slave_trans[(i, cp)].append((entry, n, s2, weights[-1]))
 
     master = LabeledAutomaton(
         alphabet=alphabet,

@@ -27,6 +27,8 @@ from .core import (
     WeightedAutomaton,
     limavg_periodic,
 )
+from .determinize import StepTables
+from .width import has_width
 
 
 class InstrKind(enum.Enum):
@@ -257,89 +259,44 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
     one step, so a fresh run arriving at the release step takes the next free
     counter; k+1 counters always suffice and are allocated only when needed.
     """
-    from .width import has_width
-
     ok, witness = has_width(nwa, k)
     if not ok:
         raise PreconditionError(f"input exceeds width {k}, witness {witness}")
 
+    tables = StepTables(nwa)
     capacity = k + 1
     # slot: None | (slave_index, slave_state, pending_weight)
     def successors(q: int, slots: tuple, a: int) -> Iterator[tuple[int, tuple, tuple[Instr, ...]]]:
-        releasing = [
-            j
-            for j, slot in enumerate(slots)
-            if slot is not None and slot[1] in nwa.slave(slot[0]).base.accepting
-        ]
-        base = list(slots)
-        for j in releasing:
-            base[j] = None
-        for q2, label in nwa.master.succ(q, a):
-            # moves for surviving slots, all required
-            per_slot: list[list[tuple[int, tuple, Instr]]] = []
-            dead = False
-            for j, slot in enumerate(base):
-                if slot is None:
-                    continue
-                i, s, pending = slot
-                moves = []
-                for s2, wt in nwa.slave(i).base.succ(s, a):
-                    eff = nwa.slave(i).effective_weight(wt)
-                    moves.append((j, (i, s2, 0), Instr.add(eff + pending)))
-                if not moves:
-                    dead = True
-                    break
-                per_slot.append(moves)
-            if dead:
-                continue
-            # choices for the invoked slave, None meaning a silent move
-            new_choices: list[Optional[tuple[int, int, int]]]
-            if nwa.is_dummy(label):
-                new_choices = [None]
-            else:
-                aut = nwa.slave(label).base
-                starts: list[Optional[tuple[int, int, int]]] = []
-                silent = False
-                for s0 in sorted(aut.initials):
-                    if s0 in aut.accepting:
-                        silent = True  # empty-word acceptance: silent move
-                        continue
-                    for s1, w0 in aut.succ(s0, a):
-                        eff0 = nwa.slave(label).effective_weight(w0)
-                        starts.append((label, s1, eff0))
-                if silent:
-                    starts.append(None)
-                if not starts:
-                    continue  # invoked slave dies immediately, no run
-                new_choices = starts
-            for combo in _product(per_slot):
-                for new in new_choices:
-                    slots2 = list(base)
-                    vec = [Instr.skip()] * capacity
-                    for j in releasing:
-                        vec[j] = Instr.terminate()
-                    for j, slot2, ins in combo:
-                        slots2[j] = slot2
-                        vec[j] = ins
-                    if new is not None:
-                        i, s1, w0 = new
-                        free = next(
-                            (j for j in range(capacity) if slots2[j] is None and vec[j].kind is InstrKind.SKIP),
-                            None,
+        live = [j for j, slot in enumerate(slots) if slot is not None]
+        for (q2, kept), weights, invoked, returned, _ in tables.step(q, tuple(slots[j][:2] for j in live), a):
+            released = [live[pos - 1] for pos in returned]
+            slots2 = list(slots)
+            vec = [Instr.skip()] * capacity
+            for j in released:
+                slots2[j] = None
+                vec[j] = Instr.terminate()
+            for j, (i, s2), w in zip([j for j in live if j not in released], kept, weights):
+                slots2[j] = (i, s2, 0)
+                vec[j] = Instr.add(w + slots[j][2])
+            if invoked is not None:
+                s1, w0 = kept[-1][1], weights[-1]
+                free = next(
+                    (j for j in range(capacity) if slots2[j] is None and vec[j].kind is InstrKind.SKIP),
+                    None,
+                )
+                if free is None:
+                    continue  # cannot happen below width k
+                if s1 in nwa.slave(invoked).base.accepting:
+                    if w0 != 0:
+                        raise NwaError(
+                            "one-letter slave run with nonzero weight cannot be "
+                            "expressed with monitor counters"
                         )
-                        if free is None:
-                            continue  # cannot happen below width k
-                        if s1 in nwa.slave(i).base.accepting:
-                            if w0 != 0:
-                                raise NwaError(
-                                    "one-letter slave run with nonzero weight cannot be "
-                                    "expressed with monitor counters"
-                                )
-                            # run of a single weight-0 letter: counter starts and
-                            # terminates on consecutive steps, slot freed at release
-                        slots2[free] = (i, s1, w0)
-                        vec[free] = Instr.start()
-                    yield q2, tuple(slots2), tuple(vec)
+                    # run of a single weight-0 letter: counter starts and
+                    # terminates on consecutive steps, slot freed at release
+                slots2[free] = (invoked, s1, w0)
+                vec[free] = Instr.start()
+            yield q2, tuple(slots2), tuple(vec)
 
     q0s = sorted(nwa.master.initials)
     start_states = [(q, (None,) * capacity) for q in q0s]
@@ -397,12 +354,3 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
         name=(nwa.name + "_as_mca") if nwa.name else "",
     )
 
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    head, *rest = choices
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r

@@ -64,21 +64,24 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
     if nwa.min_effective_weight() >= 0:
         return None
 
-    comp = graph.comp
+    comp, e = graph.comp, graph.edges
     live = sorted({comp[u] for u, c in enumerate(graph.configs) if c.master_state in nwa.master.accepting})
+    # per internal edge, how many of the oldest slots it keeps alive
+    keeps = {
+        n: min(e.returned[n], default=len(graph.configs[u].slots) + 1) - 1
+        for n, (u, v) in enumerate(zip(e.src, e.dst))
+        if comp[u] == comp[v]
+    }
     for j in range(1, k + 1):
         # per component, the internal edges that keep the j oldest slots alive
         kept: dict[int, list[int]] = {ci: [] for ci in live}
-        for n, e in enumerate(graph.edges):
-            u, v = graph.src[n], graph.dst[n]
-            if comp[u] == comp[v] and comp[u] in kept:
-                if len(e.from_config.slots) >= j and all(pos > j for pos in e.returned):
-                    kept[comp[u]].append(n)
+        for n, keep in keeps.items():
+            if keep >= j and comp[e.src[n]] in kept:
+                kept[comp[e.src[n]]].append(n)
         for ci, ns in kept.items():
             ids: dict[int, int] = {}
             arcs = [
-                (ids.setdefault(graph.src[n], len(ids)), ids.setdefault(graph.dst[n], len(ids)),
-                 sum(graph.edges[n].slot_weights[:j]))
+                (ids.setdefault(e.src[n], len(ids)), ids.setdefault(e.dst[n], len(ids)), sum(e.slot_weights[n][:j]))
                 for n in ns
             ]
             cycle = _negative_cycle(len(ids), arcs)
@@ -86,10 +89,10 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            if _closing_path(nwa, graph, graph.src[ns[cycle[0]]]) is None:
+            if _closing_path(nwa, graph, e.src[ns[cycle[0]]]) is None:
                 live.remove(ci)
                 continue
-            edges = tuple(graph.edges[ns[i]] for i in cycle)
+            edges = tuple(e[ns[i]] for i in cycle)
             total = sum(arcs[i][2] for i in cycle)
             return StarWitness(j=j, cycle=edges, anchor=edges[0].from_config, j_sum=total)
     return None
@@ -153,7 +156,7 @@ def pump_witness(
     anchor = graph.index[witness.anchor]
     access = _shortest_path(
         sorted(graph.index[c] for c in config_initials(nwa)),
-        lambda u: ((n, graph.dst[n]) for n in graph.out(u)),
+        lambda u: ((n, graph.edges.dst[n]) for n in graph.out(u)),
         lambda u: u == anchor,
     )
     if access is None:
@@ -162,8 +165,8 @@ def pump_witness(
     if closing is None:
         raise PreconditionError("no closing path through acceptance releases the pumped slots")
     cycle_letters = [letters[e.letter] for e in witness.cycle]
-    prefix = tuple(letters[graph.edges[n].letter] for n in access)
-    period = tuple(cycle_letters * pumps) + tuple(letters[graph.edges[n].letter] for n in closing)
+    prefix = tuple(letters[graph.edges.letter[n]] for n in access)
+    period = tuple(cycle_letters * pumps) + tuple(letters[graph.edges.letter[n]] for n in closing)
     return LassoWord(prefix, period)
 
 
@@ -176,16 +179,15 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
     starting slots still alive, accepting seen). The starting slots still
     alive are always the oldest, a prefix of the slot list.
     """
-    comp = graph.comp
+    comp, e = graph.comp, graph.edges
 
     def moves(state):
         u, alive, seen = state
         for n in graph.out(u):
-            v = graph.dst[n]
+            v = e.dst[n]
             if comp[v] == comp[anchor]:
-                e = graph.edges[n]
-                left = alive - sum(1 for pos in e.returned if pos <= alive)
-                yield n, (v, left, seen or e.master_accepting)
+                left = alive - sum(1 for pos in e.returned[n] if pos <= alive)
+                yield n, (v, left, seen or e.master_accepting[n])
 
     c = graph.configs[anchor]
     start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .core import Configuration, Nwa
-from .determinize import config_initials, config_successors
+from .core import Nwa
+from .determinize import StepTables
 
 
 def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
@@ -26,26 +26,25 @@ def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
     if k < 1:
         raise ValueError("k must be positive")
     letters = nwa.alphabet.letters
-    initials = sorted(config_initials(nwa), key=lambda c: (c.master_state, c.slots))
-    parent: dict[Configuration, tuple[Optional[Configuration], Optional[int]]] = {
-        c: (None, None) for c in initials
-    }
+    tables = StepTables(nwa)
+    initials = sorted((q, ()) for q in nwa.master.initials)
+    parent: dict[tuple, Optional[tuple[tuple, int]]] = {key: None for key in initials}
     queue = deque(initials)
     while queue:
-        c = queue.popleft()
+        key = queue.popleft()
         for a in range(len(letters)):
-            for e in config_successors(nwa, c, a, cap=k):
-                if e.width_overflow:
+            for target, *_ in tables.step(*key, a):
+                if len(target[1]) > k:
                     word = [letters[a]]
-                    back = c
-                    while parent[back][0] is not None:
-                        back, la = parent[back][0], parent[back][1]
+                    back = key
+                    while parent[back] is not None:
+                        back, la = parent[back]
                         word.append(letters[la])
                     word.reverse()
                     return False, tuple(word)
-                if e.to_config not in parent:
-                    parent[e.to_config] = (c, a)
-                    queue.append(e.to_config)
+                if target not in parent:
+                    parent[target] = (key, a)
+                    queue.append(target)
     return True, None
 
 

@@ -213,9 +213,8 @@ def _sign_masked(nwa, negative):
 
 def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
     import nwaq.determinize
-    import nwaq.width
 
-    original = nwaq.determinize.config_successors
+    original = nwaq.determinize.StepTables.step
     for nwa, k, queries, lowest in (
         (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY),
         (_sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY),
@@ -224,13 +223,11 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
         for query in queries:
             calls: dict = {}
 
-            def counting(aut, c, letter, cap=None):
-                if aut is nwa:
-                    calls[(c, letter)] = calls.get((c, letter), 0) + 1
-                return original(aut, c, letter, cap)
+            def counting(tables, q, slots, letter):
+                calls[(q, slots, letter)] = calls.get((q, slots, letter), 0) + 1
+                return original(tables, q, slots, letter)
 
-            monkeypatch.setattr(nwaq.determinize, "config_successors", counting)
-            monkeypatch.setattr(nwaq.width, "config_successors", counting)
+            monkeypatch.setattr(nwaq.determinize.StepTables, "step", counting)
             pipe = Pipeline(nwa, k)
             if query == "infimum":
                 assert pipe.infimum()[0] == lowest, nwa.name

@@ -1,5 +1,6 @@
 import random
 
+from helpers import random_draw, random_nondet, reference_config_graph, reference_successors, twinned
 from nwaq.core import (
     Alphabet,
     Configuration,
@@ -10,6 +11,7 @@ from nwaq.core import (
     is_deterministic,
     normalize_slaves,
 )
+from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import (
     config_bound,
     config_initials,
@@ -211,3 +213,61 @@ def test_materialize_omits_unreachable_slaves():
     det = materialize_deterministic(nwa, 2)
     # slave 2 never runs: only copies of slave 1 plus the dummy remain
     assert len(det.slaves) <= 1 + 2  # at most two copies of slave 1 and a dummy
+
+
+def _many_initials_nwa() -> Nwa:
+    # two initial master states; slave 1 has two initial states, one of them
+    # accepting (silent or a move), slave 2 is Sum+ with two plain initials
+    sigma = Alphabet(("a", "b"))
+    one_moves = [("s0", "a", "s1", 1), ("s0", "a", "s0", -1), ("s0", "b", "s1", 0)]
+    one = _tiny(sigma, ["s0", "s1"], ["s0", "s1"], one_moves, ["s1"])
+    two_moves = [("t0", "a", "t2", -2), ("t1", "a", "t2", 3), ("t1", "b", "t1", -1)]
+    two = _tiny(sigma, ["t0", "t1", "t2"], ["t0", "t1"], two_moves, ["t2"])
+    dummy = _tiny(sigma, ["d"], ["d"], [], ["d"])
+    master = _tiny(
+        sigma,
+        ["m0", "m1"],
+        ["m0", "m1"],
+        [("m0", "a", "m1", 1), ("m0", "a", "m0", 2), ("m1", "b", "m0", 3), ("m1", "a", "m1", 2)],
+        ["m1"],
+    )
+    slaves = (WeightedAutomaton(one, ValueFn.SUM), WeightedAutomaton(two, ValueFn.SUM_PLUS))
+    return Nwa(master, slaves + (WeightedAutomaton(dummy, ValueFn.SUM),), name="many_initials")
+
+
+def test_explore_matches_reference_successors(all_corpus):
+    cases = [(art_types(k), k) for k in (2, 3, 4)] + [(k_art(k), k) for k in range(2, 7)]
+    cases += [(nwa, KNOWN_WIDTH[name] or 2) for name, nwa in all_corpus.items()]
+    cases += [(twinned(k_art(3), 2), 3), (_many_initials_nwa(), 2), (_many_initials_nwa(), 1)]
+    # below the width: some step needs one more slot
+    cases += [(art_types(3), 2), (k_art(4), 3), (all_corpus["cond_a2"], 1), (all_corpus["art"], 1)]
+    rng = random.Random(5)
+    cases += [(random_draw(rng), rng.randint(1, 2)) for _ in range(150)]
+    cases += [(nwa, 1 + seed % 2) for seed in range(40) if (nwa := random_nondet(8000 + seed)) is not None]
+    overflows = 0
+    for nwa, k in cases:
+        keys, edges, overflow = reference_config_graph(nwa, k)
+        configs, got = explore(nwa, k)
+        assert [(c.master_state, c.slots) for c in configs] == keys, nwa.name
+        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned, got.master_accepting)
+        assert list(zip(*columns)) == edges, nwa.name
+        assert list(got.cost) == [sum(e[3]) for e in edges]
+        assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]
+        assert got.overflow == overflow, nwa.name
+        overflows += overflow
+    assert overflows >= 4
+
+
+def test_config_successors_matches_reference(all_corpus):
+    for nwa in (all_corpus["cond_a2"], all_corpus["k_art_3"], _many_initials_nwa()):
+        configs, _ = explore(nwa, 3)
+        for c in configs:
+            for a in range(len(nwa.alphabet)):
+                edges = config_successors(nwa, c, a, cap=1)
+                got = [
+                    ((e.to_config.master_state, e.to_config.slots), e.slot_weights, e.invoked, e.returned,
+                     e.master_accepting)
+                    for e in edges
+                ]
+                assert got == reference_successors(nwa, c.master_state, c.slots, a)
+                assert all(e.width_overflow == (len(e.to_config.slots) > 1) for e in edges)
