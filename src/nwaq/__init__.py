@@ -22,17 +22,11 @@ from .core import (
     validate_nwa,
 )
 from .decide import Pipeline, emptiness, infimum, universality_deterministic
-from .determinize import (
-    ConfigEdge,
-    config_initials,
-    config_successors,
-    count_configurations,
-    materialize_deterministic,
-)
+from .determinize import ConfigEdge, config_initials
 from .mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
-from .meanpayoff import RatioGraph, infimum_ratio, threshold_emptiness
+from .meanpayoff import RatioGraph, infimum_ratio
 from .oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
-from .reduce import fragment_automaton, min_slave_value, reduce_width1
+from .reduce import reduce_width1
 from .starcond import StarWitness, check_star_condition, pump_witness
 from .width import has_width, minimal_width
 

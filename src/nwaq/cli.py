@@ -23,7 +23,6 @@ from .core import (
     is_deterministic,
 )
 from .decide import Certificate, Pipeline, universality_deterministic
-from .determinize import CapExceededError
 from .mca import Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import evaluate_lasso
 from .starcond import check_star_condition
@@ -305,9 +304,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except CapExceededError as err:
-        sys.stderr.write(f"limit: {err}\n")
-        return 3
     except (UsageError, ParseError, PreconditionError, NwaError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

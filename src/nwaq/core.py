@@ -175,6 +175,11 @@ class Nwa:
             raise NondeterministicInputError(f"slave {index} has {len(s.initials)} initial states")
         return next(iter(s.initials))
 
+    @cached_property
+    def determinism(self) -> tuple[bool, Optional[str]]:
+        """`is_deterministic(self)`, computed on first use."""
+        return is_deterministic(self)
+
     def min_effective_weight(self) -> int:
         """Least effective slave weight; 0 when no slave has a transition."""
         best = 0

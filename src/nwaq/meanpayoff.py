@@ -1,6 +1,5 @@
-"""Exact infimum and threshold emptiness for limit-average graphs with silent
-edges, by Howard policy iteration on each qualifying strongly connected
-component.
+"""Exact infimum for limit-average graphs with silent edges, by Howard
+policy iteration on each qualifying strongly connected component.
 
 A qualifying cycle is reachable from an initial node, lies in a component
 containing an accepting node, and contains at least one tick (non-silent)
@@ -21,7 +20,8 @@ fixed point the ratio p/q is the same on the whole component
 and the integer potentials pi satisfy q*cost - p*ticks + pi(v) - pi(u) >= 0
 on every internal edge u -> v. Summed around any cycle of the component this
 proves that none has a lower ratio; `check_ratio_bound` verifies it in
-integer arithmetic. A threshold is decided by comparing it with the minimum.
+integer arithmetic. Callers decide a threshold by comparing it with the
+minimum.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .core import PLUS_INFINITY, Threshold, ValueResult
+from .core import PLUS_INFINITY, ValueResult
 
 
 @dataclass(frozen=True)
@@ -291,16 +291,6 @@ def check_ratio_bound(g: RatioGraph, lam: Fraction, potentials: Sequence[Mapping
             if q * cost - p * ticks + pi[v] - pi[u] < 0:
                 return False
     return True
-
-
-def threshold_emptiness(g: RatioGraph, t: Threshold) -> tuple[bool, Optional[CycleWitness]]:
-    """Is there a qualifying cycle with ratio <= (or <, when strict) the
-    threshold? Decided by comparing it with the least ratio; the witness is
-    the least-ratio cycle."""
-    _, witness = infimum_ratio(g)
-    if witness is not None and t.admits(witness.ratio):
-        return True, witness
-    return False, None
 
 
 def infimum_ratio(g: RatioGraph) -> tuple[ValueResult, Optional[CycleWitness]]:

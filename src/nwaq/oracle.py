@@ -1,11 +1,20 @@
 """Ground-truth evaluation of nested weighted automata on lasso words.
 
-The simulator is exact: it runs the unique run of a deterministic automaton,
-releasing a slave the moment its state is accepting (checked before the next
-letter is consumed) and starting invoked slaves at their invocation position.
-Periodicity is detected on snapshots taken at period boundaries that carry,
-per active slave, its state, accumulated value and age; a repeated snapshot
-pins the recurring window exactly, so the returned limit average is exact.
+The oracle is written from the semantics and imports only `core`: it has its
+own step rule (`_Rules.step`) and shares no code with the decision pipeline,
+so the tests that compare the two check one against the other.
+
+A run takes one of the step's joint choices at every letter. A deterministic
+automaton has at most one, choice 0, so `evaluate_lasso`, `trace_lasso` and
+`run_values` take a lasso word and reject nondeterministic input;
+`enumerate_lasso_infimum` passes explicit choices on nondeterministic input.
+
+The simulator is exact: a slave is released the moment its state is
+accepting (checked before the next letter is consumed), and an invoked slave
+starts at its invocation position. Periodicity is detected on snapshots taken
+at period boundaries that carry the configuration and, per active slave, its
+accumulated value and age; a repeated snapshot pins the recurring window
+exactly, so the returned limit average is exact.
 
 A slave that survives longer than (number of its states + 2) periods past the
 prefix can never terminate (its (state, phase) pairs must repeat), so the run
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice, product
 from typing import Optional
 
 from .core import (
@@ -28,7 +38,6 @@ from .core import (
     ValueResult,
     WidthExceededError,
     _check64,
-    is_deterministic,
     limavg_periodic,
 )
 
@@ -51,186 +60,184 @@ class RunTrace:
     steps: tuple[TraceStep, ...]
 
 
-class _Tables:
-    """Per-automaton lookup tables for the deterministic simulator."""
+class _Rules:
+    """The oracle's step rule for one automaton, read off the automaton as
+    written. One is made per public call and passed down; it memoizes each
+    step, so a run that winds through the same configurations, or many runs
+    of one call, look each step up once."""
 
     def __init__(self, nwa: Nwa):
-        ok, site = is_deterministic(nwa)
-        self.deterministic = ok
-        self.site = site
-        self.master: dict[tuple[int, int], tuple[int, int]] = {}
-        for (q, a), succs in nwa.master.by_source.items():
-            if succs:
-                self.master[(q, a)] = succs[0]
-        self.master_initial = next(iter(sorted(nwa.master.initials)))
-        self.master_accepting = nwa.master.accepting
-        self.n_letters = len(nwa.alphabet)
-        self.slave_step: list[dict[tuple[int, int], tuple[int, int]]] = []
-        self.slave_accepting: list[frozenset[int]] = []
-        self.slave_initial: list[int] = []
-        self.silent_invoke: list[bool] = []
-        self.max_slave_states = 1
-        for idx in range(1, len(nwa.slaves) + 1):
-            sl = nwa.slave(idx)
-            table = {}
-            for (s, a), succs in sl.base.by_source.items():
-                if succs:
-                    s2, w = succs[0]
-                    table[(s, a)] = (s2, sl.effective_weight(w))
-            self.slave_step.append(table)
-            self.slave_accepting.append(sl.base.accepting)
-            s0 = next(iter(sorted(sl.base.initials)))
-            self.slave_initial.append(s0)
-            # invoking a slave that accepts the empty word is a silent move
-            self.silent_invoke.append(s0 in sl.base.accepting)
-            self.max_slave_states = max(self.max_slave_states, sl.base.n_states)
+        self.nwa = nwa
+        self.initials = sorted(nwa.master.initials)
+        self.max_states = max([sl.base.n_states for sl in nwa.slaves], default=1)
+        self._memo: dict[tuple, tuple] = {}
+
+    def step(self, q: int, slots: tuple[tuple[int, int], ...], a: int) -> tuple[tuple[int, ...], list[tuple]]:
+        """The positions of the slots released before letter a, and every joint
+        choice from configuration (q, slots) on it, as ((master target, target
+        slots), slot weights, invoked slave or None, master target accepting).
+
+        Accepting-state slots terminate first (forced), then a master
+        transition is chosen, each surviving slot picks a transition
+        independently, and a non-dummy invocation appends a fresh slot that
+        also consumes the letter; a slave accepting the empty word, a dummy
+        among them, is a silent move instead. Choices come in master
+        transition order, then the surviving slots' moves in lexicographic
+        order, then the invoked slot's.
+        """
+        key = (q, slots, a)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        slaves = self.nwa.slaves
+        released: list[int] = []
+        move_choices: list[list[tuple[tuple[int, int], int]]] = []
+        for pos, (i, s) in enumerate(slots, start=1):
+            sl = slaves[i - 1]
+            if s in sl.base.accepting:
+                released.append(pos)
+            else:
+                move_choices.append([((i, s2), sl.effective_weight(w)) for s2, w in sl.base.succ(s, a)])
+        combos = [tuple(zip(*combo)) or ((), ()) for combo in product(*move_choices)]  # (kept slots, weights)
+        choices = []
+        master = self.nwa.master
+        for q2, label in master.succ(q, a):
+            sl = slaves[label - 1]
+            starts: list[Optional[tuple[tuple[int, int], int]]] = []  # the invoked slot's choices
+            silent = False
+            for s0 in sorted(sl.base.initials):
+                if s0 in sl.base.accepting:
+                    silent = True
+                else:
+                    starts += [((label, s1), sl.effective_weight(w)) for s1, w in sl.base.succ(s0, a)]
+            if silent:
+                starts.append(None)
+            accepting = q2 in master.accepting
+            for kept, weights in combos:
+                for new in starts:
+                    if new is None:
+                        choices.append(((q2, kept), weights, None, accepting))
+                    else:
+                        choices.append(((q2, kept + (new[0],)), weights + (new[1],), label, accepting))
+        got = self._memo[key] = (tuple(released), choices)
+        return got
 
 
-def _tables(nwa: Nwa) -> _Tables:
-    cached = nwa.__dict__.get("_oracle_tables")
-    if cached is None:
-        cached = _Tables(nwa)
-        nwa.__dict__["_oracle_tables"] = cached
-    return cached
-
-
-class _Slot:
-    __slots__ = ("slave", "state", "acc", "age", "born")
-
-    def __init__(self, slave: int, state: int, acc: int, born: int):
-        self.slave = slave
-        self.state = state
-        self.acc = acc
-        self.age = 0
-        self.born = born
+def _deterministic_rules(nwa: Nwa, width_cap: int) -> _Rules:
+    """The rules of a deterministic automaton, for a positive width cap."""
+    if width_cap < 1:
+        raise ValueError("width_cap must be positive")
+    ok, site = nwa.determinism
+    if not ok:
+        raise NondeterministicInputError(site or "input is not deterministic")
+    return _Rules(nwa)
 
 
 class _Run:
-    """Step-by-step run of a deterministic NWA; raises on width violations."""
+    """A run in progress from a slot-free configuration: the configuration,
+    and per slot its accumulated value, age and invocation position."""
 
-    def __init__(self, nwa: Nwa, width_cap: int):
-        if width_cap < 1:
-            raise ValueError("width_cap must be positive")
-        self.t = _tables(nwa)
-        if not self.t.deterministic:
-            raise NondeterministicInputError(self.t.site or "input is not deterministic")
+    def __init__(self, rules: _Rules, q: int, width_cap: int):
+        self.rules = rules
         self.cap = width_cap
-        self.q = self.t.master_initial
-        self.slots: list[_Slot] = []
+        self.q = q
+        self.slots: tuple[tuple[int, int], ...] = ()
+        self.decor: list[list[int]] = []  # [value, age, born] per slot
         self.alive = True
         self.position = 0
 
     def config(self) -> Configuration:
-        return Configuration(self.q, tuple((s.slave, s.state) for s in self.slots))
+        return Configuration(self.q, self.slots)
 
     def snapshot(self) -> tuple:
-        return (self.q, tuple((s.slave, s.state, s.acc, s.age) for s in self.slots))
+        return (self.q, self.slots, tuple((d[0], d[1]) for d in self.decor))
 
-    def step(self, letter_id: int) -> tuple[list[tuple[int, int]], Optional[int], bool]:
-        """Consume one letter; returns (released (born, value) list, invoked
-        slave or None for silent, master-accepting-after flag)."""
+    def step(self, letter_id: int, choice: int) -> tuple[list[tuple[int, int]], Optional[int], bool]:
+        """Consume one letter by the given choice; returns (released (born,
+        value) list, invoked slave or None for silent, master-accepting-after
+        flag). The run dies when there is no such choice."""
         self.position += 1
-        released = []
-        kept = []
-        for s in self.slots:
-            if s.state in self.t.slave_accepting[s.slave - 1]:
-                released.append((s.born, s.acc))
-            else:
-                kept.append(s)
-        self.slots = kept
-        move = self.t.master.get((self.q, letter_id))
-        if move is None:
+        released, choices = self.rules.step(self.q, self.slots, letter_id)
+        kept = self.decor
+        values = []
+        if released:
+            values = [(kept[pos - 1][2], kept[pos - 1][0]) for pos in released]
+            kept = [d for pos, d in enumerate(kept, start=1) if pos not in released]
+        if choice >= len(choices):
             self.alive = False
-            return released, None, False
-        self.q, label = move
-        invoked: Optional[int] = None
-        for s in self.slots:
-            nxt = self.t.slave_step[s.slave - 1].get((s.state, letter_id))
-            if nxt is None:
-                self.alive = False
-                return released, None, False
-            s.state = nxt[0]
-            s.acc = _check64(s.acc + nxt[1])
-            s.age += 1
-        if not self.t.silent_invoke[label - 1]:
-            first = self.t.slave_step[label - 1].get((self.t.slave_initial[label - 1], letter_id))
-            if first is None:
-                self.alive = False
-                return released, None, False
-            if len(self.slots) + 1 > self.cap:
-                raise WidthExceededError(self.position)
-            self.slots.append(_Slot(label, first[0], _check64(first[1]), self.position))
-            invoked = label
-        return released, invoked, self.q in self.t.master_accepting
+            return values, None, False
+        (q2, slots2), weights, invoked, accepting = choices[choice]
+        if len(slots2) > self.cap:
+            raise WidthExceededError(self.position)
+        for d, w in zip(kept, weights):
+            d[0] = _check64(d[0] + w)
+            d[1] += 1
+        if invoked is not None:
+            kept.append([_check64(weights[-1]), 0, self.position])
+        self.q, self.slots, self.decor = q2, slots2, kept
+        return values, invoked, accepting
 
 
-def evaluate_lasso(nwa: Nwa, w: LassoWord, width_cap: int) -> ValueResult:
-    """Exact value of the unique run of a deterministic NWA on prefix.period^omega."""
-    run = _Run(nwa, width_cap)
-    letter_at = _letter_lookup(nwa, w)
-    plen = len(w.period)
-    age_cap = len(w.prefix) + (run.t.max_slave_states + 2) * plen + 2
+def _word_moves(nwa: Nwa, w: LassoWord) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (letter id, choice 0) moves of a lasso word's prefix and period."""
+    ids = nwa.alphabet.id_of
+    return [(ids(a), 0) for a in w.prefix], [(ids(a), 0) for a in w.period]
+
+
+def _window_value(rules: _Rules, start: int, prefix: list, period: list, width_cap: int) -> ValueResult:
+    """Exact value of the run from master state `start` that takes the
+    (letter id, choice index) moves of prefix . period^omega."""
+    run = _Run(rules, start, width_cap)
+    age_cap = len(prefix) + (rules.max_states + 2) * len(period) + 2
 
     seen: set[tuple] = set()
     recorded = None
     window_values: list[int] = []
     window_accept = False
-    guard = 0
-    while True:
-        consumed = run.position
-        if consumed >= len(w.prefix) and (consumed - len(w.prefix)) % plen == 0:
-            snap = run.snapshot()
+    moves = prefix
+    for _ in range(10_000_000):
+        for a, choice in moves:
+            released, _, acc_now = run.step(a, choice)
+            if not run.alive:
+                return PLUS_INFINITY
+            if run.decor and run.decor[0][1] > age_cap:
+                return PLUS_INFINITY  # the oldest slave can never terminate
             if recorded is not None:
-                if snap == recorded:
-                    if not window_accept or not window_values:
-                        return PLUS_INFINITY
-                    return limavg_periodic([], window_values)
-            elif snap in seen:
-                recorded = snap
-                window_values = []
-                window_accept = run.q in run.t.master_accepting
-            else:
-                seen.add(snap)
-            guard += 1
-            if guard > 10_000_000:
-                raise NwaError("periodicity not detected (internal bound exceeded)")
-        released, _, acc_now = run.step(letter_at(consumed))
-        if not run.alive:
-            return PLUS_INFINITY
-        for s in run.slots:
-            if s.age > age_cap:
-                return PLUS_INFINITY  # some slave can never terminate
+                window_values.extend(v for _, v in released)
+                window_accept = window_accept or acc_now
+        moves = period
+        # a period boundary
+        snap = run.snapshot()
         if recorded is not None:
-            window_values.extend(v for _, v in released)
-            if acc_now:
-                window_accept = True
+            if snap == recorded:
+                if not window_accept or not window_values:
+                    return PLUS_INFINITY
+                return limavg_periodic([], window_values)
+        elif snap in seen:
+            recorded = snap
+            window_values = []
+            window_accept = run.q in rules.nwa.master.accepting
+        else:
+            seen.add(snap)
+    raise NwaError("periodicity not detected (internal bound exceeded)")
 
 
-def _letter_lookup(nwa: Nwa, w: LassoWord):
-    """Letter id at a 0-based consumed-count position of the lasso word."""
-    ids = [nwa.alphabet.id_of(a) for a in w.prefix] + [nwa.alphabet.id_of(a) for a in w.period]
-    prefix_len = len(w.prefix)
-    plen = len(w.period)
-
-    def at(consumed: int) -> int:
-        if consumed < len(ids):
-            return ids[consumed]
-        return ids[prefix_len + (consumed - prefix_len) % plen]
-
-    return at
+def evaluate_lasso(nwa: Nwa, w: LassoWord, width_cap: int) -> ValueResult:
+    """Exact value of the unique run of a deterministic NWA on prefix.period^omega."""
+    rules = _deterministic_rules(nwa, width_cap)
+    return _window_value(rules, rules.initials[0], *_word_moves(nwa, w), width_cap)
 
 
 def trace_lasso(nwa: Nwa, w: LassoWord, width_cap: int, steps: int) -> RunTrace:
     """First `steps` positions of the run, with per-position release records."""
-    run = _Run(nwa, width_cap)
-    letter_at = _letter_lookup(nwa, w)
+    rules = _deterministic_rules(nwa, width_cap)
+    run = _Run(rules, rules.initials[0], width_cap)
+    prefix, period = _word_moves(nwa, w)
     out = []
-    for _ in range(steps):
-        consumed = run.position
+    for move in islice(chain(prefix, cycle(period)), steps):
         config = run.config()
-        letter = w.letter_at(consumed + 1)
-        released, invoked, _ = run.step(letter_at(consumed))
-        out.append(TraceStep(consumed + 1, config, letter, invoked, tuple(sorted(released))))
+        released, invoked, _ = run.step(*move)
+        out.append(TraceStep(run.position, config, w.letter_at(run.position), invoked, tuple(sorted(released))))
         if not run.alive:
             break
     return RunTrace(tuple(out))
@@ -242,15 +249,14 @@ def run_values(nwa: Nwa, w: LassoWord, width_cap: int, count: int) -> list[int]:
     These are the non-silent entries of the value sequence the master
     aggregates; silent positions are skipped.
     """
-    run = _Run(nwa, width_cap)
-    letter_at = _letter_lookup(nwa, w)
-    plen = len(w.period)
+    rules = _deterministic_rules(nwa, width_cap)
+    run = _Run(rules, rules.initials[0], width_cap)
+    prefix, period = _word_moves(nwa, w)
     values: dict[int, int] = {}
     pending: set[int] = set()
-    horizon = len(w.prefix) + (count + 2) * (run.t.max_slave_states + 2) * plen + count + 4
-    for _ in range(horizon):
-        consumed = run.position
-        released, invoked, _ = run.step(letter_at(consumed))
+    horizon = len(prefix) + (count + 2) * (rules.max_states + 2) * len(period) + count + 4
+    for move in islice(chain(prefix, cycle(period)), horizon):
+        released, invoked, _ = run.step(*move)
         for born, v in released:
             values[born] = v
             pending.discard(born)
@@ -294,26 +300,25 @@ def enumerate_lasso_infimum(
     1 <= |period| <= max_period is evaluated (dead branches are pruned, and
     values are memoized on the configuration reached after the prefix, which
     determines the periodic window). Nondeterministic input: run lassos of the
-    same bounds are enumerated in the configuration graph; the result is an
-    upper bound on the true infimum. Ties are broken toward the shorter, then
-    lexicographically least period, then prefix.
+    same bounds are enumerated in the configuration graph the oracle's step
+    spans, each run one choice per letter; the result is an upper bound on the
+    true infimum. Ties are broken toward the shorter, then lexicographically
+    least period, then prefix.
     """
-    ok, _ = is_deterministic(nwa)
+    ok, _ = nwa.determinism
     if ok:
         return _enumerate_det(nwa, max_prefix, max_period, width_cap)
     return _enumerate_nondet(nwa, max_prefix, max_period, width_cap)
 
 
-def _snapshot_graph(nwa: Nwa, width_cap: int):
+def _snapshot_graph(rules: _Rules, n_letters: int, width_cap: int):
     """Reachable (master state, slot states) snapshots with per-letter moves.
 
     Snapshots abstract accumulations and ages away, which is enough to decide
     liveness and to key period evaluations. Letters whose step would exceed
     the width cap are treated as dead (their lassos abort).
     """
-    from .reduce import _a_step
-
-    start = (_tables(nwa).master_initial, ())
+    start = (rules.initials[0], ())
     index = {start: 0}
     nodes = [start]
     moves: list[list[tuple[int, int]]] = []  # node -> [(letter, target node)]
@@ -322,16 +327,14 @@ def _snapshot_graph(nwa: Nwa, width_cap: int):
         ni = todo.pop()
         while len(moves) <= ni:
             moves.append([])
-        q, slots = nodes[ni]
         out = []
-        for a in range(len(nwa.alphabet)):
-            step = _a_step(nwa, q, slots, a)
-            if step is None:
+        for a in range(n_letters):
+            _, choices = rules.step(*nodes[ni], a)
+            if not choices:
                 continue
-            q2, slots2, _, _ = step
-            if len(slots2) > width_cap:
+            key = choices[0][0]
+            if len(key[1]) > width_cap:
                 continue
-            key = (q2, slots2)
             if key not in index:
                 index[key] = len(nodes)
                 nodes.append(key)
@@ -351,8 +354,9 @@ def lasso_values(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
     cheap snapshot-winding walk rejects dying periods before full evaluation.
     Deterministic automata only.
     """
+    rules = _deterministic_rules(nwa, width_cap)
     letters = nwa.alphabet.letters
-    nodes, moves = _snapshot_graph(nwa, width_cap)
+    nodes, moves = _snapshot_graph(rules, len(letters), width_cap)
     move_map = [dict(m) for m in moves]
     memo: dict[tuple[int, tuple[int, ...]], ValueResult] = {}
 
@@ -405,11 +409,10 @@ def lasso_values(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
                 if not survives_winding(ni, period):
                     value = PLUS_INFINITY
                 else:
-                    word = LassoWord(
-                        tuple(letters[a] for a in prefix), tuple(letters[a] for a in period)
-                    )
                     try:
-                        value = evaluate_lasso(nwa, word, width_cap)
+                        value = _window_value(
+                            rules, rules.initials[0], [(a, 0) for a in prefix], [(a, 0) for a in period], width_cap
+                        )
                     except WidthExceededError:
                         value = PLUS_INFINITY
                 memo[mkey] = value
@@ -441,108 +444,65 @@ def _enumerate_det(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
 
 
 def _enumerate_nondet(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
-    from .determinize import config_initials, explore
-
-    _, all_edges = explore(nwa, width_cap)
-    adjacency: dict = {}
-    for e in all_edges:
-        if not e.width_overflow:
-            adjacency.setdefault(e.from_config, []).append(e)
-    for lst in adjacency.values():
-        lst.sort(key=lambda e: (e.letter, e.to_config.master_state, e.to_config.slots, e.slot_weights))
+    rules = _Rules(nwa)
+    # per configuration, its moves under the width cap: (letter, choice, target)
+    adjacency: dict[tuple, list[tuple]] = {}
+    todo = [(q, ()) for q in rules.initials]
+    while todo:
+        c = todo.pop()
+        if c in adjacency:
+            continue
+        out = []
+        for a in range(len(nwa.alphabet)):
+            _, choices = rules.step(*c, a)
+            out += [(a, n, target, w) for n, (target, w, _, _) in enumerate(choices) if len(target[1]) <= width_cap]
+        out.sort(key=lambda m: (m[0], m[2], m[3]))
+        adjacency[c] = [(a, n, target) for a, n, target, _ in out]
+        todo += [target for _, _, target in adjacency[c]]
 
     best: Optional[ValueResult] = None
     best_key = None
     best_witness = None
 
-    def consider(value: ValueResult, prefix_edges, cycle_edges):
+    def consider(value: ValueResult, prefix_moves, cycle_moves):
         nonlocal best, best_key, best_witness
-        prefix = tuple(nwa.alphabet.letters[e.letter] for e in prefix_edges)
-        period = tuple(nwa.alphabet.letters[e.letter] for e in cycle_edges)
+        prefix = tuple(nwa.alphabet.letters[m[0]] for m in prefix_moves)
+        period = tuple(nwa.alphabet.letters[m[0]] for m in cycle_moves)
         key = (
             value.sort_key(),
             len(period),
-            tuple(e.letter for e in cycle_edges),
+            tuple(m[0] for m in cycle_moves),
             len(prefix),
-            tuple(e.letter for e in prefix_edges),
+            tuple(m[0] for m in prefix_moves),
         )
         if best_key is None or key < best_key:
             best, best_key, best_witness = value, key, LassoWord(prefix, period)
 
-    prefix_stack = [((), c) for c in sorted(config_initials(nwa), key=lambda c: (c.master_state, c.slots))]
+    prefix_stack = [(q, (), (q, ())) for q in rules.initials]
     prefix_paths = []
     while prefix_stack:
-        path, c = prefix_stack.pop()
-        prefix_paths.append((path, c))
+        start, path, c = prefix_stack.pop()
+        prefix_paths.append((start, path, c))
         if len(path) < max_prefix:
-            for e in adjacency.get(c, ()):
-                prefix_stack.append((path + (e,), e.to_config))
+            for m in adjacency[c]:
+                prefix_stack.append((start, path + (m,), m[2]))
 
     evaluated: dict[tuple, ValueResult] = {}
-    for path, anchor in prefix_paths:
+    for start, path, anchor in prefix_paths:
         cycle_stack = [((), anchor)]
         while cycle_stack:
             cyc, c = cycle_stack.pop()
             if cyc and c == anchor:
                 key = (anchor, cyc)
                 if key not in evaluated:
-                    evaluated[key] = _evaluate_edge_lasso(nwa, path, cyc)
+                    evaluated[key] = _window_value(
+                        rules, start, [m[:2] for m in path], [m[:2] for m in cyc], width_cap
+                    )
                 if evaluated[key] is not PLUS_INFINITY:
                     consider(evaluated[key], path, cyc)
             if len(cyc) < max_period:
-                for e in adjacency.get(c, ()):
-                    cycle_stack.append((cyc + (e,), e.to_config))
+                for m in adjacency[c]:
+                    cycle_stack.append((cyc + (m,), m[2]))
     if best is None:
         return PLUS_INFINITY, None
     return best, best_witness
-
-
-def _evaluate_edge_lasso(nwa: Nwa, prefix_edges, cycle_edges) -> ValueResult:
-    """Value of the run pinned by an edge path and edge cycle in the
-    configuration graph; the twin of evaluate_lasso for chosen runs."""
-    max_states = max((sl.base.n_states for sl in nwa.slaves), default=1)
-    plen = len(cycle_edges)
-    age_cap = len(prefix_edges) + (max_states + 2) * plen + 2
-
-    # decorated slots aligned with the configuration's slots
-    slots: list[list[int]] = []  # [acc, age]
-    seen: set[tuple] = set()
-    recorded = None
-    window_values: list[int] = []
-    window_accept = False
-
-    consumed = 0
-    while True:
-        if consumed >= len(prefix_edges) and (consumed - len(prefix_edges)) % plen == 0:
-            snap = tuple((s[0], s[1]) for s in slots)
-            if recorded is not None:
-                if snap == recorded:
-                    if not window_accept or not window_values:
-                        return PLUS_INFINITY
-                    return limavg_periodic([], window_values)
-            elif snap in seen:
-                recorded = snap
-                window_values = []
-                window_accept = False
-            else:
-                seen.add(snap)
-        if consumed < len(prefix_edges):
-            edge = prefix_edges[consumed]
-        else:
-            edge = cycle_edges[(consumed - len(prefix_edges)) % plen]
-        consumed += 1
-        released_positions = {pos - 1 for pos in edge.returned}
-        released_values = [slots[pos - 1][0] for pos in edge.returned]
-        survivors = [s for i, s in enumerate(slots) if i not in released_positions]
-        for s, dw in zip(survivors, edge.slot_weights):
-            s[0] = _check64(s[0] + dw)
-            s[1] += 1
-            if s[1] > age_cap:
-                return PLUS_INFINITY
-        if edge.invoked is not None:
-            survivors.append([_check64(edge.slot_weights[-1]), 0])
-        slots = survivors
-        if recorded is not None:
-            window_values.extend(released_values)
-            if edge.master_accepting:
-                window_accept = True

@@ -1,9 +1,8 @@
-"""Reductions: width-k automata to width 1, and width 1 to a limit-average
-automaton with silent moves over run-fragment letters.
+"""The width-1 reduction behind `nwaq reduce`: a width-k automaton to width 1.
 
-The width-1 construction tracks the master together with all active slaves in
-the new master's state and runs a single compound slave that collects the sum
-of the tracked slaves' step weights. One compound instance runs per input
+The construction tracks the master together with all active slaves in the
+new master's state and runs a single compound slave that collects the sum of
+the tracked slaves' step weights. One compound instance runs per input
 invocation, covering the input steps from that invocation up to the next one
 (or until its last tracked slave terminates); consuming happens one step
 behind the input, with the previous step's weight carried in the state, so
@@ -12,79 +11,30 @@ invoked a new slave and terminate exactly there. Counts of returned values
 and their period sums match the input on every lasso whose slaves all
 terminate within the period. Master acceptance and every-slave-terminates
 form a generalized Buchi condition compiled to plain Buchi with the usual
-two-phase counter.
+two-phase counter. Input steps are taken by `StepTables.step`; a
+deterministic input has at most one choice per letter.
+
+The paper's next stage, the fragment summary of a width-1 automaton, is not
+on the decision path; it lives with the tests' reference code in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     LabeledAutomaton,
-    NEG_INFINITY,
     Nwa,
-    NwaError,
     NondeterministicInputError,
     PreconditionError,
     ValueFn,
-    ValueResult,
     WeightedAutomaton,
     _check64,
     is_deterministic,
 )
-from .oracle import _tables
+from .determinize import StepTables
 from .width import has_width
-
-
-class NegInfinityFragmentError(NwaError):
-    """A fragment's minimal slave value is unbounded below.
-
-    Signals that the overall infimum is minus infinity; the negative-descent
-    check run beforehand normally pre-empts this.
-    """
-
-    def __init__(self, q1: int, letter: str, q2: int, slave: int):
-        super().__init__(f"fragment ({q1}, {letter}, {q2}, B{slave}) has no minimal value")
-        self.site = (q1, letter, q2, slave)
-
-
-def _a_step(nwa: Nwa, q: int, slots: tuple, a: int):
-    """One input step from (master state, tracked slots) on a letter id.
-
-    Returns (q2, slots2, invoked_real, step_weight) or None when the run dies.
-    Accepting-state slots are released first; an invoked slave consumes the
-    letter unless it accepts the empty word, which is a silent move.
-    """
-    t = _tables(nwa)
-    move = t.master.get((q, a))
-    if move is None:
-        return None
-    q2, label = move
-    weight = 0
-    slots2 = []
-    for i, s in slots:
-        if s in t.slave_accepting[i - 1]:
-            continue
-        nxt = t.slave_step[i - 1].get((s, a))
-        if nxt is None:
-            return None
-        slots2.append((i, nxt[0]))
-        weight += nxt[1]
-    invoked_real = False
-    if not t.silent_invoke[label - 1]:
-        first = t.slave_step[label - 1].get((t.slave_initial[label - 1], a))
-        if first is None:
-            return None
-        slots2.append((label, first[0]))
-        weight += first[1]
-        invoked_real = True
-    return q2, tuple(slots2), invoked_real, _check64(weight)
-
-
-def _all_accepting(nwa: Nwa, slots: tuple) -> bool:
-    t = _tables(nwa)
-    return bool(slots) and all(s in t.slave_accepting[i - 1] for i, s in slots)
 
 
 def reduce_width1(nwa: Nwa, k: int) -> Nwa:
@@ -102,7 +52,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     okw, _ = has_width(nwa, k)
     if not okw:
         raise PreconditionError(f"input exceeds width {k}")
-    t = _tables(nwa)
+    tables = StepTables(nwa)
     n_letters = len(nwa.alphabet)
 
     # core state: (input master state, input slots, weight of the step just
@@ -110,8 +60,8 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     # master-acceptance seen since the last instance boundary, turnover seen
     # since the last instance boundary). The sticky flags move the Buchi sets
     # onto boundary states, where fragment letters start and end.
-    q0 = t.master_initial
-    core0 = (q0, (), 0, False, 0, q0 in t.master_accepting, True)
+    q0 = min(nwa.master.initials)
+    core0 = (q0, (), 0, False, 0, q0 in nwa.master.accepting, True)
     core_states = [core0]
     core_index = {core0: 0}
     # (source core, letter, target core, spawn site or None)
@@ -121,22 +71,20 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         core = todo.pop()
         q, slots, pending, jflag, bit, f1s, f2s = core
         for a in range(n_letters):
-            step = _a_step(nwa, q, slots, a)
-            if step is None:
-                continue
-            q2, slots2, invoked_real, weight = step
-            spawn = bit == 0 and jflag
-            instance_acc = invoked_real or not slots2
-            bit2 = 1 if (spawn or bit == 1) and not instance_acc else 0
-            carry = bit == 1  # the window spans one compound instance
-            f1s2 = (q2 in t.master_accepting) or (f1s and carry)
-            f2s2 = (not slots2 or _all_accepting(nwa, slots2)) or (f2s and carry)
-            core2 = (q2, slots2, weight, invoked_real, bit2, f1s2, f2s2)
-            if core2 not in core_index:
-                core_index[core2] = len(core_states)
-                core_states.append(core2)
-                todo.append(core2)
-            core_trans.append((core, a, core2, (q, slots, pending) if spawn else None))
+            for (q2, slots2), weights, invoked, _, master_acc in tables.step(q, slots, a):
+                invoked_real = invoked is not None
+                spawn = bit == 0 and jflag
+                instance_acc = invoked_real or not slots2
+                bit2 = 1 if (spawn or bit == 1) and not instance_acc else 0
+                carry = bit == 1  # the window spans one compound instance
+                f1s2 = master_acc or (f1s and carry)
+                f2s2 = all(s in tables.accepting[i] for i, s in slots2) or (f2s and carry)
+                core2 = (q2, slots2, _check64(sum(weights)), invoked_real, bit2, f1s2, f2s2)
+                if core2 not in core_index:
+                    core_index[core2] = len(core_states)
+                    core_states.append(core2)
+                    todo.append(core2)
+                core_trans.append((core, a, core2, (q, slots, pending) if spawn else None))
 
     sites = sorted({site for _, _, _, site in core_trans if site is not None})
     site_index = {s: n + 1 for n, s in enumerate(sites)}
@@ -188,7 +136,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         accepting=frozenset(i for i, (c, ph) in enumerate(prod_states) if ph == 1 and f1(c)),
     )
 
-    slaves = tuple(_compound_slave(nwa, site) for site in sites)
+    slaves = tuple(_compound_slave(nwa, tables, site) for site in sites)
     dummy = WeightedAutomaton(
         LabeledAutomaton(nwa.alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0})),
         ValueFn.SUM,
@@ -196,7 +144,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     return Nwa(master, slaves + (dummy,), name=(nwa.name + "_w1") if nwa.name else "w1")
 
 
-def _compound_slave(nwa: Nwa, site: tuple) -> WeightedAutomaton:
+def _compound_slave(nwa: Nwa, tables: StepTables, site: tuple) -> WeightedAutomaton:
     """The compound instance spawned one step after an invocation site.
 
     States past the entry are (master state, tracked slots, carried weight,
@@ -217,33 +165,22 @@ def _compound_slave(nwa: Nwa, site: tuple) -> WeightedAutomaton:
         return cut or not slots
 
     todo = []
-    for a in range(n_letters):
-        step = _a_step(nwa, q_site, slots_site, a)
-        if step is None:
-            continue
-        q2, slots2, invoked_real, weight = step
-        core2 = (q2, slots2, weight, invoked_real)
-        if core2 not in index:
-            index[core2] = len(states)
-            states.append(core2)
-            if not accepting_state(core2):
-                todo.append(core2)
-        trans.append((0, a, index[core2], pending_site))
+
+    def expand(source: int, q: int, slots: tuple, pending: int) -> None:
+        for a in range(n_letters):
+            for (q2, slots2), weights, invoked, _, _ in tables.step(q, slots, a):
+                core2 = (q2, slots2, _check64(sum(weights)), invoked is not None)
+                if core2 not in index:
+                    index[core2] = len(states)
+                    states.append(core2)
+                    if not accepting_state(core2):
+                        todo.append(core2)
+                trans.append((source, a, index[core2], pending))
+
+    expand(0, q_site, slots_site, pending_site)
     while todo:
         core = todo.pop()
-        q, slots, pending, _ = core
-        for a in range(n_letters):
-            step = _a_step(nwa, q, slots, a)
-            if step is None:
-                continue
-            q2, slots2, invoked_real, weight = step
-            core2 = (q2, slots2, weight, invoked_real)
-            if core2 not in index:
-                index[core2] = len(states)
-                states.append(core2)
-                if not accepting_state(core2):
-                    todo.append(core2)
-            trans.append((index[core], a, index[core2], pending))
+        expand(index[core], *core[:3])
 
     def name(core):
         if core == entry:
@@ -262,276 +199,4 @@ def _compound_slave(nwa: Nwa, site: tuple) -> WeightedAutomaton:
             accepting=frozenset(i for i, c in enumerate(states) if c != entry and accepting_state(c)),
         ),
         ValueFn.SUM,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fragment letters and the silent-move limit-average automaton
-
-
-@dataclass(frozen=True)
-class FragmentLetter:
-    """Silent(q1, q2) for a nonempty dummy-only master stretch, or
-    Valued(q1, a, q2, i) for one complete run of slave i invoked on a."""
-
-    q1: int
-    q2: int
-    letter: Optional[str] = None
-    slave: Optional[int] = None
-
-    @property
-    def silent(self) -> bool:
-        return self.slave is None
-
-    def __str__(self) -> str:
-        if self.silent:
-            return f"({self.q1}->{self.q2})"
-        return f"({self.q1},{self.letter},B{self.slave}->{self.q2})"
-
-
-@dataclass(frozen=True)
-class SilentLimAvgAutomaton:
-    """Deterministic limit-average automaton over fragment letters.
-
-    Transitions carry the minimal value of the fragment they summarize, or
-    None for silent letters; two silent letters never chain. realizations
-    maps each letter to one input word attaining the minimum.
-    """
-
-    n_states: int
-    state_names: tuple[str, ...]
-    initial: int
-    accepting: frozenset[int]
-    edges: tuple[tuple[int, FragmentLetter, int, Optional[int]], ...]
-    realizations: dict[FragmentLetter, tuple[str, ...]]
-
-
-def min_slave_value(nwa: Nwa, q1: int, a: str, q2: int, i: int) -> Optional[ValueResult]:
-    """Minimal value slave i can return on a word moving the master q1 -> q2.
-
-    The master must invoke slave i at q1 on the first letter a; afterwards it
-    may only take silent-invoking transitions while the slave runs. None when
-    no such word exists; minus infinity when a negative product cycle can
-    reach the terminating states.
-    """
-    got = _fragment_values(nwa, q1, nwa.alphabet.id_of(a))
-    if got is None:
-        return None
-    slave, per_target = got
-    if slave != i:
-        return None
-    hit = per_target.get(q2)
-    if hit is None:
-        return None
-    value, _ = hit
-    if value is None:
-        return NEG_INFINITY
-    return ValueResult.finite(value)
-
-
-def _fragment_values(nwa: Nwa, q1: int, a: int):
-    """All fragment endpoints for the invocation at (q1, a).
-
-    Returns (slave index, {q2: (min value or None for unbounded, word)}), or
-    None when (q1, a) does not invoke a slave that consumes a.
-    """
-    t = _tables(nwa)
-    move = t.master.get((q1, a))
-    if move is None:
-        return None
-    m1, label = move
-    if t.silent_invoke[label - 1]:
-        return None
-    first = t.slave_step[label - 1].get((t.slave_initial[label - 1], a))
-    if first is None:
-        return None
-    s1, w0 = first
-    acc = t.slave_accepting[label - 1]
-
-    # product of the master over silent-invoking moves with the running slave
-    nodes = [(m1, s1)]
-    index = {(m1, s1): 0}
-    edges = []  # (u, v, weight, letter id)
-    pos = 0
-    while pos < len(nodes):
-        m, s = nodes[pos]
-        u = pos
-        pos += 1
-        if s in acc:
-            continue  # the slave terminates here, no continuation
-        for b in range(len(nwa.alphabet)):
-            mv = t.master.get((m, b))
-            if mv is None or not t.silent_invoke[mv[1] - 1]:
-                continue
-            sv = t.slave_step[label - 1].get((s, b))
-            if sv is None:
-                continue
-            node = (mv[0], sv[0])
-            if node not in index:
-                index[node] = len(nodes)
-                nodes.append(node)
-            edges.append((u, index[node], sv[1], b))
-
-    n = len(nodes)
-    INF = None
-    dist: list[Optional[int]] = [INF] * n
-    dist[0] = w0
-    pred: list[Optional[tuple[int, int, int]]] = [None] * n
-    for _ in range(n):
-        changed = False
-        for u, v, w, b in edges:
-            if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
-                dist[v] = dist[u] + w
-                pred[v] = (u, b, w)
-                changed = True
-        if not changed:
-            break
-    on_neg = set()
-    for u, v, w, b in edges:
-        if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
-            on_neg.add(v)
-    # propagate unboundedness forward
-    frontier = list(on_neg)
-    adj: dict[int, list[int]] = {}
-    for u, v, _, _ in edges:
-        adj.setdefault(u, []).append(v)
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, ()):
-            if v not in on_neg:
-                on_neg.add(v)
-                frontier.append(v)
-
-    per_target: dict[int, tuple[Optional[int], Optional[tuple[str, ...]]]] = {}
-    letters = nwa.alphabet.letters
-    for node, pos_ in index.items():
-        m, s = node
-        if s not in acc or dist[pos_] is None:
-            continue
-        if pos_ in on_neg:
-            per_target[m] = (None, None)
-            continue
-        word = [letters[a]]
-        cur = pos_
-        chain = []
-        while pred[cur] is not None:
-            u, b, _ = pred[cur]
-            chain.append(letters[b])
-            cur = u
-        chain.reverse()
-        word.extend(chain)
-        old = per_target.get(m)
-        if old is None or (old[0] is not None and dist[pos_] < old[0]):
-            per_target[m] = (dist[pos_], tuple(word))
-    return label, per_target
-
-
-def fragment_automaton(nwa: Nwa) -> SilentLimAvgAutomaton:
-    """Summarize a width-1 deterministic automaton by its run fragments.
-
-    States pair a master state at a fragment boundary with a just-read-silent
-    flag that forbids two silent letters in a row. Valued letters exist for
-    every realizable fragment and carry its minimal value; a fragment with no
-    minimal value raises NegInfinityFragmentError.
-    """
-    ok, site = is_deterministic(nwa)
-    if not ok:
-        raise NondeterministicInputError(site or "input is not deterministic")
-    okw, _ = has_width(nwa, 1)
-    if not okw:
-        raise PreconditionError("fragment automaton needs width-1 input")
-    t = _tables(nwa)
-    letters = nwa.alphabet.letters
-
-    silent_next: dict[int, dict[int, tuple[str, ...]]] = {}
-
-    def silent_closure(q: int) -> dict[int, tuple[str, ...]]:
-        # shortest dummy-only nonempty paths from q, by BFS
-        if q in silent_next:
-            return silent_next[q]
-        out: dict[int, tuple[str, ...]] = {}
-        frontier = [(q, ())]
-        while frontier:
-            nxt = []
-            for m, word in frontier:
-                for b in range(len(letters)):
-                    mv = t.master.get((m, b))
-                    if mv is None or not t.silent_invoke[mv[1] - 1]:
-                        continue
-                    m2 = mv[0]
-                    w2 = word + (letters[b],)
-                    if m2 not in out:
-                        out[m2] = w2
-                        nxt.append((m2, w2))
-            frontier = nxt
-        silent_next[q] = out
-        return out
-
-    boundaries = [t.master_initial]
-    seen = {t.master_initial}
-    valued: dict[tuple[int, int], tuple[int, dict]] = {}
-    pos = 0
-    while pos < len(boundaries):
-        q = boundaries[pos]
-        pos += 1
-        for q2 in silent_closure(q):
-            if q2 not in seen:
-                seen.add(q2)
-                boundaries.append(q2)
-        for a in range(len(letters)):
-            got = _fragment_values(nwa, q, a)
-            if got is None:
-                continue
-            slave, per_target = got
-            for q2, (value, _) in per_target.items():
-                if value is None:
-                    raise NegInfinityFragmentError(q, letters[a], q2, slave)
-            valued[(q, a)] = (slave, per_target)
-            for q2 in per_target:
-                if q2 not in seen:
-                    seen.add(q2)
-                    boundaries.append(q2)
-
-    # assemble states (boundary, silent flag); all states first, then edges
-    state_index: dict[tuple[int, int], int] = {}
-    state_list: list[tuple[int, int]] = []
-
-    def intern(q: int, flag: int) -> int:
-        key = (q, flag)
-        if key not in state_index:
-            state_index[key] = len(state_list)
-            state_list.append(key)
-        return state_index[key]
-
-    initial = intern(t.master_initial, 0)
-    for q in boundaries:
-        intern(q, 0)
-        for q2 in sorted(silent_closure(q)):
-            intern(q2, 1)
-    edges = []
-    realizations: dict[FragmentLetter, tuple[str, ...]] = {}
-    for q in boundaries:
-        for q2, word in sorted(silent_closure(q).items()):
-            letter = FragmentLetter(q1=q, q2=q2)
-            realizations[letter] = word
-            edges.append((state_index[(q, 0)], letter, state_index[(q2, 1)], None))
-    for (q, a), (slave, per_target) in sorted(valued.items()):
-        for q2, (value, word) in sorted(per_target.items()):
-            letter = FragmentLetter(q1=q, q2=q2, letter=letters[a], slave=slave)
-            realizations[letter] = word
-            for flag in (0, 1):
-                if (q, flag) in state_index:
-                    edges.append((state_index[(q, flag)], letter, state_index[(q2, 0)], value))
-
-    accepting = frozenset(
-        i for i, (q, _) in enumerate(state_list) if q in t.master_accepting
-    )
-    names = tuple(f"{nwa.master.state_names[q]}/{flag}" for q, flag in state_list)
-    return SilentLimAvgAutomaton(
-        n_states=len(state_list),
-        state_names=names,
-        initial=initial,
-        accepting=accepting,
-        edges=tuple(edges),
-        realizations=realizations,
     )

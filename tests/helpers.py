@@ -6,7 +6,6 @@ import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from nwaq.core import (
@@ -20,82 +19,26 @@ from nwaq.core import (
     is_deterministic,
 )
 from nwaq.meanpayoff import RatioGraph, infimum_ratio
-from nwaq.reduce import NegInfinityFragmentError, SilentLimAvgAutomaton, fragment_automaton, reduce_width1
-
-
-def reference_successors(nwa: Nwa, q: int, slots: tuple, letter: int) -> list[tuple]:
-    """All joint-choice steps from configuration (q, slots) on a letter, as
-    ((target master state, target slots), slot weights, invoked slave or
-    None, released positions, target master state accepting), written out
-    from the semantics.
-
-    Accepting-state slots terminate first (forced), then a master transition
-    is chosen, each surviving slot picks a transition independently, and a
-    non-dummy invocation appends a fresh slot that also consumes the letter
-    (a slave accepting the empty word contributes a silent move instead).
-    """
-    released: list[int] = []
-    survivors: list[tuple[int, int]] = []
-    for pos, (i, s) in enumerate(slots, start=1):
-        if s in nwa.slave(i).base.accepting:
-            released.append(pos)
-        else:
-            survivors.append((i, s))
-    steps = []
-    for q2, label in nwa.master.succ(q, letter):
-        move_choices: list[list[tuple[int, int, int]]] = []
-        dead = False
-        for i, s in survivors:
-            sl = nwa.slave(i)
-            moves = [(i, s2, sl.effective_weight(w)) for s2, w in sl.base.succ(s, letter)]
-            if not moves:
-                dead = True
-                break
-            move_choices.append(moves)
-        if dead:
-            continue
-        new_choices: list[Optional[tuple[int, int, int]]] = [None]
-        if not nwa.is_dummy(label):
-            aut = nwa.slave(label).base
-            starts: list[Optional[tuple[int, int, int]]] = []
-            silent = False
-            for s0 in sorted(aut.initials):
-                if s0 in aut.accepting:
-                    silent = True  # empty-word acceptance: silent move
-                    continue
-                for s1, w0 in aut.succ(s0, letter):
-                    starts.append((label, s1, nwa.slave(label).effective_weight(w0)))
-            if silent:
-                starts.append(None)
-            if not starts:
-                continue  # the invoked slave dies immediately
-            new_choices = starts
-        for combo in product(*move_choices):
-            for new in new_choices:
-                slots2 = tuple((i, s2) for i, s2, _ in combo)
-                weights = tuple(w for _, _, w in combo)
-                invoked = None
-                if new is not None:
-                    slots2 = slots2 + ((new[0], new[1]),)
-                    weights = weights + (new[2],)
-                    invoked = new[0]
-                steps.append(((q2, slots2), weights, invoked, tuple(released), q2 in nwa.master.accepting))
-    return steps
+from nwaq.oracle import _Rules
+from nwaq.reduce import reduce_width1
+from reference import NegInfinityFragmentError, SilentLimAvgAutomaton, fragment_automaton
 
 
 def reference_config_graph(nwa: Nwa, k: int):
-    """The configuration graph at width k by breadth-first search with
-    `reference_successors`: the (master state, slots) keys in sorted order,
+    """The configuration graph at width k by breadth-first search with the
+    oracle's own step rule: the (master state, slots) keys in sorted order,
     the edges (source id, target id, letter, slot weights, invoked,
     released, accepting) by source, then letter, then emission order, and
     whether some step needs a (k+1)-th slot."""
+    step = _Rules(nwa).step
     out: dict[tuple, list[tuple]] = {(q, ()): [] for q in sorted(nwa.master.initials)}
     queue = deque(out)
     overflow = False
     while queue:
         key = queue.popleft()
         for a in range(len(nwa.alphabet)):
-            for target, weights, invoked, returned, accepting in reference_successors(nwa, *key, a):
+            returned, choices = step(*key, a)
+            for target, weights, invoked, accepting in choices:
                 if len(target[1]) > k:
                     overflow = True
                     continue

@@ -26,9 +26,8 @@ from nwaq.core import (
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
 from nwaq.decide import Pipeline
-from nwaq.determinize import materialize_deterministic
 from nwaq.mca import evaluate_lasso_mca, mca_to_nwa, nwa_to_mca
-from nwaq.meanpayoff import RatioGraph, infimum_ratio, threshold_emptiness
+from nwaq.meanpayoff import RatioGraph, infimum_ratio
 from nwaq.oracle import (
     enumerate_lasso_infimum,
     evaluate_lasso,
@@ -40,6 +39,7 @@ from nwaq.reduce import reduce_width1
 from nwaq.starcond import check_star_condition, pump_witness
 from nwaq.textio import parse_mca, parse_nwa, render_mca, render_nwa
 from nwaq.width import has_width
+from reference import materialize_deterministic, threshold_emptiness
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "nwaq" / "corpus_data"
 

@@ -15,9 +15,9 @@ from nwaq.core import (
     WeightedAutomaton,
 )
 from helpers import random_nondet, reference_infimum, twinned
+from reference import materialize_deterministic
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, mirror, universality_deterministic
-from nwaq.determinize import materialize_deterministic
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, lasso_values, min_partial_average
 from nwaq.textio import parse_nwa, parse_word
 from nwaq.width import has_width

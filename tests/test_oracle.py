@@ -165,26 +165,29 @@ def test_enumerate_never_beats_pointwise(a_cond1):
 
 def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
     # on deterministic input, a run lasso in the configuration graph is the
-    # unique run of its projected word: the two simulators must agree exactly
+    # unique run of its projected word: the run, replayed through the oracle
+    # with one choice index per letter, must agree exactly with the word
     from nwaq.determinize import config_initials, explore
-    from nwaq.oracle import _evaluate_edge_lasso
+    from nwaq.oracle import _Rules, _window_value
 
     for nwa, cap in ((a_art1, 1), (a_cond1, 2)):
         _, edges = explore(nwa, cap)
         adjacency = {}
+        choices = {}  # (source, letter) -> edges so far; an edge's choice is its place among them
         for e in edges:
-            if not e.width_overflow:
-                adjacency.setdefault(e.from_config, []).append(e)
+            n = choices[e.from_config, e.letter] = choices.get((e.from_config, e.letter), -1) + 1
+            adjacency.setdefault(e.from_config, []).append((e, n))
         # shortest edge path from the initial configuration to every config
         initial = next(iter(config_initials(nwa)))
         access = {initial: ()}
         queue = [initial]
         while queue:
             c = queue.pop(0)
-            for e in adjacency.get(c, ()):
+            for e, n in adjacency.get(c, ()):
                 if e.to_config not in access:
-                    access[e.to_config] = access[c] + (e,)
+                    access[e.to_config] = access[c] + ((e, n),)
                     queue.append(e.to_config)
+        rules = _Rules(nwa)
         checked = 0
         for anchor, prefix_edges in sorted(access.items(), key=lambda kv: len(kv[1])):
             stack = [((), anchor)]
@@ -192,16 +195,17 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
                 path, c = stack.pop()
                 if path and c == anchor:
                     word = LassoWord(
-                        tuple(nwa.alphabet.letters[e.letter] for e in prefix_edges),
-                        tuple(nwa.alphabet.letters[e.letter] for e in path),
+                        tuple(nwa.alphabet.letters[e.letter] for e, _ in prefix_edges),
+                        tuple(nwa.alphabet.letters[e.letter] for e, _ in path),
                     )
                     direct = evaluate_lasso(nwa, word, cap)
-                    via_edges = _evaluate_edge_lasso(nwa, prefix_edges, path)
-                    assert via_edges == direct, word
+                    run = [(e.letter, n) for e, n in prefix_edges], [(e.letter, n) for e, n in path]
+                    via_run = _window_value(rules, initial.master_state, *run, cap)
+                    assert via_run == direct, word
                     checked += 1
                 if len(path) < 5:
-                    for e in adjacency.get(c, ()):
-                        stack.append((path + (e,), e.to_config))
+                    for e, n in adjacency.get(c, ()):
+                        stack.append((path + ((e, n),), e.to_config))
         assert checked > 10
 
 

@@ -11,8 +11,9 @@ from nwaq.core import (
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, corpus, k_art
 from nwaq.oracle import evaluate_lasso, lasso_values
-from nwaq.reduce import fragment_automaton, min_slave_value, reduce_width1
+from nwaq.reduce import reduce_width1
 from nwaq.width import has_width
+from reference import _fragment_values, fragment_automaton, min_slave_value
 
 
 def _tiny(alphabet, states, initials, trans, acc):
@@ -140,8 +141,6 @@ def test_min_slave_value_matches_brute_force(a_art1, a_cond1):
 
 
 def _fragment_table(nwa, q1, a):
-    from nwaq.reduce import _fragment_values
-
     got = _fragment_values(nwa, q1, nwa.alphabet.id_of(a))
     if got is None:
         return None
@@ -150,37 +149,33 @@ def _fragment_table(nwa, q1, a):
 
 
 def _brute_fragments(nwa, q1, a, slave_idx, max_len):
-    """min value per endpoint over realizing words of bounded length."""
-    from nwaq.oracle import _tables
+    """min value per endpoint over realizing words of bounded length, walked
+    with the oracle's own step: the invocation at (q1, a), then silent master
+    moves while the invoked slave runs."""
+    from nwaq.oracle import _Rules
 
-    t = _tables(nwa)
-    aid = nwa.alphabet.id_of(a)
-    move = t.master.get((q1, aid))
-    if move is None:
+    step = _Rules(nwa).step
+    _, choices = step(q1, (), nwa.alphabet.id_of(a))
+    if not choices or choices[0][2] is None:
         return {}
-    m1, label = move
-    first = t.slave_step[label - 1].get((t.slave_initial[label - 1], aid))
-    if first is None:
-        return {}
+    (m1, slots), weights, label, _ = choices[0]
+    acc = nwa.slave(label).base.accepting
     out = {}
-    frontier = [(m1, first[0], first[1], 1)]
-    acc = t.slave_accepting[label - 1]
+    frontier = [(m1, slots, weights[0], 1)]
     while frontier:
-        m, s, val, ln = frontier.pop()
-        if s in acc:
+        m, slots, val, ln = frontier.pop()
+        if slots[0][1] in acc:
             if m not in out or val < out[m]:
                 out[m] = val
             continue
         if ln >= max_len:
             continue
         for b in range(len(nwa.alphabet.letters)):
-            mv = t.master.get((m, b))
-            if mv is None or not t.silent_invoke[mv[1] - 1]:
+            _, choices = step(m, slots, b)
+            if not choices or choices[0][2] is not None:
                 continue
-            sv = t.slave_step[label - 1].get((s, b))
-            if sv is None:
-                continue
-            frontier.append((mv[0], sv[0], val + sv[1], ln + 1))
+            (m2, slots2), weights, _, _ = choices[0]
+            frontier.append((m2, slots2, val + weights[0], ln + 1))
     return out
 
 
