@@ -24,7 +24,6 @@ from .core import (
 from .decide import Pipeline, emptiness, infimum, universality_deterministic
 from .determinize import ConfigEdge, config_initials
 from .mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
-from .meanpayoff import RatioGraph, infimum_ratio
 from .oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
 from .reduce import reduce_width1
 from .starcond import StarWitness, check_star_condition, pump_witness

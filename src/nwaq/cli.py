@@ -3,7 +3,8 @@
 Every command prints one JSON envelope on stdout:
 {"query": ..., "answer": ..., "value": {"tag", "p", "q"}, "witness": ...}
 Exit codes: 0 = yes/true, 1 = no/false, 2 = usage or validation error,
-3 = internal limit (reserved: no decision command sets a limit yet).
+3 = internal limit (reserved: no decision command sets a limit yet). Every
+command but `check` validates what it loads.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class UsageError(NwaError):
     pass
 
 
-def _load(path: str):
+def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -57,6 +58,15 @@ def _load(path: str):
     if head[0] == "mca":
         return parse_mca(text)
     raise UsageError(f"{path}: unknown header {head[0]!r}")
+
+
+def _load(path: str):
+    """The automaton in a file; a structural error is a PreconditionError."""
+    obj = _read(path)
+    problems = validate_nwa(obj) if isinstance(obj, Nwa) else validate_mca(obj)
+    if problems:
+        raise PreconditionError("; ".join(problems))
+    return obj
 
 
 def _value_json(v: Optional[ValueResult]):
@@ -102,6 +112,17 @@ def _get_threshold(args) -> "Threshold":
     return parse_threshold(args.lt, strict=True)
 
 
+def _positive(text: str) -> int:
+    """An integer of at least 1, for --k, --max and --cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nwaq", description="nested weighted automata queries")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,48 +132,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("width", help="check width k or search the minimal width")
     p.add_argument("file")
-    p.add_argument("--k", type=int)
-    p.add_argument("--max", type=int)
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--max", type=_positive)
 
     p = sub.add_parser("eval", help="evaluate a lasso word")
     p.add_argument("file")
     p.add_argument("--word", required=True)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_positive, default=64)
 
     p = sub.add_parser("empty", help="threshold emptiness")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     _threshold_args(p)
     p.add_argument("--certificate", metavar="OUT")
 
     p = sub.add_parser("infimum", help="exact infimum over all words")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
 
     p = sub.add_parser("universal", help="deterministic universality")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     _threshold_args(p)
 
     p = sub.add_parser("star", help="negative-descent condition")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
 
     p = sub.add_parser("translate", help="translate between nwa and mca")
     p.add_argument("file")
     p.add_argument("--to", choices=("mca", "nwa"), required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("reduce", help="reduce a width-k automaton to width 1")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("-o", "--output", required=True)
     return parser
 
 
 def _cmd_check(args) -> int:
-    obj = _load(args.file)
+    obj = _read(args.file)
     if isinstance(obj, Nwa):
         problems = validate_nwa(obj)
         det, site = is_deterministic(obj) if not problems else (False, None)

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .graphs import reachable
+
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
@@ -42,7 +44,8 @@ class PreconditionError(NwaError):
     """A documented operation precondition does not hold."""
 
 
-def _check64(x: int) -> int:
+def check64(x: int) -> int:
+    """x itself; OverflowLimitError when it leaves the signed 64-bit range."""
     if x < INT64_MIN or x > INT64_MAX:
         raise OverflowLimitError(f"value {x} exceeds signed 64-bit range")
     return x
@@ -304,7 +307,7 @@ def finite_value(value_fn: ValueFn, weights: Sequence[int]) -> int:
     total = 0
     for w in weights:
         total += abs(w) if value_fn is ValueFn.SUM_PLUS else w
-        _check64(total)
+        check64(total)
     return total
 
 
@@ -327,7 +330,7 @@ def limavg_periodic(prefix_vals: Sequence[MaybeInt], period_vals: Sequence[Maybe
     total = 0
     for v in period:
         total += v
-        _check64(total)
+        check64(total)
     return ValueResult.finite(Fraction(total, len(period)))
 
 
@@ -401,39 +404,9 @@ def is_deterministic(nwa: Nwa) -> tuple[bool, Optional[str]]:
     return True, None
 
 
-def _reachable(aut: LabeledAutomaton) -> set[int]:
-    seen = set(aut.initials)
-    todo = list(aut.initials)
-    fwd: dict[int, list[int]] = {}
-    for q, _, q2, _ in aut.transitions:
-        fwd.setdefault(q, []).append(q2)
-    while todo:
-        q = todo.pop()
-        for q2 in fwd.get(q, ()):
-            if q2 not in seen:
-                seen.add(q2)
-                todo.append(q2)
-    return seen
-
-
-def _coreachable(aut: LabeledAutomaton) -> set[int]:
-    seen = set(aut.accepting)
-    todo = list(aut.accepting)
-    back: dict[int, list[int]] = {}
-    for q, _, q2, _ in aut.transitions:
-        back.setdefault(q2, []).append(q)
-    while todo:
-        q = todo.pop()
-        for q0 in back.get(q, ()):
-            if q0 not in seen:
-                seen.add(q0)
-                todo.append(q0)
-    return seen
-
-
 def _prefix_free_violation(aut: LabeledAutomaton) -> Optional[int]:
-    reach = _reachable(aut)
-    coreach = _coreachable(aut)
+    reach = reachable(aut.initials, ((q, q2) for q, _, q2, _ in aut.transitions))
+    coreach = reachable(aut.accepting, ((q2, q) for q, _, q2, _ in aut.transitions))
     for q, _, q2, _ in sorted(aut.transitions):
         if q in aut.accepting and q in reach and q2 in coreach:
             return q

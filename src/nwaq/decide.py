@@ -7,7 +7,11 @@ determinization. A negative descent settles every threshold at minus
 infinity. Otherwise a lasso is accepted when its period passes a
 master-accepting edge and an edge that releases slot position 1 or leaves no
 slot, and its value is the period's slot weights over its invocations; the
-infimum is the least such cycle ratio (`meanpayoff.infimum_ratio`).
+infimum is the least such cycle ratio (`meanpayoff.infimum_ratio`). The
+graph's components are computed once (`ConfigGraph.comp`); a component
+qualifies when its internal edges include a tick, a master-accepting and a
+releasing edge, and policy iteration receives the internal edges of each
+qualifying one.
 Certificates are lassos over the input alphabet read off the same graph, or,
 for minus infinity, the witness cycle and a pumped word.
 """
@@ -35,7 +39,8 @@ from .core import (
     validate_nwa,
 )
 from .determinize import ConfigGraph, config_initials, explore
-from .meanpayoff import RatioGraph, _sccs, _shortest_path, check_ratio_bound, infimum_ratio
+from .graphs import sccs, shortest_path
+from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
 from .width import has_width
 
@@ -82,7 +87,7 @@ class Pipeline:
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
             self._kinds = _kinds(configs)
-            self.graph = _ratio_graph(nwa, configs, self._kinds)
+            self.graph = _ratio_graph(configs, self._kinds)
             self.value, self._witness = infimum_ratio(self.graph)
             if self._witness is not None:
                 assert check_ratio_bound(self.graph, self._witness.ratio, self._witness.potentials)
@@ -119,10 +124,10 @@ class Pipeline:
         # turn the least-ratio cycle n times, then detour through acceptance
         # and a release: (n*a + c) / (n*b + d) falls towards a/b as n grows
         comp = self.configs.comp
-        root = g.edges[w.cycle[0]][0]
-        detour = self._closed_walk(root, lambda n: comp[g.edges[n][1]] == comp[root], ACCEPT | RELEASE)
-        a, b = sum(g.edges[n][2] for n in w.cycle), sum(g.edges[n][3] for n in w.cycle)
-        c, d = sum(g.edges[n][2] for n in detour), sum(g.edges[n][3] for n in detour)
+        root = g.src[w.cycle[0]]
+        detour = self._closed_walk(root, lambda n: comp[g.dst[n]] == comp[root], ACCEPT | RELEASE)
+        a, b = sum(g.cost[n] for n in w.cycle), sum(g.ticks[n] for n in w.cycle)
+        c, d = sum(g.cost[n] for n in detour), sum(g.ticks[n] for n in detour)
         n = 8
         if t is not None:
             x = (c - t.value * d) / (t.value * b - a)
@@ -142,20 +147,22 @@ class Pipeline:
         starts at the piece's least node and is a shortest one through all
         three kinds.
         """
-        g, w, comp = self.graph, self._witness, self.configs.comp
+        g, w = self.graph, self._witness
         p, q = w.ratio.numerator, w.ratio.denominator
         pot = {u: x for pi in w.potentials for u, x in pi.items()}
         tight = [
-            (n, u, v)
-            for n, (u, v, cost, ticks) in enumerate(g.edges)
-            if u in pot and comp[u] == comp[v] and q * cost - p * ticks + pot[v] - pot[u] == 0
+            (n, g.src[n], g.dst[n])
+            for ns in g.components
+            for n in ns
+            if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0
         ]
-        piece = _sccs(g.n_nodes, [(u, v) for _, u, v in tight])
+        n_nodes = len(self.configs.configs)
+        piece = sccs(n_nodes, [(u, v) for _, u, v in tight])
         kinds: dict[int, int] = {}
         for n, u, v in tight:
             if piece[u] == piece[v]:
                 kinds[piece[u]] = kinds.get(piece[u], 0) | self._kinds[n]
-        root = next((u for u in range(g.n_nodes) if kinds.get(piece[u]) == TICK | ACCEPT | RELEASE), None)
+        root = next((u for u in range(n_nodes) if kinds.get(piece[u]) == TICK | ACCEPT | RELEASE), None)
         if root is None:
             return None
         inside = {n for n, u, v in tight if piece[u] == piece[v] == piece[root]}
@@ -172,15 +179,14 @@ class Pipeline:
                 if allowed(n):
                     yield n, (cg.edges.dst[n], got | kinds[n] & need)
 
-        return _shortest_path([(root, 0)], moves, (root, need).__eq__)
+        return shortest_path([(root, 0)], moves, (root, need).__eq__)
 
     def _word(self, root: int, period: list[int]) -> LassoWord:
         """A shortest path from an initial configuration to `root`, then the
         closed walk `period` forever, as letters."""
-        e, letters = self.configs.edges, self.nwa.alphabet.letters
-        access = _shortest_path(
-            sorted(self.graph.initials), lambda u: ((n, e.dst[n]) for n in self.configs.out(u)), root.__eq__
-        )
+        cg, e, letters = self.configs, self.configs.edges, self.nwa.alphabet.letters
+        initials = sorted(cg.index[c] for c in config_initials(self.nwa))
+        access = shortest_path(initials, lambda u: ((n, e.dst[n]) for n in cg.out(u)), root.__eq__)
         return LassoWord(*(tuple(letters[e.letter[n]] for n in walk) for walk in (access, period)))
 
 
@@ -194,23 +200,21 @@ def _kinds(cg: ConfigGraph) -> list[int]:
     ]
 
 
-def _ratio_graph(nwa: Nwa, cg: ConfigGraph, kinds: list[int]) -> RatioGraph:
-    """The configuration graph as a limit-average graph: cost is the step's
-    total slot weight, a tick is a non-silent invocation, and the accepting
-    nodes are the members of the components with an internal
-    master-accepting edge and an internal releasing edge."""
+def _ratio_graph(cg: ConfigGraph, kinds: list[int]) -> RatioGraph:
+    """The configuration graph's edge columns as a limit-average graph: cost
+    is the step's total slot weight and a tick is a non-silent invocation. A
+    component qualifies when its internal edges include a tick, a
+    master-accepting and a releasing edge; they are listed in ascending
+    component id."""
     comp, e = cg.comp, cg.edges
-    inner: dict[int, int] = {}
-    for u, v, kind in zip(e.src, e.dst, kinds):
+    inner: dict[int, list[int]] = {}
+    held: dict[int, int] = {}
+    for n, (u, v) in enumerate(zip(e.src, e.dst)):
         if comp[u] == comp[v]:
-            inner[comp[u]] = inner.get(comp[u], 0) | kind
-    qualifying = {c for c, kind in inner.items() if kind & (ACCEPT | RELEASE) == ACCEPT | RELEASE}
-    return RatioGraph(
-        n_nodes=len(cg.configs),
-        edges=tuple(zip(e.src, e.dst, e.cost, (int(i is not None) for i in e.invoked))),
-        initials=frozenset(cg.index[c] for c in config_initials(nwa)),
-        accepting=frozenset(u for u in range(len(cg.configs)) if comp[u] in qualifying),
-    )
+            inner.setdefault(comp[u], []).append(n)
+            held[comp[u]] = held.get(comp[u], 0) | kinds[n]
+    components = [inner[c] for c in sorted(inner) if held[c] == TICK | ACCEPT | RELEASE]
+    return RatioGraph(e.src, e.dst, e.cost, [kind & TICK for kind in kinds], components)
 
 
 def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:

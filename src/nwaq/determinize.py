@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional
 
 from .core import Configuration, Nwa
-from .meanpayoff import _sccs
+from .graphs import sccs
 
 
 @dataclass(frozen=True)
@@ -207,4 +207,4 @@ class ConfigGraph:
 
     @cached_property
     def comp(self) -> list[int]:
-        return _sccs(len(self.configs), zip(self.edges.src, self.edges.dst))
+        return sccs(len(self.configs), zip(self.edges.src, self.edges.dst))

@@ -37,7 +37,7 @@ from .core import (
     PLUS_INFINITY,
     ValueResult,
     WidthExceededError,
-    _check64,
+    check64,
     limavg_periodic,
 )
 
@@ -170,10 +170,10 @@ class _Run:
         if len(slots2) > self.cap:
             raise WidthExceededError(self.position)
         for d, w in zip(kept, weights):
-            d[0] = _check64(d[0] + w)
+            d[0] = check64(d[0] + w)
             d[1] += 1
         if invoked is not None:
-            kept.append([_check64(weights[-1]), 0, self.position])
+            kept.append([check64(weights[-1]), 0, self.position])
         self.q, self.slots, self.decor = q2, slots2, kept
         return values, invoked, accepting
 

@@ -30,7 +30,7 @@ from .core import (
     PreconditionError,
     ValueFn,
     WeightedAutomaton,
-    _check64,
+    check64,
     is_deterministic,
 )
 from .determinize import StepTables
@@ -79,7 +79,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
                 carry = bit == 1  # the window spans one compound instance
                 f1s2 = master_acc or (f1s and carry)
                 f2s2 = all(s in tables.accepting[i] for i, s in slots2) or (f2s and carry)
-                core2 = (q2, slots2, _check64(sum(weights)), invoked_real, bit2, f1s2, f2s2)
+                core2 = (q2, slots2, check64(sum(weights)), invoked_real, bit2, f1s2, f2s2)
                 if core2 not in core_index:
                     core_index[core2] = len(core_states)
                     core_states.append(core2)
@@ -169,7 +169,7 @@ def _compound_slave(nwa: Nwa, tables: StepTables, site: tuple) -> WeightedAutoma
     def expand(source: int, q: int, slots: tuple, pending: int) -> None:
         for a in range(n_letters):
             for (q2, slots2), weights, invoked, _, _ in tables.step(q, slots, a):
-                core2 = (q2, slots2, _check64(sum(weights)), invoked is not None)
+                core2 = (q2, slots2, check64(sum(weights)), invoked is not None)
                 if core2 not in index:
                     index[core2] = len(states)
                     states.append(core2)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .core import Configuration, LassoWord, Nwa, PreconditionError
 from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
-from .meanpayoff import _shortest_path
+from .graphs import shortest_path
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def pump_witness(
     if graph is None:
         graph = ConfigGraph(*explore(nwa, k))
     anchor = graph.index[witness.anchor]
-    access = _shortest_path(
+    access = shortest_path(
         sorted(graph.index[c] for c in config_initials(nwa)),
         lambda u: ((n, graph.edges.dst[n]) for n in graph.out(u)),
         lambda u: u == anchor,
@@ -191,4 +191,4 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
 
     c = graph.configs[anchor]
     start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)
-    return _shortest_path([start], moves, lambda state: state == (anchor, 0, True))
+    return shortest_path([start], moves, lambda state: state == (anchor, 0, True))

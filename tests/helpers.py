@@ -6,7 +6,7 @@ import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from nwaq.core import (
     Alphabet,
@@ -91,6 +91,28 @@ def simple_cycles(n_nodes: int, edges) -> list[list[int]]:
     for start in range(n_nodes):
         dfs(start, start, [], {start})
     return cycles
+
+
+class Graph(NamedTuple):
+    """A limit-average graph in the generic form the references read: edges
+    (u, v, cost, ticks), with initial and accepting nodes."""
+
+    n_nodes: int
+    edges: tuple
+    initials: frozenset
+    accepting: frozenset
+
+
+def ratio_graph(graph: Graph) -> RatioGraph:
+    """`graph` as `infimum_ratio` takes it: its edge columns and, for each
+    qualifying component that holds a tick edge, its internal edges, the
+    components in order of their least node."""
+    components = []
+    for comp in sorted(qualifying_components(graph), key=min):
+        inner = [n for n, (u, v, _, _) in enumerate(graph.edges) if u in comp and v in comp]
+        if any(graph.edges[n][3] for n in inner):
+            components.append(inner)
+    return RatioGraph(*(tuple(zip(*graph.edges)) or ((),) * 4), components)
 
 
 def _reach(graph, sources) -> set[int]:
@@ -234,7 +256,7 @@ def fragment_ratio_graph(frag: SilentLimAvgAutomaton) -> RatioGraph:
     """The fragment automaton as a limit-average graph: a valued letter ticks
     and costs its fragment's least value, a silent letter is free."""
     edges = tuple((src, dst, 0, 0) if w is None else (src, dst, w, 1) for src, _, dst, w in frag.edges)
-    return RatioGraph(frag.n_states, edges, frozenset({frag.initial}), frag.accepting)
+    return ratio_graph(Graph(frag.n_states, edges, frozenset({frag.initial}), frag.accepting))
 
 
 def reference_infimum(nwa: Nwa, k: int) -> Optional[ValueResult]:

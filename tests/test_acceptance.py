@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import min_cycle_ratio_brute, random_draw, random_nondet, reference_infimum
+from helpers import Graph, min_cycle_ratio_brute, random_draw, random_nondet, ratio_graph, reference_infimum
 from nwaq.cli import main as cli_main
 from nwaq.core import (
     LassoWord,
@@ -27,7 +27,7 @@ from nwaq.core import (
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
 from nwaq.decide import Pipeline
 from nwaq.mca import evaluate_lasso_mca, mca_to_nwa, nwa_to_mca
-from nwaq.meanpayoff import RatioGraph, infimum_ratio
+from nwaq.meanpayoff import infimum_ratio
 from nwaq.oracle import (
     enumerate_lasso_infimum,
     evaluate_lasso,
@@ -198,9 +198,7 @@ def _random_ratio_graph(rng):
     for _ in range(m):
         ticks = rng.randint(0, 1)
         edges.append((rng.randrange(n), rng.randrange(n), rng.randint(-8, 8) if ticks else 0, ticks))
-    return RatioGraph(
-        n, tuple(edges), frozenset({rng.randrange(n)}), frozenset(rng.sample(range(n), rng.randint(0, n)))
-    )
+    return Graph(n, tuple(edges), frozenset({rng.randrange(n)}), frozenset(rng.sample(range(n), rng.randint(0, n))))
 
 
 def test_criterion_6_meanpayoff_oracle():
@@ -209,14 +207,15 @@ def test_criterion_6_meanpayoff_oracle():
         for trial in range(1000):
             g = _random_ratio_graph(rng)
             expected = min_cycle_ratio_brute(g)
-            value, _ = infimum_ratio(g)
+            rg = ratio_graph(g)
+            value, _ = infimum_ratio(rg)
             if expected is None:
                 assert value is PLUS_INFINITY, trial
                 continue
             assert value == ValueResult.finite(expected), trial
             for t in (expected - 1, expected - Fraction(1, 7), expected, expected + Fraction(1, 7)):
-                assert threshold_emptiness(g, Threshold(t))[0] == (expected <= t), trial
-            assert not threshold_emptiness(g, Threshold(expected, strict=True))[0], trial
+                assert threshold_emptiness(rg, Threshold(t))[0] == (expected <= t), trial
+            assert not threshold_emptiness(rg, Threshold(expected, strict=True))[0], trial
 
 
 def test_criterion_7_reduction_fidelity():

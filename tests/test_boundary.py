@@ -3,7 +3,9 @@
 The oracle is the tests' reference for the decision pipeline, so it must not
 share a kernel with it: it imports only `core` and the standard library. The
 width-1 reduction steps through the pipeline's `StepTables`, not the oracle.
-No module stores data in an object's `__dict__`.
+The shared graph routines (`graphs`) import nothing from the package, and
+the mean-payoff solver only `core`. No module imports another's private
+(underscore) names or stores data in an object's `__dict__`.
 """
 
 import ast
@@ -33,6 +35,17 @@ def _imports(tree: ast.Module) -> set[str]:
     return out
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore-prefixed names imported from a package module."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "nwaq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def _dict_writes(tree: ast.Module) -> list[int]:
     """Lines that store into, delete from or mutate some `x.__dict__`."""
 
@@ -52,12 +65,32 @@ def _dict_writes(tree: ast.Module) -> list[int]:
     return lines
 
 
-def test_oracle_imports_only_core_and_the_standard_library():
-    imported = _imports(_tree("oracle.py"))
+def _package_imports(name: str) -> set[str]:
+    """The package modules that module `name` imports, after checking that
+    everything else it imports is in the standard library."""
+    imported = _imports(_tree(name))
     local = {m for m in imported if m.startswith(".") or m.split(".")[0] == "nwaq"}
-    assert local == {".core"}, local
     outside = {m for m in imported - local if m.split(".")[0] not in sys.stdlib_module_names}
     assert not outside, outside
+    return local
+
+
+def test_oracle_imports_only_core_and_the_standard_library():
+    assert _package_imports("oracle.py") == {".core"}
+
+
+def test_graphs_imports_only_the_standard_library():
+    assert _package_imports("graphs.py") == set()
+
+
+def test_meanpayoff_imports_only_core_and_the_standard_library():
+    assert _package_imports("meanpayoff.py") == {".core"}
+
+
+def test_no_module_imports_a_private_name():
+    private = {path.name: _private_imports(_tree(path.name)) for path in sorted(SRC.glob("*.py"))}
+    assert len(private) > 10
+    assert not {name: names for name, names in private.items() if names}
 
 
 def test_reduce_does_not_import_the_oracle():
@@ -75,6 +108,8 @@ def test_the_checks_catch_what_they_forbid():
     tree = ast.parse(
         "from . import determinize\nfrom .oracle import x\nimport numpy\n"
         "nwa.__dict__['t'] = 1\nobj.__dict__.update(t=1)\nobj.__dict__ = {}\nd = nwa.__dict__.get('t')\n"
+        "from .meanpayoff import _sccs, infimum_ratio\nfrom __future__ import annotations\n"
     )
-    assert _imports(tree) == {".determinize", ".oracle", "numpy"}
+    assert _imports(tree) == {".determinize", ".oracle", "numpy", ".meanpayoff", "__future__"}
     assert sorted(_dict_writes(tree)) == [4, 5, 6]
+    assert _private_imports(tree) == ["_sccs"]

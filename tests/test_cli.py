@@ -174,6 +174,52 @@ def test_cli_usage_errors(capsys):
     assert code == 2
 
 
+def test_cli_validates_what_every_command_loads(capsys, tmp_path):
+    # a master move that invokes slave 2 of 1
+    bad = tmp_path / "bad.nwa"
+    bad.write_text(
+        "nwa\nalphabet r\nmaster\n  states m0\n  initial m0\n  accepting m0\n  trans m0 r m0 invoke 2\n"
+        "slave 1 valuefn sum\n  states t0 t1\n  initial t0\n  accepting t1\n  trans t0 r t1 weight 1\n"
+    )
+    out = str(tmp_path / "out")
+    for command, *rest in (
+        ("star", "--k", "1"),
+        ("width", "--k", "1"),
+        ("width", "--max", "2"),
+        ("eval", "--word", "| r"),
+        ("reduce", "--k", "1", "-o", out),
+        ("translate", "--to", "mca", "--k", "1", "-o", out),
+        ("empty", "--k", "1", "--le", "0"),
+        ("infimum", "--k", "1"),
+        ("universal", "--k", "1", "--le", "0"),
+    ):
+        code = main([command, str(bad), *rest])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, (command, rest)
+        assert "bad-slave-index" in captured.err, (command, rest)
+    assert not Path(out).exists()
+    code, report = run_cli(capsys, "check", str(bad))
+    assert code == 1 and report["witness"]["diagnostics"]
+
+
+def test_cli_rejects_bounds_below_one(capsys, tmp_path):
+    nwa, out = str(DATA / "art1.nwa"), str(tmp_path / "out")
+    for args in (
+        ("infimum", nwa, "--k", "0"),
+        ("empty", nwa, "--k", "0", "--le", "0"),
+        ("universal", nwa, "--k", "0", "--le", "0"),
+        ("star", nwa, "--k", "0"),
+        ("width", nwa, "--k", "0"),
+        ("width", nwa, "--max", "0"),
+        ("eval", nwa, "--word", "| r", "--cap", "0"),
+        ("reduce", nwa, "--k", "-1", "-o", out),
+        ("translate", nwa, "--to", "mca", "--k", "0", "-o", out),
+    ):
+        assert main(list(args)) == 2, args
+        assert "must be at least 1" in capsys.readouterr().err, args
+    assert not Path(out).exists()
+
+
 def test_cli_deterministic_output(capsys):
     first = None
     for _ in range(3):

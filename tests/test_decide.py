@@ -236,6 +236,27 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
             assert calls and max(calls.values()) == 1, (nwa.name, query)
 
 
+def test_pipeline_computes_components_twice(monkeypatch):
+    import sys
+
+    import nwaq.graphs
+
+    original = nwaq.graphs.sccs
+    calls = []
+
+    def counting(n, edge_list):
+        calls.append(n)
+        return original(n, edge_list)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nwaq.") and getattr(module, "sccs", None) is original:
+            monkeypatch.setattr(module, "sccs", counting)
+    value, cert = Pipeline(art_types(3), 3).infimum()
+    assert value == ValueResult.finite(1) and cert.lasso is not None
+    # once for `ConfigGraph.comp`, once for the tight pieces of the certificate
+    assert len(calls) == 2, calls
+
+
 def test_nondeterministic_input_matches_its_determinization():
     compared = 0
     for seed in range(1, 300):

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import min_cycle_ratio_brute, min_cycle_ratio_karp, qualifying_components
+from helpers import Graph, min_cycle_ratio_brute, min_cycle_ratio_karp, qualifying_components, ratio_graph
 from nwaq.core import PLUS_INFINITY, Threshold, ValueResult
 from nwaq.corpus import art_types, k_art
 from nwaq.decide import Pipeline
-from nwaq.meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
+from nwaq.determinize import config_initials
+from nwaq.meanpayoff import check_ratio_bound, infimum_ratio
 from reference import threshold_emptiness
 
 
-def two_node_cycle() -> RatioGraph:
+def two_node_cycle() -> Graph:
     # costs 1 and 3, both ticking, accepting on the cycle
-    return RatioGraph(
+    return Graph(
         n_nodes=2,
         edges=((0, 1, 1, 1), (1, 0, 3, 1)),
         initials=frozenset({0}),
@@ -22,18 +23,20 @@ def two_node_cycle() -> RatioGraph:
 
 
 def test_two_node_threshold():
-    g = two_node_cycle()
+    g = ratio_graph(two_node_cycle())
     assert threshold_emptiness(g, Threshold(Fraction(2)))[0]
     assert not threshold_emptiness(g, Threshold(Fraction(2), strict=True))[0]
     assert not threshold_emptiness(g, Threshold(Fraction(19, 10)))[0]
 
 
 def test_cycle_with_silent_edge():
-    g = RatioGraph(
-        n_nodes=2,
-        edges=((0, 1, 4, 1), (1, 0, 0, 0)),
-        initials=frozenset({0}),
-        accepting=frozenset({0}),
+    g = ratio_graph(
+        Graph(
+            n_nodes=2,
+            edges=((0, 1, 4, 1), (1, 0, 0, 0)),
+            initials=frozenset({0}),
+            accepting=frozenset({0}),
+        )
     )
     assert threshold_emptiness(g, Threshold(Fraction(4)))[0]
     assert not threshold_emptiness(g, Threshold(Fraction(4), strict=True))[0]
@@ -43,11 +46,13 @@ def test_cycle_with_silent_edge():
 
 
 def test_no_accepting_reachable():
-    g = RatioGraph(
-        n_nodes=3,
-        edges=((0, 1, -5, 1), (1, 0, 0, 1)),
-        initials=frozenset({0}),
-        accepting=frozenset({2}),
+    g = ratio_graph(
+        Graph(
+            n_nodes=3,
+            edges=((0, 1, -5, 1), (1, 0, 0, 1)),
+            initials=frozenset({0}),
+            accepting=frozenset({2}),
+        )
     )
     for t in (Fraction(100), Fraction(0), Fraction(-100)):
         assert not threshold_emptiness(g, Threshold(t))[0]
@@ -55,27 +60,29 @@ def test_no_accepting_reachable():
 
 
 def test_infimum_examples():
-    assert infimum_ratio(two_node_cycle())[0] == ValueResult.finite(2)
-    g = RatioGraph(
-        n_nodes=2,
-        edges=((0, 1, -2, 1), (1, 0, -3, 1)),
-        initials=frozenset({0}),
-        accepting=frozenset({0}),
+    assert infimum_ratio(ratio_graph(two_node_cycle()))[0] == ValueResult.finite(2)
+    g = ratio_graph(
+        Graph(
+            n_nodes=2,
+            edges=((0, 1, -2, 1), (1, 0, -3, 1)),
+            initials=frozenset({0}),
+            accepting=frozenset({0}),
+        )
     )
     assert infimum_ratio(g)[0] == ValueResult.finite(Fraction(-5, 2))
 
 
 def test_negative_silent_cycle_is_rejected():
     # a tick self-loop at 0 and a silent cycle 0 -> 1 -> 0 of cost -1
-    g = RatioGraph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 0, 0, 0)), frozenset({0}), frozenset({0}))
+    g = ratio_graph(Graph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 0, 0, 0)), frozenset({0}), frozenset({0})))
     with pytest.raises(ValueError):
         infimum_ratio(g)
     # the same cycle outside every qualifying component is never solved
-    g = RatioGraph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 1, -1, 0)), frozenset({0}), frozenset({0}))
+    g = ratio_graph(Graph(2, ((0, 0, 0, 1), (0, 1, -1, 0), (1, 1, -1, 0)), frozenset({0}), frozenset({0})))
     assert infimum_ratio(g)[0] == ValueResult.finite(0)
 
 
-def random_graph(rng: random.Random) -> RatioGraph:
+def random_graph(rng: random.Random) -> Graph:
     n = rng.randint(2, 8)
     m = rng.randint(1, 16)
     edges = []
@@ -86,7 +93,7 @@ def random_graph(rng: random.Random) -> RatioGraph:
         edges.append((u, v, cost, ticks))
     initials = frozenset({rng.randrange(n)})
     accepting = frozenset(rng.sample(range(n), rng.randint(0, n)))
-    return RatioGraph(n, tuple(edges), initials, accepting)
+    return Graph(n, tuple(edges), initials, accepting)
 
 
 def test_random_graphs_against_cycle_enumeration():
@@ -94,7 +101,8 @@ def test_random_graphs_against_cycle_enumeration():
     for trial in range(300):
         g = random_graph(rng)
         expected = min_cycle_ratio_brute(g)
-        value, witness = infimum_ratio(g)
+        rg = ratio_graph(g)
+        value, witness = infimum_ratio(rg)
         if expected is None:
             assert value is PLUS_INFINITY, trial
             continue
@@ -104,21 +112,19 @@ def test_random_graphs_against_cycle_enumeration():
         cost = sum(g.edges[i][2] for i in witness.cycle)
         assert Fraction(cost, ticks) == expected
         assert witness.ratio == expected
-        # access path chains from an initial node into the cycle, which closes
-        walk = list(witness.access) + list(witness.cycle)
-        head = g.edges[walk[0]][0]
-        assert head in g.initials
+        # the cycle closes
+        walk = witness.cycle
         for first, second in zip(walk, walk[1:]):
             assert g.edges[first][1] == g.edges[second][0], trial
-        assert g.edges[walk[-1]][1] == g.edges[witness.cycle[0]][0], trial
+        assert g.edges[walk[-1]][1] == g.edges[walk[0]][0], trial
         for t in (expected - 1, expected, expected + Fraction(1, 3)):
-            answer, _ = threshold_emptiness(g, Threshold(t))
+            answer, _ = threshold_emptiness(rg, Threshold(t))
             assert answer == (expected <= t), trial
-        answer, _ = threshold_emptiness(g, Threshold(expected, strict=True))
+        answer, _ = threshold_emptiness(rg, Threshold(expected, strict=True))
         assert not answer
 
 
-def costed_silent_graph(rng: random.Random, n_min: int, n_max: int) -> RatioGraph:
+def costed_silent_graph(rng: random.Random, n_min: int, n_max: int) -> Graph:
     """A random graph whose silent edges carry cost but no silent cycle is
     negative: a silent edge u -> v costs h(v) - h(u) plus a slack >= 0."""
     n = rng.randint(n_min, n_max)
@@ -132,7 +138,7 @@ def costed_silent_graph(rng: random.Random, n_min: int, n_max: int) -> RatioGrap
             edges.append((u, v, h[v] - h[u] + rng.randint(0, 3), 0))
     initials = frozenset({rng.randrange(n)})
     accepting = frozenset(rng.sample(range(n), rng.randint(0, n)))
-    return RatioGraph(n, tuple(edges), initials, accepting)
+    return Graph(n, tuple(edges), initials, accepting)
 
 
 def test_costed_silent_edges_against_oracles():
@@ -141,7 +147,7 @@ def test_costed_silent_edges_against_oracles():
     for trial in range(300):
         g = costed_silent_graph(rng, 2, 8) if trial < 200 else costed_silent_graph(rng, 10, 30)
         expected = min_cycle_ratio_brute(g) if trial < 200 else min_cycle_ratio_karp(g)
-        value, witness = infimum_ratio(g)
+        value, witness = infimum_ratio(ratio_graph(g))
         if expected is None:
             assert value is PLUS_INFINITY, trial
             continue
@@ -154,13 +160,13 @@ def test_costed_silent_edges_against_oracles():
 def test_threshold_monotone():
     rng = random.Random(777)
     for _ in range(50):
-        g = random_graph(rng)
+        g = ratio_graph(random_graph(rng))
         answers = [threshold_emptiness(g, Threshold(Fraction(t)))[0] for t in range(-9, 10)]
         for a, b in zip(answers, answers[1:]):
             assert b or not a
 
 
-def random_large_graph(rng: random.Random) -> RatioGraph:
+def random_large_graph(rng: random.Random) -> Graph:
     n = rng.randint(20, 60)
     edges = []
     for _ in range(rng.randint(n, 4 * n)):
@@ -168,25 +174,36 @@ def random_large_graph(rng: random.Random) -> RatioGraph:
         edges.append((rng.randrange(n), rng.randrange(n), rng.randint(-8, 8) if ticks else 0, ticks))
     initials = frozenset(rng.sample(range(n), rng.randint(1, 2)))
     accepting = frozenset(rng.sample(range(n), rng.randint(0, n // 4)))
-    return RatioGraph(n, tuple(edges), initials, accepting)
+    return Graph(n, tuple(edges), initials, accepting)
+
+
+def _generic(pipe: Pipeline) -> Graph:
+    """A pipeline's ratio graph in generic form: the configurations, the
+    edges, the initial configurations, and the members of the qualifying
+    components as accepting nodes."""
+    g = pipe.graph
+    edges = tuple(zip(g.src, g.dst, g.cost, g.ticks))
+    initials = frozenset(pipe.configs.index[c] for c in config_initials(pipe.nwa))
+    return Graph(len(pipe.configs.configs), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
 
 
 @pytest.fixture(scope="module")
 def ladder_graphs():
-    graphs = {f"art_types({k})": Pipeline(art_types(k), k).graph for k in (2, 3, 4)}
-    graphs.update({f"k_art({k})": Pipeline(k_art(k), k).graph for k in range(2, 7)})
-    return graphs
+    pipes = {f"art_types({k})": Pipeline(art_types(k), k) for k in (2, 3, 4)}
+    pipes.update({f"k_art({k})": Pipeline(k_art(k), k) for k in range(2, 7)})
+    return {name: (pipe.graph, _generic(pipe)) for name, pipe in pipes.items()}
 
 
-def assert_certified(g: RatioGraph, value: ValueResult, witness) -> None:
+def assert_certified(g: Graph, value: ValueResult, witness) -> None:
     """The witness cycle attains the value, its potentials prove the value is
     a lower bound, and they cover every qualifying component that ticks."""
     assert witness.ratio == value.value
     cost = sum(g.edges[i][2] for i in witness.cycle)
     ticks = sum(g.edges[i][3] for i in witness.cycle)
     assert Fraction(cost, ticks) == value.value
-    assert check_ratio_bound(g, value.value, witness.potentials)
-    assert not check_ratio_bound(g, value.value + Fraction(1, g.n_nodes + 1), witness.potentials)
+    rg = ratio_graph(g)
+    assert check_ratio_bound(rg, value.value, witness.potentials)
+    assert not check_ratio_bound(rg, value.value + Fraction(1, g.n_nodes + 1), witness.potentials)
     ticking = {
         comp for comp in qualifying_components(g) if any(e[3] and e[0] in comp and e[1] in comp for e in g.edges)
     }
@@ -199,7 +216,7 @@ def test_karp_on_large_random_graphs():
     for trial in range(120):
         g = random_large_graph(rng)
         expected = min_cycle_ratio_karp(g)
-        value, witness = infimum_ratio(g)
+        value, witness = infimum_ratio(ratio_graph(g))
         if expected is None:
             assert value is PLUS_INFINITY and witness is None, trial
             continue
@@ -213,14 +230,14 @@ def test_certificates_on_small_random_graphs():
     rng = random.Random(4242)
     for trial in range(300):
         g = random_graph(rng)
-        value, witness = infimum_ratio(g)
+        value, witness = infimum_ratio(ratio_graph(g))
         if witness is not None:
             assert_certified(g, value, witness)
 
 
 def test_ladder_graphs_against_karp(ladder_graphs):
-    for name, g in ladder_graphs.items():
-        value, witness = infimum_ratio(g)
+    for name, (rg, g) in ladder_graphs.items():
+        value, witness = infimum_ratio(rg)
         assert value == ValueResult.finite(1), name
         assert_certified(g, value, witness)
         if name != "art_types(4)":
@@ -228,7 +245,7 @@ def test_ladder_graphs_against_karp(ladder_graphs):
 
 
 def test_ratio_bound_rejects_broken_potentials():
-    g = two_node_cycle()
+    g = ratio_graph(two_node_cycle())
     value, witness = infimum_ratio(g)
     assert check_ratio_bound(g, Fraction(2), witness.potentials)
     (pi,) = witness.potentials
