@@ -26,7 +26,7 @@ from .core import (
 from .decide import Certificate, Pipeline, universality_deterministic
 from .mca import Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import evaluate_lasso
-from .starcond import check_star_condition
+from .starcond import StarWitness, check_star_condition
 from .textio import (
     ParseError,
     parse_mca,
@@ -86,18 +86,17 @@ def _witness_json(cert: Certificate, nwa: Nwa):
     if cert.kind == "lasso" and cert.lasso is not None:
         return render_word(cert.lasso)
     if cert.kind == "star" and cert.star is not None:
-        data = {
-            "kind": "star",
-            "j": cert.star.j,
-            "j_sum": cert.star.j_sum,
-            "cycle_letters": [nwa.alphabet.letters[e.letter] for e in cert.star.cycle],
-        }
+        data = {"kind": "star", **_star_json(cert.star, nwa)}
         if cert.pumped is not None:
             data["pumped"] = render_word(cert.pumped)
         return data
     if cert.flags:
         return {"flags": list(cert.flags)}
     return None
+
+
+def _star_json(star: StarWitness, nwa: Nwa) -> dict:
+    return {"j": star.j, "j_sum": star.j_sum, "cycle_letters": [nwa.alphabet.letters[e.letter] for e in star.cycle]}
 
 
 def _threshold_args(p: argparse.ArgumentParser) -> None:
@@ -216,7 +215,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_empty(args) -> int:
-    nwa = _require_nwa(_load(args.file))
+    nwa = _require_nwa(_read(args.file))  # `Pipeline` validates it
     t = _get_threshold(args)
     answer, cert = Pipeline(nwa, args.k).emptiness(t)
     if args.certificate:
@@ -237,7 +236,7 @@ def _cmd_empty(args) -> int:
 
 
 def _cmd_infimum(args) -> int:
-    nwa = _require_nwa(_load(args.file))
+    nwa = _require_nwa(_read(args.file))  # `Pipeline` validates it
     value, cert = Pipeline(nwa, args.k).infimum()
     _emit("infimum", value is not None, value=value, witness=_witness_json(cert, nwa))
     return 0
@@ -257,15 +256,7 @@ def _cmd_star(args) -> int:
     if witness is None:
         _emit("star", False)
         return 1
-    _emit(
-        "star",
-        True,
-        witness={
-            "j": witness.j,
-            "j_sum": witness.j_sum,
-            "cycle_letters": [nwa.alphabet.letters[e.letter] for e in witness.cycle],
-        },
-    )
+    _emit("star", True, witness=_star_json(witness, nwa))
     return 0
 
 

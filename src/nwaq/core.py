@@ -112,21 +112,6 @@ class LabeledAutomaton:
     def succ(self, state: int, letter_id: int) -> tuple[tuple[int, int], ...]:
         return self.by_source.get((state, letter_id), ())
 
-    def det_succ(self, state: int, letter_id: int) -> Optional[tuple[int, int]]:
-        """The unique (to, label) successor, or None when the run dies."""
-        out = self.succ(state, letter_id)
-        if not out:
-            return None
-        if len(out) > 1:
-            raise NondeterministicInputError(
-                f"state {state} has {len(out)} transitions on letter id {letter_id}"
-            )
-        return out[0]
-
-    def is_deterministic(self) -> bool:
-        if len(self.initials) != 1:
-            return False
-        return all(len(v) <= 1 for v in self.by_source.values())
 
 
 @dataclass(frozen=True)
@@ -172,12 +157,6 @@ class Nwa:
             return False
         return next(iter(s.initials)) in s.accepting
 
-    def slave_initial(self, index: int) -> int:
-        s = self.slave(index).base
-        if len(s.initials) != 1:
-            raise NondeterministicInputError(f"slave {index} has {len(s.initials)} initial states")
-        return next(iter(s.initials))
-
     @cached_property
     def determinism(self) -> tuple[bool, Optional[str]]:
         """`is_deterministic(self)`, computed on first use."""
@@ -210,12 +189,11 @@ class ValueTag(enum.Enum):
     FINITE = "finite"
     NEG_INFINITY = "neg-infinity"
     PLUS_INFINITY = "plus-infinity"
-    BOTTOM = "bottom"
 
 
 @dataclass(frozen=True, order=False)
 class ValueResult:
-    """Value of a word: an exact rational, one of the infinities, or bottom."""
+    """Value of a word: an exact rational or one of the infinities."""
 
     tag: ValueTag
     value: Optional[Fraction] = None
@@ -236,21 +214,18 @@ class ValueResult:
         return self.tag is ValueTag.FINITE
 
     def sort_key(self):
-        """Total order with -inf < finite < +inf; bottom is not comparable."""
-        if self.tag is ValueTag.BOTTOM:
-            raise ValueError("bottom has no place in the value order")
+        """Total order with -inf < finite < +inf."""
         rank = {ValueTag.NEG_INFINITY: 0, ValueTag.FINITE: 1, ValueTag.PLUS_INFINITY: 2}[self.tag]
         return (rank, self.value if self.value is not None else Fraction(0))
 
     def __str__(self) -> str:
         if self.tag is ValueTag.FINITE:
             return str(self.value)
-        return {ValueTag.NEG_INFINITY: "-inf", ValueTag.PLUS_INFINITY: "+inf", ValueTag.BOTTOM: "bottom"}[self.tag]
+        return {ValueTag.NEG_INFINITY: "-inf", ValueTag.PLUS_INFINITY: "+inf"}[self.tag]
 
 
 NEG_INFINITY = ValueResult(ValueTag.NEG_INFINITY)
 PLUS_INFINITY = ValueResult(ValueTag.PLUS_INFINITY)
-BOTTOM = ValueResult(ValueTag.BOTTOM)
 
 
 @dataclass(frozen=True)

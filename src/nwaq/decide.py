@@ -38,7 +38,7 @@ from .core import (
     is_deterministic,
     validate_nwa,
 )
-from .determinize import ConfigGraph, config_initials, explore
+from .determinize import ConfigGraph, explore
 from .graphs import sccs, shortest_path
 from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
@@ -75,7 +75,7 @@ class Pipeline:
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
-        configs = ConfigGraph(*explore(nwa, k))
+        _, configs = explore(nwa, k)
         if configs.overflow:
             _, witness = has_width(nwa, k)
             raise PreconditionError(f"automaton exceeds width {k} (witness {' '.join(witness)})")
@@ -156,17 +156,14 @@ class Pipeline:
             for n in ns
             if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0
         ]
-        n_nodes = len(self.configs.configs)
-        piece = sccs(n_nodes, [(u, v) for _, u, v in tight])
-        kinds: dict[int, int] = {}
-        for n, u, v in tight:
-            if piece[u] == piece[v]:
-                kinds[piece[u]] = kinds.get(piece[u], 0) | self._kinds[n]
-        root = next((u for u in range(n_nodes) if kinds.get(piece[u]) == TICK | ACCEPT | RELEASE), None)
-        if root is None:
+        pieces = _qualifying(sccs(len(self.configs.configs), [(u, v) for _, u, v in tight]), tight, self._kinds)
+        if not pieces:
             return None
-        inside = {n for n, u, v in tight if piece[u] == piece[v] == piece[root]}
-        return root, self._closed_walk(root, inside.__contains__, TICK | ACCEPT | RELEASE)
+        # a piece lies in one component, whose edges come sorted by source, and
+        # each of its nodes has an edge inside it: its first edge leaves its least node
+        inside = min(pieces, key=lambda ns: g.src[ns[0]])
+        root = g.src[inside[0]]
+        return root, self._closed_walk(root, set(inside).__contains__, TICK | ACCEPT | RELEASE)
 
     def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
         """Edge indexes of a shortest closed walk from configuration `root`
@@ -177,44 +174,46 @@ class Pipeline:
             u, got = state
             for n in cg.out(u):
                 if allowed(n):
-                    yield n, (cg.edges.dst[n], got | kinds[n] & need)
+                    yield n, (cg.dst[n], got | kinds[n] & need)
 
         return shortest_path([(root, 0)], moves, (root, need).__eq__)
 
     def _word(self, root: int, period: list[int]) -> LassoWord:
         """A shortest path from an initial configuration to `root`, then the
         closed walk `period` forever, as letters."""
-        cg, e, letters = self.configs, self.configs.edges, self.nwa.alphabet.letters
-        initials = sorted(cg.index[c] for c in config_initials(self.nwa))
-        access = shortest_path(initials, lambda u: ((n, e.dst[n]) for n in cg.out(u)), root.__eq__)
-        return LassoWord(*(tuple(letters[e.letter[n]] for n in walk) for walk in (access, period)))
+        cg, letters = self.configs, self.nwa.alphabet.letters
+        return LassoWord(*(tuple(letters[cg.letter[n]] for n in walk) for walk in (cg.access(root), period)))
 
 
 def _kinds(cg: ConfigGraph) -> list[int]:
     """The certificate kinds of each configuration edge; an edge releases
     when it frees slot position 1 or leaves no slot."""
-    e, configs = cg.edges, cg.configs
+    configs = cg.configs
     return [
         (invoked is not None) * TICK | accepting * ACCEPT | (1 in returned or not configs[v].slots) * RELEASE
-        for invoked, accepting, returned, v in zip(e.invoked, e.master_accepting, e.returned, e.dst)
+        for invoked, accepting, returned, v in zip(cg.invoked, cg.master_accepting, cg.returned, cg.dst)
     ]
 
 
 def _ratio_graph(cg: ConfigGraph, kinds: list[int]) -> RatioGraph:
     """The configuration graph's edge columns as a limit-average graph: cost
-    is the step's total slot weight and a tick is a non-silent invocation. A
-    component qualifies when its internal edges include a tick, a
-    master-accepting and a releasing edge; they are listed in ascending
-    component id."""
-    comp, e = cg.comp, cg.edges
+    is the step's total slot weight, a tick is a non-silent invocation, and
+    the qualifying components are listed in ascending component id."""
+    components = _qualifying(cg.comp, zip(range(len(cg)), cg.src, cg.dst), kinds)
+    return RatioGraph(cg.src, cg.dst, cg.cost, [kind & TICK for kind in kinds], components)
+
+
+def _qualifying(part: list[int], edges, kinds: list[int]) -> list[list[int]]:
+    """The internal edges of each part, in ascending part id, that holds a
+    tick, a master-accepting and a releasing edge; `part` maps nodes to parts
+    and `edges` yields (index, source, target) triples, kept in their order."""
     inner: dict[int, list[int]] = {}
     held: dict[int, int] = {}
-    for n, (u, v) in enumerate(zip(e.src, e.dst)):
-        if comp[u] == comp[v]:
-            inner.setdefault(comp[u], []).append(n)
-            held[comp[u]] = held.get(comp[u], 0) | kinds[n]
-    components = [inner[c] for c in sorted(inner) if held[c] == TICK | ACCEPT | RELEASE]
-    return RatioGraph(e.src, e.dst, e.cost, [kind & TICK for kind in kinds], components)
+    for n, u, v in edges:
+        if part[u] == part[v]:
+            inner.setdefault(part[u], []).append(n)
+            held[part[u]] = held.get(part[u], 0) | kinds[n]
+    return [inner[c] for c in sorted(inner) if held[c] == TICK | ACCEPT | RELEASE]
 
 
 def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional
 
 from .core import Configuration, Nwa
-from .graphs import sccs
+from .graphs import sccs, shortest_path
 
 
 @dataclass(frozen=True)
@@ -112,25 +112,26 @@ class StepTables:
         return out
 
 
-def config_initials(nwa: Nwa) -> set[Configuration]:
-    """One slot-free configuration per master initial state."""
-    return {Configuration(q, ()) for q in nwa.master.initials}
+class ConfigGraph(Sequence):
+    """The reachable configuration graph of one exploration, on integer ids.
 
-
-class ConfigEdges(Sequence):
-    """The edges of one exploration as flat per-edge arrays.
-
-    Edge n runs from configuration `src[n]` to `dst[n]` on letter
-    `letter[n]`; `slot_weights[n]` and their sum `cost[n]`, `invoked[n]`,
-    `returned[n]` and `master_accepting[n]` are as in `ConfigEdge`. Edges are
-    sorted by source, then letter, then the order `StepTables.step` emits
-    them; the edges of configuration u are `start[u]` to `start[u + 1] - 1`.
-    `overflow` is set when some reachable step needs a (k+1)-th slot; such
-    steps are not edges. Indexing builds a `ConfigEdge`.
+    Configurations are numbered in canonical (master state, slots) order;
+    `index` maps each to its id and `initials` lists the ids of the slot-free
+    initial ones. Edge n runs from configuration `src[n]` to `dst[n]` on
+    letter `letter[n]`; `slot_weights[n]` and their sum `cost[n]`,
+    `invoked[n]`, `returned[n]` and `master_accepting[n]` are as in
+    `ConfigEdge`. Edges are sorted by source, then letter, then the order
+    `StepTables.step` emits them; the edges of configuration u are `start[u]`
+    to `start[u + 1] - 1`. `overflow` is set when some reachable step needs a
+    (k+1)-th slot; such steps are not edges. Indexing builds a `ConfigEdge`.
+    `comp` gives each configuration's strongly connected component, computed
+    on first use.
     """
 
-    def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], overflow: bool):
-        self.configs, self.start, self.overflow = configs, start, overflow
+    def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], initials: list[int],
+                 overflow: bool):
+        self.configs, self.start, self.initials, self.overflow = configs, start, initials, overflow
+        self.index = {c: n for n, c in enumerate(configs)}
         columns = tuple(zip(*rows)) or ((),) * 8
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
@@ -144,8 +145,22 @@ class ConfigEdges(Sequence):
             self.slot_weights[n], self.returned[n], self.master_accepting[n],
         )
 
+    def out(self, u: int) -> range:
+        """Indexes of the edges leaving configuration u."""
+        return range(self.start[u], self.start[u + 1])
 
-def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigEdges]:
+    @cached_property
+    def comp(self) -> list[int]:
+        return sccs(len(self.configs), zip(self.src, self.dst))
+
+    def access(self, u: int) -> list[int]:
+        """Edge indexes of a shortest path from an initial configuration to
+        configuration u, the first in edge order."""
+        dst = self.dst
+        return shortest_path(self.initials, lambda v: ((n, dst[n]) for n in self.out(v)), u.__eq__)
+
+
+def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
     """Reachable configurations under width cap k in canonical (master state,
     slots) order, and the edges between them.
 
@@ -181,30 +196,4 @@ def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigEdges]:
         rows += [(u, rank[t], *rest) for t, *rest in outs[d]]
         start.append(len(rows))
     configs = tuple(Configuration(*keys[d]) for d in order)
-    return configs, ConfigEdges(configs, rows, start, overflow)
-
-
-class ConfigGraph:
-    """The reachable configuration graph of one exploration, on integer ids.
-
-    Built as `ConfigGraph(*explore(nwa, k))`. Configurations are numbered in
-    canonical (master state, slots) order; `index` maps each to its id.
-    `edges` holds the edges that stay within width k as flat per-edge arrays
-    (`ConfigEdges`). `overflow` is set when some reachable step needs a
-    (k+1)-th slot. `comp` gives each configuration's strongly connected
-    component, computed on first use.
-    """
-
-    def __init__(self, configs: tuple[Configuration, ...], edges: ConfigEdges):
-        self.configs = configs
-        self.index = {c: n for n, c in enumerate(configs)}
-        self.edges = edges
-        self.overflow = edges.overflow
-
-    def out(self, u: int) -> range:
-        """Indexes of the edges leaving configuration u."""
-        return range(self.edges.start[u], self.edges.start[u + 1])
-
-    @cached_property
-    def comp(self) -> list[int]:
-        return sccs(len(self.configs), zip(self.edges.src, self.edges.dst))
+    return configs, ConfigGraph(configs, rows, start, sorted(rank[: len(nwa.master.initials)]), overflow)

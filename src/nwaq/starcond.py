@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Configuration, LassoWord, Nwa, PreconditionError
-from .determinize import ConfigEdge, ConfigGraph, config_initials, explore
+from .determinize import ConfigEdge, ConfigGraph, explore
 from .graphs import shortest_path
 
 
@@ -58,30 +58,30 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
     has explored it already; without it the test explores the graph itself.
     """
     if graph is None:
-        graph = ConfigGraph(*explore(nwa, k))
+        _, graph = explore(nwa, k)
     if graph.overflow:
         raise PreconditionError(f"input exceeds width {k}")
     if nwa.min_effective_weight() >= 0:
         return None
 
-    comp, e = graph.comp, graph.edges
-    live = sorted({comp[u] for u, c in enumerate(graph.configs) if c.master_state in nwa.master.accepting})
+    comp, g = graph.comp, graph
+    live = sorted({comp[u] for u, c in enumerate(g.configs) if c.master_state in nwa.master.accepting})
     # per internal edge, how many of the oldest slots it keeps alive
     keeps = {
-        n: min(e.returned[n], default=len(graph.configs[u].slots) + 1) - 1
-        for n, (u, v) in enumerate(zip(e.src, e.dst))
+        n: min(g.returned[n], default=len(g.configs[u].slots) + 1) - 1
+        for n, (u, v) in enumerate(zip(g.src, g.dst))
         if comp[u] == comp[v]
     }
     for j in range(1, k + 1):
         # per component, the internal edges that keep the j oldest slots alive
         kept: dict[int, list[int]] = {ci: [] for ci in live}
         for n, keep in keeps.items():
-            if keep >= j and comp[e.src[n]] in kept:
-                kept[comp[e.src[n]]].append(n)
+            if keep >= j and comp[g.src[n]] in kept:
+                kept[comp[g.src[n]]].append(n)
         for ci, ns in kept.items():
             ids: dict[int, int] = {}
             arcs = [
-                (ids.setdefault(e.src[n], len(ids)), ids.setdefault(e.dst[n], len(ids)), sum(e.slot_weights[n][:j]))
+                (ids.setdefault(g.src[n], len(ids)), ids.setdefault(g.dst[n], len(ids)), sum(g.slot_weights[n][:j]))
                 for n in ns
             ]
             cycle = _negative_cycle(len(ids), arcs)
@@ -89,10 +89,10 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            if _closing_path(nwa, graph, e.src[ns[cycle[0]]]) is None:
+            if _closing_path(nwa, g, g.src[ns[cycle[0]]]) is None:
                 live.remove(ci)
                 continue
-            edges = tuple(e[ns[i]] for i in cycle)
+            edges = tuple(g[ns[i]] for i in cycle)
             total = sum(arcs[i][2] for i in cycle)
             return StarWitness(j=j, cycle=edges, anchor=edges[0].from_config, j_sum=total)
     return None
@@ -152,21 +152,14 @@ def pump_witness(
     """
     letters = nwa.alphabet.letters
     if graph is None:
-        graph = ConfigGraph(*explore(nwa, k))
+        _, graph = explore(nwa, k)
     anchor = graph.index[witness.anchor]
-    access = shortest_path(
-        sorted(graph.index[c] for c in config_initials(nwa)),
-        lambda u: ((n, graph.edges.dst[n]) for n in graph.out(u)),
-        lambda u: u == anchor,
-    )
-    if access is None:
-        raise PreconditionError("witness anchor unreachable")
     closing = _closing_path(nwa, graph, anchor)
     if closing is None:
         raise PreconditionError("no closing path through acceptance releases the pumped slots")
     cycle_letters = [letters[e.letter] for e in witness.cycle]
-    prefix = tuple(letters[graph.edges.letter[n]] for n in access)
-    period = tuple(cycle_letters * pumps) + tuple(letters[graph.edges.letter[n]] for n in closing)
+    prefix = tuple(letters[graph.letter[n]] for n in graph.access(anchor))
+    period = tuple(cycle_letters * pumps) + tuple(letters[graph.letter[n]] for n in closing)
     return LassoWord(prefix, period)
 
 
@@ -179,15 +172,15 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
     starting slots still alive, accepting seen). The starting slots still
     alive are always the oldest, a prefix of the slot list.
     """
-    comp, e = graph.comp, graph.edges
+    comp = graph.comp
 
     def moves(state):
         u, alive, seen = state
         for n in graph.out(u):
-            v = e.dst[n]
+            v = graph.dst[n]
             if comp[v] == comp[anchor]:
-                left = alive - sum(1 for pos in e.returned[n] if pos <= alive)
-                yield n, (v, left, seen or e.master_accepting[n])
+                left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
+                yield n, (v, left, seen or graph.master_accepting[n])
 
     c = graph.configs[anchor]
     start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)

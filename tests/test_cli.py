@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,24 @@ def test_cli_validates_what_every_command_loads(capsys, tmp_path):
     assert not Path(out).exists()
     code, report = run_cli(capsys, "check", str(bad))
     assert code == 1 and report["witness"]["diagnostics"]
+
+
+def test_cli_validates_infimum_and_empty_once(capsys, monkeypatch):
+    import nwaq.core
+
+    original, calls = nwaq.core.validate_nwa, []
+
+    def counting(nwa):
+        calls.append(nwa)
+        return original(nwa)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nwaq" and getattr(module, "validate_nwa", None) is original:
+            monkeypatch.setattr(module, "validate_nwa", counting)
+    for command, *rest in (("infimum",), ("empty", "--le", "0"), ("empty", "--lt", "-1")):
+        calls.clear()
+        code, _ = run_cli(capsys, command, str(DATA / "cond_a1.nwa"), "--k", "2", *rest)
+        assert code in (0, 1) and len(calls) == 1, (command, rest, len(calls))
 
 
 def test_cli_rejects_bounds_below_one(capsys, tmp_path):

@@ -12,7 +12,7 @@ from nwaq.core import (
     normalize_slaves,
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
-from nwaq.determinize import StepTables, config_initials, explore
+from nwaq.determinize import StepTables, explore
 from nwaq.oracle import enumerate_lasso_infimum
 from nwaq.width import has_width
 from reference import config_bound, count_configurations, materialize_deterministic
@@ -30,19 +30,46 @@ def _tiny(alphabet, states, initials, trans, acc):
     )
 
 
-def test_config_initials(a_art1):
-    assert config_initials(a_art1) == {Configuration(next(iter(a_art1.master.initials)), ())}
+def _initial_configs(nwa):
+    configs, graph = explore(nwa, 1)
+    return [configs[u] for u in graph.initials]
 
 
-def test_config_initials_two_masters():
+def test_graph_initials(a_art1):
+    assert _initial_configs(a_art1) == [Configuration(next(iter(a_art1.master.initials)), ())]
+
+
+def test_graph_initials_two_masters():
     sigma = Alphabet(("a",))
     dummy = WeightedAutomaton(_tiny(sigma, ["d"], ["d"], [], ["d"]), ValueFn.SUM)
     master = _tiny(sigma, ["m0", "m1"], ["m0", "m1"], [("m0", "a", "m1", 1)], ["m1"])
-    assert len(config_initials(Nwa(master, (dummy,)))) == 2
+    assert _initial_configs(Nwa(master, (dummy,))) == [Configuration(0, ()), Configuration(1, ())]
 
 
-def test_config_initials_unchanged_by_normalization(a_ae):
-    assert config_initials(normalize_slaves(a_ae)) == config_initials(a_ae)
+def test_graph_initials_unchanged_by_normalization(a_ae):
+    assert _initial_configs(normalize_slaves(a_ae)) == _initial_configs(a_ae)
+
+
+def test_access_paths_are_shortest_from_the_initials(all_corpus):
+    for name, nwa in all_corpus.items():
+        k = KNOWN_WIDTH[name]
+        if k is None:
+            continue
+        configs, graph = explore(nwa, k)
+        dist = dict.fromkeys(graph.initials, 0)
+        queue = list(graph.initials)
+        for u in queue:
+            for e in graph.out(u):
+                if graph.dst[e] not in dist:
+                    dist[graph.dst[e]] = dist[u] + 1
+                    queue.append(graph.dst[e])
+        assert sorted(dist) == list(range(len(configs))), name
+        for u in range(len(configs)):
+            path = graph.access(u)
+            assert len(path) == dist[u], (name, u)
+            walk = [graph.src[path[0]]] + [graph.dst[e] for e in path] if path else [u]
+            assert walk[0] in graph.initials and walk[-1] == u, (name, u)
+            assert all(graph.src[e] == v for e, v in zip(path, walk)), (name, u)
 
 
 def test_deterministic_single_edge(a_art1):

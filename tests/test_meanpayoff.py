@@ -7,7 +7,6 @@ from helpers import Graph, min_cycle_ratio_brute, min_cycle_ratio_karp, qualifyi
 from nwaq.core import PLUS_INFINITY, Threshold, ValueResult
 from nwaq.corpus import art_types, k_art
 from nwaq.decide import Pipeline
-from nwaq.determinize import config_initials
 from nwaq.meanpayoff import check_ratio_bound, infimum_ratio
 from reference import threshold_emptiness
 
@@ -183,7 +182,7 @@ def _generic(pipe: Pipeline) -> Graph:
     components as accepting nodes."""
     g = pipe.graph
     edges = tuple(zip(g.src, g.dst, g.cost, g.ticks))
-    initials = frozenset(pipe.configs.index[c] for c in config_initials(pipe.nwa))
+    initials = frozenset(pipe.configs.initials)
     return Graph(len(pipe.configs.configs), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
 
 

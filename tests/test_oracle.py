@@ -167,18 +167,18 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
     # on deterministic input, a run lasso in the configuration graph is the
     # unique run of its projected word: the run, replayed through the oracle
     # with one choice index per letter, must agree exactly with the word
-    from nwaq.determinize import config_initials, explore
+    from nwaq.determinize import explore
     from nwaq.oracle import _Rules, _window_value
 
     for nwa, cap in ((a_art1, 1), (a_cond1, 2)):
-        _, edges = explore(nwa, cap)
+        configs, graph = explore(nwa, cap)
         adjacency = {}
         choices = {}  # (source, letter) -> edges so far; an edge's choice is its place among them
-        for e in edges:
+        for e in graph:
             n = choices[e.from_config, e.letter] = choices.get((e.from_config, e.letter), -1) + 1
             adjacency.setdefault(e.from_config, []).append((e, n))
         # shortest edge path from the initial configuration to every config
-        initial = next(iter(config_initials(nwa)))
+        (initial,) = (configs[u] for u in graph.initials)
         access = {initial: ()}
         queue = [initial]
         while queue:

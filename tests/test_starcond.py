@@ -4,7 +4,7 @@ from fractions import Fraction
 from helpers import has_negative_cycle_fw
 from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, k_art
-from nwaq.determinize import ConfigGraph, explore
+from nwaq.determinize import explore
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
 from nwaq.starcond import _negative_cycle, check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
@@ -248,7 +248,7 @@ def test_descent_test_matches_floyd_warshall_on_random_automata():
         verdicts[witness is not None] += 1
         if witness is None:
             continue
-        graph = ConfigGraph(*explore(nwa, k))
+        _, graph = explore(nwa, k)
         comp = {graph.comp[graph.index[e.from_config]] for e in witness.cycle}
         assert len(comp) == 1
         (ci,) = comp
