@@ -15,14 +15,11 @@ from .core import (
     ValueFn,
     ValueResult,
     WeightedAutomaton,
-    finite_value,
     is_deterministic,
     limavg_periodic,
-    normalize_slaves,
     validate_nwa,
 )
 from .decide import Pipeline, emptiness, infimum, universality_deterministic
-from .determinize import ConfigEdge
 from .mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
 from .reduce import reduce_width1

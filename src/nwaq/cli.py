@@ -24,6 +24,7 @@ from .core import (
     is_deterministic,
 )
 from .decide import Certificate, Pipeline, universality_deterministic
+from .determinize import ConfigGraph, explore
 from .mca import Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import evaluate_lasso
 from .starcond import StarWitness, check_star_condition
@@ -82,11 +83,11 @@ def _emit(query: str, answer, value=None, witness=None) -> None:
     sys.stdout.write(json.dumps(envelope) + "\n")
 
 
-def _witness_json(cert: Certificate, nwa: Nwa):
+def _witness_json(cert: Certificate, pipe: Pipeline):
     if cert.kind == "lasso" and cert.lasso is not None:
         return render_word(cert.lasso)
     if cert.kind == "star" and cert.star is not None:
-        data = {"kind": "star", **_star_json(cert.star, nwa)}
+        data = {"kind": "star", **_star_json(cert.star, pipe.nwa, pipe.configs)}
         if cert.pumped is not None:
             data["pumped"] = render_word(cert.pumped)
         return data
@@ -95,8 +96,9 @@ def _witness_json(cert: Certificate, nwa: Nwa):
     return None
 
 
-def _star_json(star: StarWitness, nwa: Nwa) -> dict:
-    return {"j": star.j, "j_sum": star.j_sum, "cycle_letters": [nwa.alphabet.letters[e.letter] for e in star.cycle]}
+def _star_json(star: StarWitness, nwa: Nwa, graph: ConfigGraph) -> dict:
+    letters = [nwa.alphabet.letters[graph.letter[n]] for n in star.cycle]
+    return {"j": star.j, "j_sum": star.j_sum, "cycle_letters": letters}
 
 
 def _threshold_args(p: argparse.ArgumentParser) -> None:
@@ -217,7 +219,8 @@ def _cmd_eval(args) -> int:
 def _cmd_empty(args) -> int:
     nwa = _require_nwa(_read(args.file))  # `Pipeline` validates it
     t = _get_threshold(args)
-    answer, cert = Pipeline(nwa, args.k).emptiness(t)
+    pipe = Pipeline(nwa, args.k)
+    answer, cert = pipe.emptiness(t)
     if args.certificate:
         payload = {
             "query": "empty",
@@ -225,20 +228,21 @@ def _cmd_empty(args) -> int:
             "answer": answer,
             "kind": cert.kind,
             "value": _value_json(cert.value),
-            "witness": _witness_json(cert, nwa),
+            "witness": _witness_json(cert, pipe),
             "flags": list(cert.flags),
         }
         with open(args.certificate, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    _emit("empty", answer, value=cert.value, witness=_witness_json(cert, nwa))
+    _emit("empty", answer, value=cert.value, witness=_witness_json(cert, pipe))
     return 0 if answer else 1
 
 
 def _cmd_infimum(args) -> int:
     nwa = _require_nwa(_read(args.file))  # `Pipeline` validates it
-    value, cert = Pipeline(nwa, args.k).infimum()
-    _emit("infimum", value is not None, value=value, witness=_witness_json(cert, nwa))
+    pipe = Pipeline(nwa, args.k)
+    value, cert = pipe.infimum()
+    _emit("infimum", value is not None, value=value, witness=_witness_json(cert, pipe))
     return 0
 
 
@@ -252,11 +256,12 @@ def _cmd_universal(args) -> int:
 
 def _cmd_star(args) -> int:
     nwa = _require_nwa(_load(args.file))
-    witness = check_star_condition(nwa, args.k)
+    _, graph = explore(nwa, args.k)
+    witness = check_star_condition(nwa, args.k, graph)
     if witness is None:
         _emit("star", False)
         return 1
-    _emit("star", True, witness=_star_json(witness, nwa))
+    _emit("star", True, witness=_star_json(witness, nwa, graph))
     return 0
 
 

@@ -271,21 +271,6 @@ class LassoWord:
 # Operations
 
 
-def finite_value(value_fn: ValueFn, weights: Sequence[int]) -> int:
-    """Sum or absolute-sum of a finite weight sequence, 64-bit checked.
-
-    The empty sequence yields 0 by convention; callers that must treat an
-    empty run as silent handle that before calling.
-    """
-    if value_fn not in (ValueFn.SUM, ValueFn.SUM_PLUS):
-        raise ValueError(f"finite_value needs a finite-word value function, got {value_fn}")
-    total = 0
-    for w in weights:
-        total += abs(w) if value_fn is ValueFn.SUM_PLUS else w
-        check64(total)
-    return total
-
-
 MaybeInt = Optional[int]  # None is the silent (bottom) entry in value sequences
 
 
@@ -386,55 +371,3 @@ def _prefix_free_violation(aut: LabeledAutomaton) -> Optional[int]:
         if q in aut.accepting and q in reach and q2 in coreach:
             return q
     return None
-
-
-def normalize_slaves(nwa: Nwa) -> Nwa:
-    """Equivalent NWA in which no slave accepting state has outgoing transitions.
-
-    Each offending accepting state s is cloned: s keeps its transitions and
-    loses acceptance, while a fresh accepting copy receives every transition
-    into s (and initiality, where s was initial). Language and per-word
-    minimal values of each slave are unchanged.
-    """
-    new_slaves = []
-    changed = False
-    for sl in nwa.slaves:
-        aut = sl.base
-        offenders = sorted({q for q, _, _, _ in aut.transitions if q in aut.accepting})
-        if not offenders:
-            new_slaves.append(sl)
-            continue
-        changed = True
-        clone_of = {}
-        names = list(aut.state_names)
-        n = aut.n_states
-        for s in offenders:
-            clone_of[s] = n
-            names.append(aut.state_names[s] + "'acc")
-            n += 1
-        transitions = []
-        for q, a, q2, lab in aut.transitions:
-            transitions.append((q, a, q2, lab))
-            if q2 in clone_of:
-                transitions.append((q, a, clone_of[q2], lab))
-        initials = set(aut.initials)
-        for s in offenders:
-            if s in aut.initials:
-                initials.add(clone_of[s])
-        accepting = (set(aut.accepting) - set(offenders)) | set(clone_of.values())
-        new_slaves.append(
-            WeightedAutomaton(
-                LabeledAutomaton(
-                    alphabet=aut.alphabet,
-                    n_states=n,
-                    state_names=tuple(names),
-                    initials=frozenset(initials),
-                    transitions=tuple(sorted(set(transitions))),
-                    accepting=frozenset(accepting),
-                ),
-                sl.value_fn,
-            )
-        )
-    if not changed:
-        return nwa
-    return Nwa(nwa.master, tuple(new_slaves), nwa.master_value_fn, nwa.name)

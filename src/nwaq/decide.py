@@ -108,7 +108,7 @@ class Pipeline:
         return True, self._lasso(t)
 
     def _star(self, pumps: int) -> Certificate:
-        pumped = pump_witness(self.nwa, self.star, self.k, pumps=pumps, graph=self.configs)
+        pumped = pump_witness(self.nwa, self.configs, self.star, pumps)
         return Certificate(kind="star", value=NEG_INFINITY, star=self.star, pumped=pumped)
 
     def _lasso(self, t: Optional[Threshold]) -> Certificate:
@@ -117,7 +117,8 @@ class Pipeline:
         w, g = self._witness, self.graph
         found = self._tight_period()
         if found is not None:
-            return Certificate(kind="lasso", value=self.value, lasso=self._word(*found))
+            lasso = self.configs.lasso(self.nwa.alphabet.letters, *found)
+            return Certificate(kind="lasso", value=self.value, lasso=lasso)
         flags = ("not-attained",)
         if t is not None and t.value == w.ratio:
             return Certificate(kind="infimum", value=self.value, flags=flags)
@@ -132,7 +133,8 @@ class Pipeline:
         if t is not None:
             x = (c - t.value * d) / (t.value * b - a)
             n = max(1, math.floor(x) + 1 if t.strict else math.ceil(x))
-        value, lasso = ValueResult.finite(Fraction(n * a + c, n * b + d)), self._word(root, list(w.cycle) * n + detour)
+        value = ValueResult.finite(Fraction(n * a + c, n * b + d))
+        lasso = self.configs.lasso(self.nwa.alphabet.letters, root, list(w.cycle) * n + detour)
         return Certificate(kind="lasso", value=value, lasso=lasso, flags=flags)
 
     def _tight_period(self) -> Optional[tuple[int, list[int]]]:
@@ -177,12 +179,6 @@ class Pipeline:
                     yield n, (cg.dst[n], got | kinds[n] & need)
 
         return shortest_path([(root, 0)], moves, (root, need).__eq__)
-
-    def _word(self, root: int, period: list[int]) -> LassoWord:
-        """A shortest path from an initial configuration to `root`, then the
-        closed walk `period` forever, as letters."""
-        cg, letters = self.configs, self.nwa.alphabet.letters
-        return LassoWord(*(tuple(letters[cg.letter[n]] for n in walk) for walk in (cg.access(root), period)))
 
 
 def _kinds(cg: ConfigGraph) -> list[int]:

@@ -11,34 +11,11 @@ directly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional
 
-from .core import Configuration, Nwa
+from .core import Configuration, LassoWord, Nwa
 from .graphs import sccs, shortest_path
-
-
-@dataclass(frozen=True)
-class ConfigEdge:
-    """One joint step of master and active slaves on a letter.
-
-    slot_weights aligns with the surviving slots of `from_config` in order,
-    the newly invoked slot last; weights are effective (absolute for Sum+
-    slaves). `returned` lists the 1-based positions of `from_config` slots
-    that terminate before the letter is consumed; their values live in run
-    simulations, not in the finite graph.
-    """
-
-    from_config: Configuration
-    letter: int
-    to_config: Configuration
-    invoked: Optional[int]
-    slot_weights: tuple[int, ...]
-    returned: tuple[int, ...]
-    master_accepting: bool
 
 
 class StepTables:
@@ -112,38 +89,37 @@ class StepTables:
         return out
 
 
-class ConfigGraph(Sequence):
+class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids.
 
-    Configurations are numbered in canonical (master state, slots) order;
-    `index` maps each to its id and `initials` lists the ids of the slot-free
-    initial ones. Edge n runs from configuration `src[n]` to `dst[n]` on
-    letter `letter[n]`; `slot_weights[n]` and their sum `cost[n]`,
-    `invoked[n]`, `returned[n]` and `master_accepting[n]` are as in
-    `ConfigEdge`. Edges are sorted by source, then letter, then the order
-    `StepTables.step` emits them; the edges of configuration u are `start[u]`
-    to `start[u + 1] - 1`. `overflow` is set when some reachable step needs a
-    (k+1)-th slot; such steps are not edges. Indexing builds a `ConfigEdge`.
-    `comp` gives each configuration's strongly connected component, computed
-    on first use.
+    Configurations are numbered in canonical (master state, slots) order and
+    `configs[u]` is configuration u; `initials` lists the ids of the
+    slot-free initial ones. Edge n is one joint step of master and active
+    slaves: it runs from configuration `src[n]` to `dst[n]` on letter
+    `letter[n]`. `slot_weights[n]` aligns with the source's surviving slots
+    in order, the newly invoked slot last, and holds effective weights
+    (absolute for Sum+ slaves); `cost[n]` is their sum. `invoked[n]` is the
+    invoked slave, or None for a silent move. `returned[n]` lists the 1-based
+    positions of the source's slots that terminate before the letter is
+    consumed; their values live in run simulations, not in the finite graph.
+    `master_accepting[n]` tells whether the master target is accepting.
+    Edges are sorted by source, then letter, then the order `StepTables.step`
+    emits them; the edges of configuration u are `start[u]` to
+    `start[u + 1] - 1`, and `len` counts them. `overflow` is set when some
+    reachable step needs a (k+1)-th slot; such steps are not edges. `comp`
+    gives each configuration's strongly connected component, computed on
+    first use.
     """
 
     def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], initials: list[int],
                  overflow: bool):
         self.configs, self.start, self.initials, self.overflow = configs, start, initials, overflow
-        self.index = {c: n for n, c in enumerate(configs)}
         columns = tuple(zip(*rows)) or ((),) * 8
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __getitem__(self, n: int) -> ConfigEdge:
-        return ConfigEdge(
-            self.configs[self.src[n]], self.letter[n], self.configs[self.dst[n]], self.invoked[n],
-            self.slot_weights[n], self.returned[n], self.master_accepting[n],
-        )
 
     def out(self, u: int) -> range:
         """Indexes of the edges leaving configuration u."""
@@ -158,6 +134,11 @@ class ConfigGraph(Sequence):
         configuration u, the first in edge order."""
         dst = self.dst
         return shortest_path(self.initials, lambda v: ((n, dst[n]) for n in self.out(v)), u.__eq__)
+
+    def lasso(self, letters: tuple[str, ...], root: int, period: list[int]) -> LassoWord:
+        """The letters of `access(root)`, then of the closed walk `period`
+        from `root` forever."""
+        return LassoWord(*(tuple(letters[self.letter[n]] for n in walk) for walk in (self.access(root), period)))
 
 
 def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Configuration, LassoWord, Nwa, PreconditionError
-from .determinize import ConfigEdge, ConfigGraph, explore
+from .core import LassoWord, Nwa, PreconditionError
+from .determinize import ConfigGraph
 from .graphs import shortest_path
 
 
@@ -34,31 +34,25 @@ from .graphs import shortest_path
 class StarWitness:
     """A reachable negative cycle over the j least recently invoked slaves.
 
-    The cycle never terminates a slot at position <= j, so slot identity is
-    stable along it; j_sum is the (negative) total of those slots' weights
-    over one turn. The anchor lies in a component containing a configuration
-    whose master state is accepting, and a path inside it leads from the
-    anchor back to it releasing every slot alive at the anchor.
+    `cycle` lists edge indexes of the configuration graph it was found in,
+    in path order; its anchor is the source of its first edge. The cycle
+    never terminates a slot at position <= j, so slot identity is stable
+    along it; j_sum is the (negative) total of those slots' weights over one
+    turn. The anchor lies in a component containing a configuration whose
+    master state is accepting, and a path inside it leads from the anchor
+    back to it releasing every slot alive at the anchor.
     """
 
     j: int
-    cycle: tuple[ConfigEdge, ...]
-    anchor: Configuration
+    cycle: tuple[int, ...]
     j_sum: int
 
-    def recompute_sum(self) -> int:
-        return sum(sum(e.slot_weights[: self.j]) for e in self.cycle)
 
-
-def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) -> Optional[StarWitness]:
+def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
     or None when every such cycle test is empty or no slave weight is negative.
-
-    `graph` is the configuration graph of `nwa` at width k, when the caller
-    has explored it already; without it the test explores the graph itself.
+    `graph` is the configuration graph of `nwa` at width k.
     """
-    if graph is None:
-        _, graph = explore(nwa, k)
     if graph.overflow:
         raise PreconditionError(f"input exceeds width {k}")
     if nwa.min_effective_weight() >= 0:
@@ -92,9 +86,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: Optional[ConfigGraph] = None) 
             if _closing_path(nwa, g, g.src[ns[cycle[0]]]) is None:
                 live.remove(ci)
                 continue
-            edges = tuple(g[ns[i]] for i in cycle)
-            total = sum(arcs[i][2] for i in cycle)
-            return StarWitness(j=j, cycle=edges, anchor=edges[0].from_config, j_sum=total)
+            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle))
     return None
 
 
@@ -138,29 +130,21 @@ def _negative_cycle(n: int, arcs: Sequence[tuple[int, int, int]]) -> Optional[li
                 return cycle
 
 
-def pump_witness(
-    nwa: Nwa, witness: StarWitness, k: int, pumps: int, graph: Optional[ConfigGraph] = None
-) -> LassoWord:
-    """Lasso (path to the cycle, cycle^pumps . closing path).
+def pump_witness(nwa: Nwa, graph: ConfigGraph, witness: StarWitness, pumps: int) -> LassoWord:
+    """Lasso (path to the cycle, cycle^pumps . closing path), for a witness
+    found in `graph`.
 
     The closing path runs inside the witness component from the cycle
     anchor back to it. On the way it passes a configuration with an
     accepting master state and releases every slot that was alive when it
     started, the pumped slots among them, so each period terminates every
-    slave that entered it. `graph` is the configuration graph of `nwa` at
-    width k, as for `check_star_condition`.
+    slave that entered it.
     """
-    letters = nwa.alphabet.letters
-    if graph is None:
-        _, graph = explore(nwa, k)
-    anchor = graph.index[witness.anchor]
+    anchor = graph.src[witness.cycle[0]]
     closing = _closing_path(nwa, graph, anchor)
     if closing is None:
         raise PreconditionError("no closing path through acceptance releases the pumped slots")
-    cycle_letters = [letters[e.letter] for e in witness.cycle]
-    prefix = tuple(letters[graph.letter[n]] for n in graph.access(anchor))
-    period = tuple(cycle_letters * pumps) + tuple(letters[graph.letter[n]] for n in closing)
-    return LassoWord(prefix, period)
+    return graph.lasso(nwa.alphabet.letters, anchor, list(witness.cycle) * pumps + closing)
 
 
 def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[int]]:

@@ -40,26 +40,57 @@ def _tokenize(text: str):
     return out
 
 
+def _alphabet(n: int, col: int, toks: list[str]) -> Alphabet:
+    """The alphabet on an `alphabet` line."""
+    if len(toks) < 2:
+        raise ParseError(n, col, "alphabet needs letters")
+    if len(set(toks[1:])) < len(toks) - 1:
+        raise ParseError(n, col, "alphabet letters must be distinct")
+    return Alphabet(tuple(toks[1:]))
+
+
 class _Section:
+    """The states, initial, accepting and trans lines of one automaton."""
+
     def __init__(self):
         self.states: list[str] = []
         self.initial: list[str] = []
         self.accepting: list[str] = []
         self.trans: list[tuple[int, list[str]]] = []
 
+    def read(self, n: int, toks: list[str]) -> None:
+        if toks[0] == "trans":
+            self.trans.append((n, toks))
+        else:
+            getattr(self, toks[0]).extend(toks[1:])
+
+    def fields(self, transition, key=None) -> dict:
+        """The automaton's states, numbered in order, its initial and
+        accepting ids, and `transition(n, toks, state)` of each trans line,
+        sorted by `key`; `state(n, name)` gives a state's id."""
+        idx: dict[str, int] = {}
+        for s in self.states:
+            if s in idx:
+                raise ParseError(0, 0, f"duplicate state {s}")
+            idx[s] = len(idx)
+
+        def state(n, name):
+            if name not in idx:
+                raise ParseError(n, 0, f"unknown state {name}")
+            return idx[name]
+
+        transitions = [transition(n, toks, state) for n, toks in self.trans]
+        return {
+            "n_states": len(self.states),
+            "state_names": tuple(self.states),
+            "initials": frozenset(state(0, s) for s in self.initial),
+            "transitions": tuple(sorted(transitions, key=key)),
+            "accepting": frozenset(state(0, s) for s in self.accepting),
+        }
+
 
 def _build_labeled(alphabet: Alphabet, sec: _Section, kind: str) -> LabeledAutomaton:
-    idx = {}
-    for s in sec.states:
-        if s in idx:
-            raise ParseError(0, 0, f"duplicate state {s}")
-        idx[s] = len(idx)
-    def state(n, name):
-        if name not in idx:
-            raise ParseError(n, 0, f"unknown state {name}")
-        return idx[name]
-    transitions = []
-    for n, toks in sec.trans:
+    def transition(n, toks, state):
         # trans q a q' invoke I   |   trans q a q' weight W
         if len(toks) != 6 or toks[4] not in ("invoke", "weight"):
             raise ParseError(n, 0, "expected: trans SRC LETTER DST invoke|weight N")
@@ -72,15 +103,9 @@ def _build_labeled(alphabet: Alphabet, sec: _Section, kind: str) -> LabeledAutom
             label = int(toks[5])
         except ValueError:
             raise ParseError(n, 0, f"bad integer {toks[5]}") from None
-        transitions.append((state(n, toks[1]), alphabet.id_of(toks[2]), state(n, toks[3]), label))
-    return LabeledAutomaton(
-        alphabet=alphabet,
-        n_states=len(sec.states),
-        state_names=tuple(sec.states),
-        initials=frozenset(state(0, s) for s in sec.initial),
-        transitions=tuple(sorted(transitions)),
-        accepting=frozenset(state(0, s) for s in sec.accepting),
-    )
+        return state(n, toks[1]), alphabet.id_of(toks[2]), state(n, toks[3]), label
+
+    return LabeledAutomaton(alphabet=alphabet, **sec.fields(transition))
 
 
 def parse_nwa(text: str) -> Nwa:
@@ -93,9 +118,7 @@ def parse_nwa(text: str) -> Nwa:
     for n, toks, col in lines[1:]:
         head = toks[0]
         if head == "alphabet":
-            if len(toks) < 2:
-                raise ParseError(n, col, "alphabet needs letters")
-            alphabet = Alphabet(tuple(toks[1:]))
+            alphabet = _alphabet(n, col, toks)
         elif head == "master":
             current = _Section()
             sections.append(("master", None, current))
@@ -105,14 +128,10 @@ def parse_nwa(text: str) -> Nwa:
             current = _Section()
             fn = ValueFn.SUM if toks[3] == "sum" else ValueFn.SUM_PLUS
             sections.append((toks[1], fn, current))
-        elif head in ("states", "initial", "accepting"):
+        elif head in ("states", "initial", "accepting", "trans"):
             if current is None:
                 raise ParseError(n, col, f"'{head}' outside a section")
-            getattr(current, "states" if head == "states" else head).extend(toks[1:])
-        elif head == "trans":
-            if current is None:
-                raise ParseError(n, col, "'trans' outside a section")
-            current.trans.append((n, toks))
+            current.read(n, toks)
         else:
             raise ParseError(n, col, f"unknown directive {head}")
     if alphabet is None:
@@ -162,39 +181,23 @@ def parse_mca(text: str) -> Mca:
         raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'mca'")
     alphabet = None
     counters = None
-    states: list[str] = []
-    initial: list[str] = []
-    accepting: list[str] = []
-    trans: list[tuple[int, list[str]]] = []
+    sec = _Section()
     for n, toks, col in lines[1:]:
         head = toks[0]
         if head == "alphabet":
-            alphabet = Alphabet(tuple(toks[1:]))
+            alphabet = _alphabet(n, col, toks)
         elif head == "counters":
             if len(toks) != 2 or not toks[1].isdigit():
                 raise ParseError(n, col, "expected: counters N")
             counters = int(toks[1])
-        elif head == "states":
-            states.extend(toks[1:])
-        elif head == "initial":
-            initial.extend(toks[1:])
-        elif head == "accepting":
-            accepting.extend(toks[1:])
-        elif head == "trans":
-            trans.append((n, toks))
+        elif head in ("states", "initial", "accepting", "trans"):
+            sec.read(n, toks)
         else:
             raise ParseError(n, col, f"unknown directive {head}")
     if alphabet is None or counters is None:
         raise ParseError(1, 0, "missing alphabet or counters")
-    idx = {s: i for i, s in enumerate(states)}
 
-    def state(n, name):
-        if name not in idx:
-            raise ParseError(n, 0, f"unknown state {name}")
-        return idx[name]
-
-    transitions = []
-    for n, toks in trans:
+    def transition(n, toks, state):
         # trans q a q' [s, 2, t, .]
         text_line = " ".join(toks)
         if "[" not in text_line or not text_line.endswith("]"):
@@ -222,18 +225,14 @@ def parse_mca(text: str) -> Mca:
                     vec.append(Instr.add(int(item)))
                 except ValueError:
                     raise ParseError(n, 0, f"bad instruction {item!r}") from None
-        transitions.append(
-            (state(n, head_toks[1]), alphabet.id_of(head_toks[2]), state(n, head_toks[3]), tuple(vec))
-        )
-    return Mca(
-        alphabet=alphabet,
-        n_states=len(states),
-        state_names=tuple(states),
-        initials=frozenset(state(0, s) for s in initial),
-        accepting=frozenset(state(0, s) for s in accepting),
-        n_counters=counters,
-        transitions=tuple(sorted(transitions, key=lambda t: (t[0], t[1], t[2], tuple(map(str, t[3]))))),
-    )
+        return state(n, head_toks[1]), alphabet.id_of(head_toks[2]), state(n, head_toks[3]), tuple(vec)
+
+    return Mca(alphabet=alphabet, n_counters=counters, **sec.fields(transition, key=_mca_order))
+
+
+def _mca_order(t) -> tuple:
+    """Canonical order of mca transitions: source, letter, target, instructions."""
+    return t[0], t[1], t[2], tuple(map(str, t[3]))
 
 
 def render_mca(mca: Mca) -> str:
@@ -247,7 +246,7 @@ def render_mca(mca: Mca) -> str:
     ]
     if mca.accepting:
         out.append("accepting " + " ".join(names[q] for q in sorted(mca.accepting)))
-    for q, a, q2, vec in sorted(mca.transitions, key=lambda t: (t[0], t[1], t[2], tuple(map(str, t[3])))):
+    for q, a, q2, vec in sorted(mca.transitions, key=_mca_order):
         body = ", ".join(str(ins) for ins in vec)
         out.append(f"trans {names[q]} {mca.alphabet.letters[a]} {names[q2]} [{body}]")
     return "\n".join(out) + "\n"

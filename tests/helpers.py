@@ -15,13 +15,12 @@ from nwaq.core import (
     ValueFn,
     ValueResult,
     WeightedAutomaton,
-    finite_value,
     is_deterministic,
 )
 from nwaq.meanpayoff import RatioGraph, infimum_ratio
 from nwaq.oracle import _Rules
 from nwaq.reduce import reduce_width1
-from reference import NegInfinityFragmentError, SilentLimAvgAutomaton, fragment_automaton
+from reference import NegInfinityFragmentError, SilentLimAvgAutomaton, finite_value, fragment_automaton
 
 
 def reference_config_graph(nwa: Nwa, k: int):
@@ -229,6 +228,14 @@ def _karp(nodes: list[int], edges) -> Optional[Fraction]:
         if best is None or worst < best:
             best = worst
     return best
+
+
+def edge_records(graph) -> list[tuple]:
+    """Each edge of a configuration graph, in edge order, as (from_config,
+    letter, to_config, slot_weights, returned)."""
+    c = graph.configs
+    columns = zip(graph.src, graph.letter, graph.dst, graph.slot_weights, graph.returned)
+    return [(c[u], a, c[v], weights, returned) for u, a, v, weights, returned in columns]
 
 
 def has_negative_cycle_fw(n_nodes: int, arcs) -> bool:

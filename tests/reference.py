@@ -1,6 +1,7 @@
 """Reference code the package no longer runs: the paper's explicit
 determinization, the width-1 fragment summary, threshold emptiness on a
-ratio graph, and configuration counts.
+ratio graph, configuration counts, the finite value of a weight sequence
+and the normalization of slave accepting states.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -10,7 +11,7 @@ checks the oracle against. Nothing under `src/` imports this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from nwaq.core import (
     NEG_INFINITY,
@@ -24,6 +25,7 @@ from nwaq.core import (
     ValueFn,
     ValueResult,
     WeightedAutomaton,
+    check64,
     is_deterministic,
 )
 from nwaq.determinize import StepTables, explore
@@ -500,3 +502,72 @@ def fragment_automaton(nwa: Nwa) -> SilentLimAvgAutomaton:
         edges=tuple(edges),
         realizations=realizations,
     )
+
+
+def finite_value(value_fn: ValueFn, weights: Sequence[int]) -> int:
+    """Sum or absolute-sum of a finite weight sequence, 64-bit checked.
+
+    The empty sequence yields 0 by convention; callers that must treat an
+    empty run as silent handle that before calling.
+    """
+    if value_fn not in (ValueFn.SUM, ValueFn.SUM_PLUS):
+        raise ValueError(f"finite_value needs a finite-word value function, got {value_fn}")
+    total = 0
+    for w in weights:
+        total += abs(w) if value_fn is ValueFn.SUM_PLUS else w
+        check64(total)
+    return total
+
+
+
+
+def normalize_slaves(nwa: Nwa) -> Nwa:
+    """Equivalent NWA in which no slave accepting state has outgoing transitions.
+
+    Each offending accepting state s is cloned: s keeps its transitions and
+    loses acceptance, while a fresh accepting copy receives every transition
+    into s (and initiality, where s was initial). Language and per-word
+    minimal values of each slave are unchanged.
+    """
+    new_slaves = []
+    changed = False
+    for sl in nwa.slaves:
+        aut = sl.base
+        offenders = sorted({q for q, _, _, _ in aut.transitions if q in aut.accepting})
+        if not offenders:
+            new_slaves.append(sl)
+            continue
+        changed = True
+        clone_of = {}
+        names = list(aut.state_names)
+        n = aut.n_states
+        for s in offenders:
+            clone_of[s] = n
+            names.append(aut.state_names[s] + "'acc")
+            n += 1
+        transitions = []
+        for q, a, q2, lab in aut.transitions:
+            transitions.append((q, a, q2, lab))
+            if q2 in clone_of:
+                transitions.append((q, a, clone_of[q2], lab))
+        initials = set(aut.initials)
+        for s in offenders:
+            if s in aut.initials:
+                initials.add(clone_of[s])
+        accepting = (set(aut.accepting) - set(offenders)) | set(clone_of.values())
+        new_slaves.append(
+            WeightedAutomaton(
+                LabeledAutomaton(
+                    alphabet=aut.alphabet,
+                    n_states=n,
+                    state_names=tuple(names),
+                    initials=frozenset(initials),
+                    transitions=tuple(sorted(set(transitions))),
+                    accepting=frozenset(accepting),
+                ),
+                sl.value_fn,
+            )
+        )
+    if not changed:
+        return nwa
+    return Nwa(nwa.master, tuple(new_slaves), nwa.master_value_fn, nwa.name)

@@ -26,6 +26,7 @@ from nwaq.core import (
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
 from nwaq.decide import Pipeline
+from nwaq.determinize import explore
 from nwaq.mca import evaluate_lasso_mca, mca_to_nwa, nwa_to_mca
 from nwaq.meanpayoff import infimum_ratio
 from nwaq.oracle import (
@@ -99,11 +100,12 @@ def test_criterion_2_width_facts():
 def test_criterion_3_star_soundness():
     with _Budget("3 descent-condition soundness", 5.0):
         for nwa, k in ((cond_a2(), 2), (average_excess(), 1)):
-            witness = check_star_condition(nwa, k)
+            _, graph = explore(nwa, k)
+            witness = check_star_condition(nwa, k, graph)
             assert witness is not None
             dips = []
             for m in (1, 2, 4, 8):
-                lasso = pump_witness(nwa, witness, k, pumps=16 * m)
+                lasso = pump_witness(nwa, graph, witness, pumps=16 * m)
                 assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
                 dips.append(min_partial_average(nwa, lasso, k, 8))
             assert all(b < a for a, b in zip(dips, dips[1:])), nwa.name

@@ -57,6 +57,31 @@ def test_parse_error_location():
     assert err.value.line == 6
 
 
+MCA_TEXT = (DATA / "mca_counter.mca").read_text()
+NWA_TEXT = (DATA / "art1.nwa").read_text()
+
+
+@pytest.mark.parametrize(
+    "suffix, text, message",
+    [
+        (".nwa", NWA_TEXT.replace("alphabet r g hash", "alphabet r g hash r"), "alphabet letters must be distinct"),
+        (".mca", MCA_TEXT.replace("alphabet hash a", "alphabet hash a a"), "alphabet letters must be distinct"),
+        (".mca", MCA_TEXT.replace("alphabet hash a", "alphabet"), "alphabet needs letters"),
+        (".mca", MCA_TEXT.replace("states q0 q1", "states q0 q0 q1"), "duplicate state q0"),
+    ],
+)
+def test_malformed_sections_are_parse_errors(capsys, tmp_path, suffix, text, message):
+    # a repeated letter, an empty alphabet or a repeated state name is a
+    # parse error in both formats, and `check` exits 2 on it
+    parse = parse_nwa if suffix == ".nwa" else parse_mca
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_word_syntax():
     w = parse_word("r g | r r g")
     assert w.prefix == ("r", "g") and w.period == ("r", "r", "g")

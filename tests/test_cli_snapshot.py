@@ -1,11 +1,13 @@
 """The CLI's answers on the corpus, compared byte for byte with a recording.
 
 For each corpus `.nwa` at k = 1, 2 and 3 the module runs `infimum`, `empty`
-at four thresholds, `universal --le 2`, `star` and `width --k`, then `eval`
-of every certificate word those commands printed (each lasso witness and
-each pumped word). The exit code, stdout and stderr of every command must
-equal the ones in `tests/data/cli_snapshot.json`, so a refactor of the
-engine that changes an answer or a certificate byte fails here.
+at four thresholds with `--certificate`, `universal --le 2`, `star` and
+`width --k`, then `eval` of every certificate word those commands printed
+(each lasso witness and each pumped word). The exit code, stdout and stderr
+of every command, and the contents of every certificate file (None when none
+was written), must equal the ones in `tests/data/cli_snapshot.json`, so a
+refactor of the engine that changes an answer or a certificate byte fails
+here.
 
 Running the module as a script rewrites the recording from the current
 code: `PYTHONPATH=src python tests/test_cli_snapshot.py`.
@@ -14,6 +16,7 @@ code: `PYTHONPATH=src python tests/test_cli_snapshot.py`.
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,10 +26,10 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "nwaq" / "corpus_data"
 SNAPSHOT = Path(__file__).resolve().parent / "data" / "cli_snapshot.json"
 QUERIES = (
     ("infimum",),
-    ("empty", "--le", "0"),
-    ("empty", "--lt", "0"),
-    ("empty", "--le", "3/2"),
-    ("empty", "--lt", "-1"),
+    ("empty", "--le", "0", "--certificate"),
+    ("empty", "--lt", "0", "--certificate"),
+    ("empty", "--le", "3/2", "--certificate"),
+    ("empty", "--lt", "-1", "--certificate"),
     ("universal", "--le", "2"),
     ("star",),
     ("width",),
@@ -35,11 +38,19 @@ QUERIES = (
 
 def _run(args: list[str]) -> list:
     """[args, exit code, stdout, stderr] of one command on a corpus file
-    named by its file name in args[1]."""
+    named by its file name in args[1]. When args ends in `--certificate`,
+    the command writes its certificate to a temporary file, and the file's
+    contents (None when it wrote none) follow stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([args[0], str(DATA / args[1]), *args[2:]])
-    return [args, code, out.getvalue(), err.getvalue()]
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = Path(tmp) / "cert.json"
+        extra = [str(cert)] if args[-1] == "--certificate" else []
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([args[0], str(DATA / args[1]), *args[2:], *extra])
+        rec = [args, code, out.getvalue(), err.getvalue()]
+        if extra:
+            rec.append(cert.read_text(encoding="utf-8") if cert.exists() else None)
+    return rec
 
 
 def _words(stdout: str) -> list[str]:

@@ -1,6 +1,6 @@
 import random
 
-from helpers import random_draw, random_nondet, reference_config_graph, twinned
+from helpers import edge_records, random_draw, random_nondet, reference_config_graph, twinned
 from nwaq.core import (
     Alphabet,
     Configuration,
@@ -9,13 +9,12 @@ from nwaq.core import (
     ValueFn,
     WeightedAutomaton,
     is_deterministic,
-    normalize_slaves,
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import StepTables, explore
 from nwaq.oracle import enumerate_lasso_infimum
 from nwaq.width import has_width
-from reference import config_bound, count_configurations, materialize_deterministic
+from reference import config_bound, count_configurations, materialize_deterministic, normalize_slaves
 
 
 def _tiny(alphabet, states, initials, trans, acc):
@@ -73,10 +72,10 @@ def test_access_paths_are_shortest_from_the_initials(all_corpus):
 
 
 def test_deterministic_single_edge(a_art1):
-    configs, edges = explore(a_art1, 1)
+    _, graph = explore(a_art1, 1)
     per_key = {}
-    for e in edges:
-        per_key.setdefault((e.from_config, e.letter), []).append(e)
+    for edge in edge_records(graph):
+        per_key.setdefault(edge[:2], []).append(edge)
     assert all(len(v) == 1 for v in per_key.values())
 
 
@@ -212,7 +211,7 @@ def test_materialize_edges_biject_with_letters():
         _, live = explore(det, 2)
         if not live:
             continue  # degenerate sample: the input has no live step at all
-        counts = Counter(e.letter for e in live)
+        counts = Counter(letter for _, letter, *_ in edge_records(live))
         assert len(live) == len(det.alphabet)
         assert max(counts.values()) == 1
 

@@ -167,6 +167,7 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
     # on deterministic input, a run lasso in the configuration graph is the
     # unique run of its projected word: the run, replayed through the oracle
     # with one choice index per letter, must agree exactly with the word
+    from helpers import edge_records
     from nwaq.determinize import explore
     from nwaq.oracle import _Rules, _window_value
 
@@ -174,9 +175,9 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
         configs, graph = explore(nwa, cap)
         adjacency = {}
         choices = {}  # (source, letter) -> edges so far; an edge's choice is its place among them
-        for e in graph:
-            n = choices[e.from_config, e.letter] = choices.get((e.from_config, e.letter), -1) + 1
-            adjacency.setdefault(e.from_config, []).append((e, n))
+        for e in edge_records(graph):
+            n = choices[e[:2]] = choices.get(e[:2], -1) + 1
+            adjacency.setdefault(e[0], []).append((e, n))
         # shortest edge path from the initial configuration to every config
         (initial,) = (configs[u] for u in graph.initials)
         access = {initial: ()}
@@ -184,9 +185,9 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
         while queue:
             c = queue.pop(0)
             for e, n in adjacency.get(c, ()):
-                if e.to_config not in access:
-                    access[e.to_config] = access[c] + ((e, n),)
-                    queue.append(e.to_config)
+                if e[2] not in access:
+                    access[e[2]] = access[c] + ((e, n),)
+                    queue.append(e[2])
         rules = _Rules(nwa)
         checked = 0
         for anchor, prefix_edges in sorted(access.items(), key=lambda kv: len(kv[1])):
@@ -195,17 +196,17 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
                 path, c = stack.pop()
                 if path and c == anchor:
                     word = LassoWord(
-                        tuple(nwa.alphabet.letters[e.letter] for e, _ in prefix_edges),
-                        tuple(nwa.alphabet.letters[e.letter] for e, _ in path),
+                        tuple(nwa.alphabet.letters[e[1]] for e, _ in prefix_edges),
+                        tuple(nwa.alphabet.letters[e[1]] for e, _ in path),
                     )
                     direct = evaluate_lasso(nwa, word, cap)
-                    run = [(e.letter, n) for e, n in prefix_edges], [(e.letter, n) for e, n in path]
+                    run = [(e[1], n) for e, n in prefix_edges], [(e[1], n) for e, n in path]
                     via_run = _window_value(rules, initial.master_state, *run, cap)
                     assert via_run == direct, word
                     checked += 1
                 if len(path) < 5:
                     for e, n in adjacency.get(c, ()):
-                        stack.append((path + ((e, n),), e.to_config))
+                        stack.append((path + ((e, n),), e[2]))
         assert checked > 10
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from helpers import has_negative_cycle_fw
+from helpers import edge_records, has_negative_cycle_fw
 from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, k_art
 from nwaq.determinize import explore
@@ -11,47 +11,58 @@ from nwaq.textio import parse_nwa
 from nwaq.width import has_width
 
 
+def _witness(nwa, k):
+    """The configuration graph of nwa at width k and the descent witness found in it."""
+    _, graph = explore(nwa, k)
+    return graph, check_star_condition(nwa, k, graph)
+
+
+def _j_sum(graph, witness) -> int:
+    """The witness cycle's total weight on its j oldest slots, summed from the graph."""
+    return sum(sum(graph.slot_weights[n][: witness.j]) for n in witness.cycle)
+
+
 def test_cond_a2_witness(a_cond2):
-    witness = check_star_condition(a_cond2, 2)
+    _, witness = _witness(a_cond2, 2)
     assert witness is not None
     assert witness.j == 1
     assert witness.j_sum < 0
 
 
 def test_cond_a1_none(a_cond1):
-    assert check_star_condition(a_cond1, 2) is None
+    assert _witness(a_cond1, 2)[1] is None
 
 
 def test_sum_plus_family_trivially_none(all_corpus):
     for name in ("art1", "k_art_2", "k_art_3", "art_types_2", "art_types_3"):
         nwa = all_corpus[name]
         assert nwa.min_effective_weight() >= 0
-        assert check_star_condition(nwa, KNOWN_WIDTH[name]) is None
+        assert _witness(nwa, KNOWN_WIDTH[name])[1] is None
 
 
 def test_ae_witness_on_grant_loop(a_ae):
-    witness = check_star_condition(a_ae, 1)
+    graph, witness = _witness(a_ae, 1)
     assert witness is not None
     assert witness.j == 1
-    letters = {a_ae.alphabet.letters[e.letter] for e in witness.cycle}
+    letters = {a_ae.alphabet.letters[graph.letter[n]] for n in witness.cycle}
     assert letters == {"g"}
 
 
 def test_witness_self_consistency(a_cond2, a_ae):
     for nwa, k in ((a_cond2, 2), (a_ae, 1)):
-        witness = check_star_condition(nwa, k)
-        assert witness.recompute_sum() == witness.j_sum
+        graph, witness = _witness(nwa, k)
+        assert _j_sum(graph, witness) == witness.j_sum
         assert witness.j_sum < 0
-        assert witness.anchor == witness.cycle[0].from_config
-        assert witness.cycle[-1].to_config == witness.anchor
+        anchor = graph.src[witness.cycle[0]]
+        assert graph.dst[witness.cycle[-1]] == anchor
 
 
 def test_pumping_drives_partial_averages_down(a_cond2, a_ae):
     for nwa, k in ((a_cond2, 2), (a_ae, 1)):
-        witness = check_star_condition(nwa, k)
+        graph, witness = _witness(nwa, k)
         dips = []
         for m in (1, 2, 4, 8):
-            lasso = pump_witness(nwa, witness, k, pumps=16 * m)
+            lasso = pump_witness(nwa, graph, witness, pumps=16 * m)
             value = evaluate_lasso(nwa, lasso, k)
             assert value is not PLUS_INFINITY  # pumped word stays accepted
             dips.append(min_partial_average(nwa, lasso, k, 8))
@@ -60,10 +71,10 @@ def test_pumping_drives_partial_averages_down(a_cond2, a_ae):
 
 
 def test_ae_pumped_values_unbounded(a_ae):
-    witness = check_star_condition(a_ae, 1)
+    graph, witness = _witness(a_ae, 1)
     values = []
     for m in (1, 2, 4, 8):
-        lasso = pump_witness(a_ae, witness, 1, pumps=16 * m)
+        lasso = pump_witness(a_ae, graph, witness, pumps=16 * m)
         values.append(evaluate_lasso(a_ae, lasso, 1))
     keys = [v.sort_key() for v in values]
     assert all(b < a for a, b in zip(keys, keys[1:]))
@@ -83,7 +94,7 @@ def test_completeness_at_desk_scale(all_corpus):
     for name in STAR_FAILING:
         nwa = all_corpus[name]
         k = KNOWN_WIDTH[name]
-        assert check_star_condition(nwa, k) is None
+        assert _witness(nwa, k)[1] is None
         mp, mper = bounds[name]
         value, _ = enumerate_lasso_infimum(nwa, mp, mper, k)
         floor = k * nwa.min_effective_weight() * 8
@@ -122,9 +133,9 @@ slave 2 valuefn sum
 
 def test_pumped_word_releases_the_pumped_slots():
     nwa = _defect_c_automaton()
-    witness = check_star_condition(nwa, 1)
+    graph, witness = _witness(nwa, 1)
     assert witness is not None and witness.j == 1
-    lasso = pump_witness(nwa, witness, 1, pumps=8)
+    lasso = pump_witness(nwa, graph, witness, pumps=8)
     assert evaluate_lasso(nwa, lasso, 1) is not PLUS_INFINITY
     assert min_partial_average(nwa, lasso, 1, 8) < 0
 
@@ -208,17 +219,18 @@ def _descent_by_floyd_warshall(nwa, k) -> bool:
     component with an accepting master state, from which every slot alive at
     one of its configurations can be released without leaving it, the edges
     that keep the j oldest slots alive close a negative cycle (Floyd-Warshall)."""
-    configs, edges = explore(nwa, k)
-    for comp in _components(configs, [(e.from_config, e.to_config) for e in edges]):
+    configs, graph = explore(nwa, k)
+    edges = edge_records(graph)
+    for comp in _components(configs, [(u, v) for u, _, v, _, _ in edges]):
         if not any(c.master_state in nwa.master.accepting for c in comp):
             continue
-        inner = [e for e in edges if e.from_config in comp and e.to_config in comp]
+        inner = [e for e in edges if e[0] in comp and e[2] in comp]
 
         def release(state):
             c, alive = state
-            for e in inner:
-                if e.from_config == c:
-                    yield e.to_config, alive - sum(1 for p in e.returned if p <= alive)
+            for u, _, v, _, returned in inner:
+                if u == c:
+                    yield v, alive - sum(1 for p in returned if p <= alive)
 
         anchor = min(comp, key=lambda c: (c.master_state, c.slots))
         if not any(alive == 0 for _, alive in _closure(release, (anchor, len(anchor.slots)))):
@@ -226,9 +238,9 @@ def _descent_by_floyd_warshall(nwa, k) -> bool:
         pos = {c: n for n, c in enumerate(comp)}
         for j in range(1, k + 1):
             arcs = [
-                (pos[e.from_config], pos[e.to_config], sum(e.slot_weights[:j]))
-                for e in inner
-                if len(e.from_config.slots) >= j and all(p > j for p in e.returned)
+                (pos[u], pos[v], sum(weights[:j]))
+                for u, _, v, weights, returned in inner
+                if len(u.slots) >= j and all(p > j for p in returned)
             ]
             if has_negative_cycle_fw(len(comp), arcs):
                 return True
@@ -243,21 +255,22 @@ def test_descent_test_matches_floyd_warshall_on_random_automata():
         k = rng.randint(1, 2)
         if not has_width(nwa, k)[0]:
             continue
-        witness = check_star_condition(nwa, k)
+        graph, witness = _witness(nwa, k)
         assert (witness is not None) == _descent_by_floyd_warshall(nwa, k)
         verdicts[witness is not None] += 1
         if witness is None:
             continue
-        _, graph = explore(nwa, k)
-        comp = {graph.comp[graph.index[e.from_config]] for e in witness.cycle}
+        ring = witness.cycle
+        comp = {graph.comp[graph.src[n]] for n in ring}
         assert len(comp) == 1
         (ci,) = comp
         assert any(c.master_state in nwa.master.accepting for n, c in enumerate(graph.configs) if graph.comp[n] == ci)
-        ring = witness.cycle
-        assert all(a.to_config == b.from_config for a, b in zip(ring, ring[1:] + ring[:1]))
-        assert all(len(e.from_config.slots) >= witness.j and all(p > witness.j for p in e.returned) for e in ring)
-        assert witness.recompute_sum() == witness.j_sum < 0
-        lasso = pump_witness(nwa, witness, k, pumps=8, graph=graph)
+        # the cycle chains and closes at its anchor, the source of its first edge
+        assert all(graph.dst[a] == graph.src[b] for a, b in zip(ring, ring[1:] + ring[:1]))
+        j = witness.j
+        assert all(len(graph.configs[graph.src[n]].slots) >= j and all(p > j for p in graph.returned[n]) for n in ring)
+        assert _j_sum(graph, witness) == witness.j_sum < 0
+        lasso = pump_witness(nwa, graph, witness, pumps=8)
         assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
         assert min_partial_average(nwa, lasso, k, 8) < 0
     assert min(verdicts.values()) > 30
