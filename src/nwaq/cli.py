@@ -27,6 +27,7 @@ from .decide import Certificate, Pipeline, universality_deterministic
 from .determinize import ConfigGraph, explore
 from .mca import Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import evaluate_lasso
+from .reduce import reduce_width1
 from .starcond import StarWitness, check_star_condition
 from .textio import (
     ParseError,
@@ -284,8 +285,6 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reduce import reduce_width1
-
     nwa = _require_nwa(_load(args.file))
     out = reduce_width1(nwa, args.k)
     with open(args.output, "w", encoding="utf-8") as fh:

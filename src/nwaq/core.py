@@ -44,6 +44,11 @@ class PreconditionError(NwaError):
     """A documented operation precondition does not hold."""
 
 
+def width_error(k: int, witness: Sequence[str]) -> PreconditionError:
+    """The error for an automaton wider than k; `witness` ends with a (k+1)-th invocation."""
+    return PreconditionError(f"automaton exceeds width {k} (witness {' '.join(witness)})")
+
+
 def check64(x: int) -> int:
     """x itself; OverflowLimitError when it leaves the signed 64-bit range."""
     if x < INT64_MIN or x > INT64_MAX:

@@ -42,7 +42,6 @@ from .determinize import ConfigGraph, explore
 from .graphs import sccs, shortest_path
 from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
-from .width import has_width
 
 # the edge kinds a certificate period must pass
 TICK, ACCEPT, RELEASE = 1, 2, 4
@@ -76,9 +75,6 @@ class Pipeline:
         if problems:
             raise PreconditionError("; ".join(problems))
         _, configs = explore(nwa, k)
-        if configs.overflow:
-            _, witness = has_width(nwa, k)
-            raise PreconditionError(f"automaton exceeds width {k} (witness {' '.join(witness)})")
         self.nwa = nwa
         self.k = k
         self.configs = configs

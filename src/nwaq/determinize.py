@@ -105,14 +105,15 @@ class ConfigGraph:
     `master_accepting[n]` tells whether the master target is accepting.
     Edges are sorted by source, then letter, then the order `StepTables.step`
     emits them; the edges of configuration u are `start[u]` to
-    `start[u + 1] - 1`, and `len` counts them. `overflow` is set when some
-    reachable step needs a (k+1)-th slot; such steps are not edges. `comp`
-    gives each configuration's strongly connected component, computed on
-    first use.
+    `start[u + 1] - 1`, and `len` counts them. `overflow` is (u, a) for
+    the first step in breadth-first order that needs a (k+1)-th slot, from
+    configuration u on letter a, or None when no reachable step does; such
+    steps are not edges. `comp` gives each configuration's strongly
+    connected component, computed on first use.
     """
 
     def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], initials: list[int],
-                 overflow: bool):
+                 overflow: tuple[int, int] | None):
         self.configs, self.start, self.initials, self.overflow = configs, start, initials, overflow
         columns = tuple(zip(*rows)) or ((),) * 8
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
@@ -135,6 +136,13 @@ class ConfigGraph:
         dst = self.dst
         return shortest_path(self.initials, lambda v: ((n, dst[n]) for n in self.out(v)), u.__eq__)
 
+    def overflow_word(self, letters: tuple[str, ...]) -> tuple[str, ...]:
+        """The letters of `access` to the `overflow` step's configuration,
+        then its letter: a shortest word whose last step needs a (k+1)-th
+        slot, the first in edge order, as `has_width` finds it."""
+        u, a = self.overflow
+        return tuple(letters[self.letter[n]] for n in self.access(u)) + (letters[a],)
+
     def lasso(self, letters: tuple[str, ...], root: int, period: list[int]) -> LassoWord:
         """The letters of `access(root)`, then of the closed walk `period`
         from `root` forever."""
@@ -152,14 +160,14 @@ def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
     keys = sorted((q, ()) for q in nwa.master.initials)
     found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
     outs: list[list[tuple]] = []  # per discovery number, its edges to discovery numbers
-    overflow = False
+    overflow = None  # (discovery number, letter) of the first step past the cap
     while len(outs) < len(keys):
         q, slots = keys[len(outs)]
         out = []
         for a in range(len(nwa.alphabet)):
             for target, weights, invoked, returned, accepting in step(q, slots, a):
                 if len(target[1]) > k:
-                    overflow = True
+                    overflow = overflow or (len(outs), a)
                     continue
                 d = found.get(target)
                 if d is None:
@@ -177,4 +185,6 @@ def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
         rows += [(u, rank[t], *rest) for t, *rest in outs[d]]
         start.append(len(rows))
     configs = tuple(Configuration(*keys[d]) for d in order)
+    if overflow is not None:
+        overflow = rank[overflow[0]], overflow[1]
     return configs, ConfigGraph(configs, rows, start, sorted(rank[: len(nwa.master.initials)]), overflow)

@@ -21,11 +21,11 @@ from .core import (
     NwaError,
     NondeterministicInputError,
     PLUS_INFINITY,
-    PreconditionError,
     ValueFn,
     ValueResult,
     WeightedAutomaton,
     limavg_periodic,
+    width_error,
 )
 from .determinize import StepTables
 from .width import has_width
@@ -261,7 +261,7 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
     """
     ok, witness = has_width(nwa, k)
     if not ok:
-        raise PreconditionError(f"input exceeds width {k}, witness {witness}")
+        raise width_error(k, witness)
 
     tables = StepTables(nwa)
     capacity = k + 1

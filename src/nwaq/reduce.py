@@ -11,8 +11,9 @@ invoked a new slave and terminate exactly there. Counts of returned values
 and their period sums match the input on every lasso whose slaves all
 terminate within the period. Master acceptance and every-slave-terminates
 form a generalized Buchi condition compiled to plain Buchi with the usual
-two-phase counter. Input steps are taken by `StepTables.step`; a
-deterministic input has at most one choice per letter.
+two-phase counter. Both the master and every compound slave walk the edges
+of the one explored configuration graph (`determinize.explore`); a
+deterministic input has at most one edge per letter.
 
 The paper's next stage, the fragment summary of a width-1 automaton, is not
 on the decision path; it lives with the tests' reference code in
@@ -21,20 +22,18 @@ on the decision path; it lives with the tests' reference code in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
+    Configuration,
     LabeledAutomaton,
     Nwa,
     NondeterministicInputError,
-    PreconditionError,
     ValueFn,
     WeightedAutomaton,
     check64,
     is_deterministic,
+    width_error,
 )
-from .determinize import StepTables
-from .width import has_width
+from .determinize import ConfigGraph, explore
 
 
 def reduce_width1(nwa: Nwa, k: int) -> Nwa:
@@ -49,94 +48,70 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     ok, site = is_deterministic(nwa)
     if not ok:
         raise NondeterministicInputError(site or "input is not deterministic")
-    okw, _ = has_width(nwa, k)
-    if not okw:
-        raise PreconditionError(f"input exceeds width {k}")
-    tables = StepTables(nwa)
-    n_letters = len(nwa.alphabet)
+    configs, graph = explore(nwa, k)
+    if graph.overflow is not None:
+        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    # per configuration, whether every active slave may terminate
+    turnover = [all(s in nwa.slave(i).base.accepting for i, s in c.slots) for c in configs]
 
-    # core state: (input master state, input slots, weight of the step just
-    # taken, whether that step invoked, whether a compound instance runs,
-    # master-acceptance seen since the last instance boundary, turnover seen
-    # since the last instance boundary). The sticky flags move the Buchi sets
-    # onto boundary states, where fragment letters start and end.
-    q0 = min(nwa.master.initials)
-    core0 = (q0, (), 0, False, 0, q0 in nwa.master.accepting, True)
-    core_states = [core0]
-    core_index = {core0: 0}
-    # (source core, letter, target core, spawn site or None)
-    core_trans: list[tuple[tuple, int, tuple, Optional[tuple]]] = []
-    todo = [core0]
+    # state: (input configuration, weight of the step just taken, whether
+    # that step invoked, whether a compound instance runs, master-acceptance
+    # seen since the last instance boundary, turnover seen since the last
+    # instance boundary, phase). The sticky flags move the Buchi sets onto
+    # boundary states, where fragment letters start and end; the phase
+    # degeneralizes them, advancing when leaving a state of the awaited set.
+    def f1(state) -> bool:
+        return state[3] == 0 and state[4]
+
+    def f2(state) -> bool:
+        return state[3] == 0 and state[5]
+
+    u0 = graph.initials[0]
+    state0 = (u0, 0, False, 0, configs[u0].master_state in nwa.master.accepting, True, 1)
+    states = [state0]
+    index = {state0: 0}
+    trans = []  # (source, letter, target, spawn site or None)
+    todo = [state0]
     while todo:
-        core = todo.pop()
-        q, slots, pending, jflag, bit, f1s, f2s = core
-        for a in range(n_letters):
-            for (q2, slots2), weights, invoked, _, master_acc in tables.step(q, slots, a):
-                invoked_real = invoked is not None
-                spawn = bit == 0 and jflag
-                instance_acc = invoked_real or not slots2
-                bit2 = 1 if (spawn or bit == 1) and not instance_acc else 0
-                carry = bit == 1  # the window spans one compound instance
-                f1s2 = master_acc or (f1s and carry)
-                f2s2 = all(s in tables.accepting[i] for i, s in slots2) or (f2s and carry)
-                core2 = (q2, slots2, check64(sum(weights)), invoked_real, bit2, f1s2, f2s2)
-                if core2 not in core_index:
-                    core_index[core2] = len(core_states)
-                    core_states.append(core2)
-                    todo.append(core2)
-                core_trans.append((core, a, core2, (q, slots, pending) if spawn else None))
-
-    sites = sorted({site for _, _, _, site in core_trans if site is not None})
-    site_index = {s: n + 1 for n, s in enumerate(sites)}
-    dummy_index = len(sites) + 1
-
-    def f1(core) -> bool:
-        return core[4] == 0 and core[5]
-
-    def f2(core) -> bool:
-        return core[4] == 0 and core[6]
-
-    # degeneralize: phase advances when leaving a state of the awaited set
-    prod0 = (core0, 1)
-    prod_states = [prod0]
-    prod_index = {prod0: 0}
-    master_trans = []
-    todo2 = [prod0]
-    by_core: dict[tuple, list] = {}
-    for item in core_trans:
-        by_core.setdefault(item[0], []).append(item)
-    while todo2:
-        prod = todo2.pop()
-        core, ph = prod
+        state = todo.pop()
+        u, pending, jflag, bit, f1s, f2s, ph = state
         if ph == 1:
-            ph2 = 2 if f1(core) else 1
+            ph2 = 2 if f1(state) else 1
         else:
-            ph2 = 1 if f2(core) else 2
-        for _, a, core2, site in by_core.get(core, ()):
-            prod2 = (core2, ph2)
-            if prod2 not in prod_index:
-                prod_index[prod2] = len(prod_states)
-                prod_states.append(prod2)
-                todo2.append(prod2)
-            label = site_index[site] if site is not None else dummy_index
-            master_trans.append((prod_index[prod], a, prod_index[prod2], label))
+            ph2 = 1 if f2(state) else 2
+        spawn = bit == 0 and jflag
+        spawn_site = (u, pending) if spawn else None
+        carry = bit == 1  # the window spans one compound instance
+        for n in graph.out(u):
+            v, invoked_real = graph.dst[n], graph.invoked[n] is not None
+            instance_acc = invoked_real or not configs[v].slots
+            bit2 = 1 if (spawn or carry) and not instance_acc else 0
+            state2 = (v, check64(graph.cost[n]), invoked_real, bit2, graph.master_accepting[n] or (f1s and carry),
+                      turnover[v] or (f2s and carry), ph2)
+            if state2 not in index:
+                index[state2] = len(states)
+                states.append(state2)
+                todo.append(state2)
+            trans.append((index[state], graph.letter[n], index[state2], spawn_site))
 
-    def core_name(core):
-        q, slots, pending, jflag, bit, f1s, f2s = core
-        inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slots)
+    sites = sorted({site for *_, site in trans if site is not None})
+    site_index = {s: n + 1 for n, s in enumerate(sites)}  # the dummy slave comes last
+
+    def name(state):
+        u, pending, jflag, bit, f1s, f2s, ph = state
         flags = ("!" if jflag else "") + ("F" if f1s else "") + ("T" if f2s else "")
-        return f"{nwa.master.state_names[q]}[{inner}]w{pending}{flags}{bit}"
+        return f"{_config_name(nwa, configs[u])}w{pending}{flags}{bit}p{ph}"
 
     master = LabeledAutomaton(
         alphabet=nwa.alphabet,
-        n_states=len(prod_states),
-        state_names=tuple(f"{core_name(c)}p{ph}" for c, ph in prod_states),
+        n_states=len(states),
+        state_names=tuple(name(s) for s in states),
         initials=frozenset({0}),
-        transitions=tuple(sorted(master_trans)),
-        accepting=frozenset(i for i, (c, ph) in enumerate(prod_states) if ph == 1 and f1(c)),
+        transitions=tuple(sorted((s, a, t, site_index.get(site, len(sites) + 1)) for s, a, t, site in trans)),
+        accepting=frozenset(i for i, s in enumerate(states) if s[6] == 1 and f1(s)),
     )
 
-    slaves = tuple(_compound_slave(nwa, tables, site) for site in sites)
+    slaves = tuple(_compound_slave(nwa, graph, site) for site in sites)
     dummy = WeightedAutomaton(
         LabeledAutomaton(nwa.alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0})),
         ValueFn.SUM,
@@ -144,59 +119,56 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     return Nwa(master, slaves + (dummy,), name=(nwa.name + "_w1") if nwa.name else "w1")
 
 
-def _compound_slave(nwa: Nwa, tables: StepTables, site: tuple) -> WeightedAutomaton:
-    """The compound instance spawned one step after an invocation site.
+def _config_name(nwa: Nwa, c: Configuration) -> str:
+    inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in c.slots)
+    return f"{nwa.master.state_names[c.master_state]}[{inner}]"
 
-    States past the entry are (master state, tracked slots, carried weight,
-    cut flag): the carried weight is the tracked slaves' total for the step
-    just covered and is paid on the next transition. A state is accepting
-    when the covered step invoked a new slave (cut) or left no tracked slave.
+
+def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> WeightedAutomaton:
+    """The compound instance spawned one step after an invocation site, a
+    configuration id and the weight pending there.
+
+    States past the entry are (configuration, carried weight, cut flag): the
+    carried weight is the tracked slaves' total for the step just covered
+    and is paid on the next transition. A state is accepting when the
+    covered step invoked a new slave (cut) or left no tracked slave.
     Accepting states have no outgoing transitions.
     """
-    n_letters = len(nwa.alphabet)
-    q_site, slots_site, pending_site = site
     entry = ("entry",)
     states = [entry]
     index = {entry: 0}
     trans = []
 
-    def accepting_state(core) -> bool:
-        _, slots, _, cut = core
-        return cut or not slots
+    def accepting_state(state) -> bool:
+        v, _, cut = state
+        return cut or not graph.configs[v].slots
 
-    todo = []
-
-    def expand(source: int, q: int, slots: tuple, pending: int) -> None:
-        for a in range(n_letters):
-            for (q2, slots2), weights, invoked, _, _ in tables.step(q, slots, a):
-                core2 = (q2, slots2, check64(sum(weights)), invoked is not None)
-                if core2 not in index:
-                    index[core2] = len(states)
-                    states.append(core2)
-                    if not accepting_state(core2):
-                        todo.append(core2)
-                trans.append((source, a, index[core2], pending))
-
-    expand(0, q_site, slots_site, pending_site)
+    todo = [(0, *site)]  # (state id, configuration, carried weight) to expand
     while todo:
-        core = todo.pop()
-        expand(index[core], *core[:3])
+        source, u, pending = todo.pop()
+        for n in graph.out(u):
+            state2 = (graph.dst[n], check64(graph.cost[n]), graph.invoked[n] is not None)
+            if state2 not in index:
+                index[state2] = len(states)
+                states.append(state2)
+                if not accepting_state(state2):
+                    todo.append((index[state2], *state2[:2]))
+            trans.append((source, graph.letter[n], index[state2], pending))
 
-    def name(core):
-        if core == entry:
+    def name(state):
+        if state == entry:
             return "entry"
-        q, slots, pending, cut = core
-        inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slots)
-        return f"{nwa.master.state_names[q]}[{inner}]w{pending}{'!' if cut else ''}"
+        v, pending, cut = state
+        return f"{_config_name(nwa, graph.configs[v])}w{pending}{'!' if cut else ''}"
 
     return WeightedAutomaton(
         LabeledAutomaton(
             alphabet=nwa.alphabet,
             n_states=len(states),
-            state_names=tuple(name(c) for c in states),
+            state_names=tuple(name(s) for s in states),
             initials=frozenset({0}),
             transitions=tuple(sorted(trans)),
-            accepting=frozenset(i for i, c in enumerate(states) if c != entry and accepting_state(c)),
+            accepting=frozenset(i for i, s in enumerate(states) if s != entry and accepting_state(s)),
         ),
         ValueFn.SUM,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import LassoWord, Nwa, PreconditionError
+from .core import LassoWord, Nwa, width_error
 from .determinize import ConfigGraph
 from .graphs import shortest_path
 
@@ -39,22 +39,24 @@ class StarWitness:
     never terminates a slot at position <= j, so slot identity is stable
     along it; j_sum is the (negative) total of those slots' weights over one
     turn. The anchor lies in a component containing a configuration whose
-    master state is accepting, and a path inside it leads from the anchor
-    back to it releasing every slot alive at the anchor.
+    master state is accepting, and `closing` lists the edge indexes of a
+    shortest path inside it from the anchor back to it that passes such a
+    configuration and releases every slot alive at the anchor.
     """
 
     j: int
     cycle: tuple[int, ...]
     j_sum: int
+    closing: tuple[int, ...]
 
 
 def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
     or None when every such cycle test is empty or no slave weight is negative.
-    `graph` is the configuration graph of `nwa` at width k.
-    """
-    if graph.overflow:
-        raise PreconditionError(f"input exceeds width {k}")
+    `graph` is the configuration graph of `nwa` at width k; input wider than k
+    raises `width_error`."""
+    if graph.overflow is not None:
+        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
     if nwa.min_effective_weight() >= 0:
         return None
 
@@ -83,10 +85,12 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            if _closing_path(nwa, g, g.src[ns[cycle[0]]]) is None:
+            closing = _closing_path(nwa, g, g.src[ns[cycle[0]]])
+            if closing is None:
                 live.remove(ci)
                 continue
-            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle))
+            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
+                               closing=tuple(closing))
     return None
 
 
@@ -134,17 +138,13 @@ def pump_witness(nwa: Nwa, graph: ConfigGraph, witness: StarWitness, pumps: int)
     """Lasso (path to the cycle, cycle^pumps . closing path), for a witness
     found in `graph`.
 
-    The closing path runs inside the witness component from the cycle
-    anchor back to it. On the way it passes a configuration with an
-    accepting master state and releases every slot that was alive when it
-    started, the pumped slots among them, so each period terminates every
-    slave that entered it.
+    The witness's closing path passes a configuration with an accepting
+    master state and releases every slot that was alive when it started,
+    the pumped slots among them, so each period terminates every slave that
+    entered it.
     """
     anchor = graph.src[witness.cycle[0]]
-    closing = _closing_path(nwa, graph, anchor)
-    if closing is None:
-        raise PreconditionError("no closing path through acceptance releases the pumped slots")
-    return graph.lasso(nwa.alphabet.letters, anchor, list(witness.cycle) * pumps + closing)
+    return graph.lasso(nwa.alphabet.letters, anchor, list(witness.cycle * pumps + witness.closing))
 
 
 def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[int]]:

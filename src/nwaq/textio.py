@@ -50,42 +50,38 @@ def _alphabet(n: int, col: int, toks: list[str]) -> Alphabet:
 
 
 class _Section:
-    """The states, initial, accepting and trans lines of one automaton."""
+    """The states, initial, accepting and trans lines of one automaton, as
+    (line number, tokens) under their keyword."""
 
     def __init__(self):
-        self.states: list[str] = []
-        self.initial: list[str] = []
-        self.accepting: list[str] = []
-        self.trans: list[tuple[int, list[str]]] = []
+        self.lines: dict[str, list[tuple[int, list[str]]]] = {"states": [], "initial": [], "accepting": [], "trans": []}
 
     def read(self, n: int, toks: list[str]) -> None:
-        if toks[0] == "trans":
-            self.trans.append((n, toks))
-        else:
-            getattr(self, toks[0]).extend(toks[1:])
+        self.lines[toks[0]].append((n, toks))
 
     def fields(self, transition, key=None) -> dict:
         """The automaton's states, numbered in order, its initial and
         accepting ids, and `transition(n, toks, state)` of each trans line,
         sorted by `key`; `state(n, name)` gives a state's id."""
         idx: dict[str, int] = {}
-        for s in self.states:
-            if s in idx:
-                raise ParseError(0, 0, f"duplicate state {s}")
-            idx[s] = len(idx)
+        for n, toks in self.lines["states"]:
+            for s in toks[1:]:
+                if s in idx:
+                    raise ParseError(n, 0, f"duplicate state {s}")
+                idx[s] = len(idx)
 
         def state(n, name):
             if name not in idx:
                 raise ParseError(n, 0, f"unknown state {name}")
             return idx[name]
 
-        transitions = [transition(n, toks, state) for n, toks in self.trans]
+        transitions = [transition(n, toks, state) for n, toks in self.lines["trans"]]
         return {
-            "n_states": len(self.states),
-            "state_names": tuple(self.states),
-            "initials": frozenset(state(0, s) for s in self.initial),
+            "n_states": len(idx),
+            "state_names": tuple(idx),
+            "initials": frozenset(state(n, s) for n, toks in self.lines["initial"] for s in toks[1:]),
             "transitions": tuple(sorted(transitions, key=key)),
-            "accepting": frozenset(state(0, s) for s in self.accepting),
+            "accepting": frozenset(state(n, s) for n, toks in self.lines["accepting"] for s in toks[1:]),
         }
 
 

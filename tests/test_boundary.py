@@ -2,9 +2,10 @@
 
 The oracle is the tests' reference for the decision pipeline, so it must not
 share a kernel with it: it imports only `core` and the standard library. The
-width-1 reduction steps through the pipeline's `StepTables`, not the oracle.
-The shared graph routines (`graphs`) import nothing from the package, and
-the mean-payoff solver only `core`. No module imports another's private
+width-1 reduction reads the pipeline's explored configuration graph, so it
+imports neither the oracle nor the separate width check (`width`). The
+shared graph routines (`graphs`) import nothing from the package, and the
+mean-payoff solver only `core`. No module imports another's private
 (underscore) names or stores data in an object's `__dict__`.
 """
 
@@ -96,6 +97,11 @@ def test_no_module_imports_a_private_name():
 def test_reduce_does_not_import_the_oracle():
     imported = _imports(_tree("reduce.py"))
     assert not {m for m in imported if m.rsplit(".", 1)[-1] == "oracle"}, imported
+
+
+def test_reduce_does_not_import_the_width_check():
+    imported = _imports(_tree("reduce.py"))
+    assert not {m for m in imported if m.rsplit(".", 1)[-1] == "width"}, imported
 
 
 def test_no_module_writes_to_dict():

@@ -68,14 +68,24 @@ NWA_TEXT = (DATA / "art1.nwa").read_text()
         (".mca", MCA_TEXT.replace("alphabet hash a", "alphabet hash a a"), "alphabet letters must be distinct"),
         (".mca", MCA_TEXT.replace("alphabet hash a", "alphabet"), "alphabet needs letters"),
         (".mca", MCA_TEXT.replace("states q0 q1", "states q0 q0 q1"), "duplicate state q0"),
+        (".nwa", NWA_TEXT.replace("states u_init u_wait u_idle", "states u_init u_wait u_idle u_wait"),
+         "duplicate state u_wait"),
+        (".nwa", NWA_TEXT.replace("initial u_init", "initial u_nowhere"), "unknown state u_nowhere"),
+        (".nwa", NWA_TEXT.replace("accepting u_idle", "accepting u_idle u_nowhere"), "unknown state u_nowhere"),
+        (".mca", MCA_TEXT.replace("initial q0", "initial q9"), "unknown state q9"),
+        (".mca", MCA_TEXT.replace("accepting q0", "accepting q9"), "unknown state q9"),
     ],
 )
 def test_malformed_sections_are_parse_errors(capsys, tmp_path, suffix, text, message):
-    # a repeated letter, an empty alphabet or a repeated state name is a
-    # parse error in both formats, and `check` exits 2 on it
+    # a repeated letter, an empty alphabet, a repeated state name or an
+    # unknown one is a parse error in both formats, reported at the one
+    # edited line, and `check` exits 2 on it
     parse = parse_nwa if suffix == ".nwa" else parse_mca
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError, match=message) as err:
         parse(text)
+    original = (NWA_TEXT if suffix == ".nwa" else MCA_TEXT).splitlines()
+    edited = [n for n, (a, b) in enumerate(zip(text.splitlines(), original), start=1) if a != b]
+    assert [err.value.line] == edited
     bad = tmp_path / f"bad{suffix}"
     bad.write_text(text)
     assert main(["check", str(bad)]) == 2
@@ -182,6 +192,26 @@ def test_cli_reduce(capsys, tmp_path):
     assert code == 0
     code, out = run_cli(capsys, "eval", str(out_path), "--word", "| one two a hash", "--cap", "1")
     assert out["value"] == {"tag": "finite", "p": 0, "q": 1}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["empty", "--le", "0"],
+        ["infimum"],
+        ["universal", "--le", "0"],
+        ["star"],
+        ["reduce", "-o"],
+        ["translate", "--to", "mca", "-o"],
+    ],
+)
+def test_width_overflow_message_is_the_same_for_every_command(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    extra = [str(out)] if command[-1] == "-o" else []
+    code = main([command[0], str(DATA / "art.nwa"), "--k", "1", *command[1:], *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists()
+    assert (captured.out, captured.err) == ("", "error: automaton exceeds width 1 (witness r r)\n")
 
 
 def test_cli_usage_errors(capsys):

@@ -1,18 +1,21 @@
 """The CLI's answers on the corpus, compared byte for byte with a recording.
 
 For each corpus `.nwa` at k = 1, 2 and 3 the module runs `infimum`, `empty`
-at four thresholds with `--certificate`, `universal --le 2`, `star` and
-`width --k`, then `eval` of every certificate word those commands printed
-(each lasso witness and each pumped word). The exit code, stdout and stderr
-of every command, and the contents of every certificate file (None when none
-was written), must equal the ones in `tests/data/cli_snapshot.json`, so a
-refactor of the engine that changes an answer or a certificate byte fails
-here.
+at four thresholds with `--certificate`, `universal --le 2`, `star`,
+`width --k`, `reduce -o` and `translate --to mca -o`, then `eval` of every
+certificate word those commands printed (each lasso witness and each pumped
+word). The exit code, stdout and stderr of every command must equal the
+ones in `tests/data/cli_snapshot.json`, and so must the contents of every
+certificate file and the sha256 and line count of every `-o` output (None
+when no file was written), so a refactor of the engine that changes an
+answer, a certificate byte or an output byte fails here. The temporary
+directory in stdout is replaced by a fixed placeholder.
 
 Running the module as a script rewrites the recording from the current
 code: `PYTHONPATH=src python tests/test_cli_snapshot.py`.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -33,23 +36,30 @@ QUERIES = (
     ("universal", "--le", "2"),
     ("star",),
     ("width",),
+    ("reduce", "-o"),
+    ("translate", "--to", "mca", "-o"),
 )
+TMP = "<tmp>"
 
 
 def _run(args: list[str]) -> list:
     """[args, exit code, stdout, stderr] of one command on a corpus file
-    named by its file name in args[1]. When args ends in `--certificate`,
-    the command writes its certificate to a temporary file, and the file's
-    contents (None when it wrote none) follow stderr."""
+    named by its file name in args[1]. When args ends in `--certificate` or
+    `-o`, the command writes to a temporary file, and the file's contents,
+    or for `-o` its [sha256, line count], follow stderr (None when it wrote
+    none)."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        cert = Path(tmp) / "cert.json"
-        extra = [str(cert)] if args[-1] == "--certificate" else []
+        written = Path(tmp) / "out"
+        extra = [str(written)] if args[-1] in ("--certificate", "-o") else []
         with redirect_stdout(out), redirect_stderr(err):
             code = main([args[0], str(DATA / args[1]), *args[2:], *extra])
-        rec = [args, code, out.getvalue(), err.getvalue()]
+        rec = [args, code, out.getvalue().replace(tmp, TMP), err.getvalue()]
         if extra:
-            rec.append(cert.read_text(encoding="utf-8") if cert.exists() else None)
+            text = written.read_text(encoding="utf-8") if written.exists() else None
+            if text is not None and args[-1] == "-o":
+                text = [hashlib.sha256(text.encode()).hexdigest(), text.count("\n")]
+            rec.append(text)
     return rec
 
 

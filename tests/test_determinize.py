@@ -270,6 +270,8 @@ def test_explore_matches_reference_successors(all_corpus):
         assert list(zip(*columns)) == edges, nwa.name
         assert list(got.cost) == [sum(e[3]) for e in edges]
         assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]
-        assert got.overflow == overflow, nwa.name
+        assert (got.overflow is not None) == overflow, nwa.name
+        if overflow:
+            assert got.overflow_word(nwa.alphabet.letters) == has_width(nwa, k)[1], nwa.name
         overflows += overflow
     assert overflows >= 4
