@@ -88,7 +88,7 @@ def _witness_json(cert: Certificate, pipe: Pipeline):
     if cert.kind == "lasso" and cert.lasso is not None:
         return render_word(cert.lasso)
     if cert.kind == "star" and cert.star is not None:
-        data = {"kind": "star", **_star_json(cert.star, pipe.nwa, pipe.configs)}
+        data = {"kind": "star", **_star_json(cert.star, pipe.nwa, pipe.graph)}
         if cert.pumped is not None:
             data["pumped"] = render_word(cert.pumped)
         return data

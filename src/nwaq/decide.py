@@ -19,6 +19,7 @@ for minus infinity, the witness cycle and a pumped word.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -74,19 +75,19 @@ class Pipeline:
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
-        _, configs = explore(nwa, k)
+        _, graph = explore(nwa, k)
         self.nwa = nwa
         self.k = k
-        self.configs = configs
-        self.star: Optional[StarWitness] = check_star_condition(nwa, k, configs)
-        self.graph: Optional[RatioGraph] = None
+        self.graph = graph
+        self.star: Optional[StarWitness] = check_star_condition(nwa, k, graph)
+        self.ratio: Optional[RatioGraph] = None
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
-            self._kinds = _kinds(configs)
-            self.graph = _ratio_graph(configs, self._kinds)
-            self.value, self._witness = infimum_ratio(self.graph)
+            self._kinds = _kinds(graph)
+            self.ratio = _ratio_graph(graph, self._kinds)
+            self.value, self._witness = infimum_ratio(self.ratio)
             if self._witness is not None:
-                assert check_ratio_bound(self.graph, self._witness.ratio, self._witness.potentials)
+                assert check_ratio_bound(self.ratio, self._witness.ratio, self._witness.potentials)
 
     def infimum(self) -> tuple[ValueResult, Certificate]:
         if self.star is not None:
@@ -104,23 +105,23 @@ class Pipeline:
         return True, self._lasso(t)
 
     def _star(self, pumps: int) -> Certificate:
-        pumped = pump_witness(self.nwa, self.configs, self.star, pumps)
+        pumped = pump_witness(self.nwa, self.graph, self.star, pumps)
         return Certificate(kind="star", value=NEG_INFINITY, star=self.star, pumped=pumped)
 
     def _lasso(self, t: Optional[Threshold]) -> Certificate:
         """A lasso of least value or, when no lasso attains the infimum, one
         within the threshold t (8 cycle turns from it when t is None)."""
-        w, g = self._witness, self.graph
+        w, g = self._witness, self.ratio
         found = self._tight_period()
         if found is not None:
-            lasso = self.configs.lasso(self.nwa.alphabet.letters, *found)
+            lasso = self.graph.lasso(self.nwa.alphabet.letters, *found)
             return Certificate(kind="lasso", value=self.value, lasso=lasso)
         flags = ("not-attained",)
         if t is not None and t.value == w.ratio:
             return Certificate(kind="infimum", value=self.value, flags=flags)
         # turn the least-ratio cycle n times, then detour through acceptance
         # and a release: (n*a + c) / (n*b + d) falls towards a/b as n grows
-        comp = self.configs.comp
+        comp = self.graph.comp
         root = g.src[w.cycle[0]]
         detour = self._closed_walk(root, lambda n: comp[g.dst[n]] == comp[root], ACCEPT | RELEASE)
         a, b = sum(g.cost[n] for n in w.cycle), sum(g.ticks[n] for n in w.cycle)
@@ -130,7 +131,7 @@ class Pipeline:
             x = (c - t.value * d) / (t.value * b - a)
             n = max(1, math.floor(x) + 1 if t.strict else math.ceil(x))
         value = ValueResult.finite(Fraction(n * a + c, n * b + d))
-        lasso = self.configs.lasso(self.nwa.alphabet.letters, root, list(w.cycle) * n + detour)
+        lasso = self.graph.lasso(self.nwa.alphabet.letters, root, list(w.cycle) * n + detour)
         return Certificate(kind="lasso", value=value, lasso=lasso, flags=flags)
 
     def _tight_period(self) -> Optional[tuple[int, list[int]]]:
@@ -145,16 +146,14 @@ class Pipeline:
         starts at the piece's least node and is a shortest one through all
         three kinds.
         """
-        g, w = self.graph, self._witness
+        g, w = self.ratio, self._witness
         p, q = w.ratio.numerator, w.ratio.denominator
         pot = {u: x for pi in w.potentials for u, x in pi.items()}
-        tight = [
-            (n, g.src[n], g.dst[n])
-            for ns in g.components
-            for n in ns
-            if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0
-        ]
-        pieces = _qualifying(sccs(len(self.configs.configs), [(u, v) for _, u, v in tight]), tight, self._kinds)
+        tight = sorted(n for ns in g.components for n in ns
+                       if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0)
+        srcs = [g.src[n] for n in tight]  # sorted, as edge order is source order
+        part = sccs([bisect_left(srcs, u) for u in range(len(self.graph.configs) + 1)], [g.dst[n] for n in tight])
+        pieces = _qualifying(part, ((n, g.src[n], g.dst[n]) for n in tight), self._kinds)
         if not pieces:
             return None
         # a piece lies in one component, whose edges come sorted by source, and
@@ -166,7 +165,7 @@ class Pipeline:
     def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
         """Edge indexes of a shortest closed walk from configuration `root`
         over allowed edges that passes every edge kind in `need`."""
-        cg, kinds = self.configs, self._kinds
+        cg, kinds = self.graph, self._kinds
 
         def moves(state):
             u, got = state

@@ -11,8 +11,8 @@ directly.
 
 from __future__ import annotations
 
+import gc
 from functools import cached_property
-from itertools import product
 
 from .core import Configuration, LassoWord, Nwa
 from .graphs import sccs, shortest_path
@@ -21,44 +21,54 @@ from .graphs import sccs, shortest_path
 class StepTables:
     """An automaton compiled into integer step tables.
 
-    `accepting[i]` is slave i's accepting set and `moves[i][s][a]` its moves
-    from state s on letter a, as ((i, target), effective weight).
-    `master[q][a]` lists the master moves on letter a as (target, accepting,
-    starts); starts are the choices for the invoked slot, a move of the
-    invoked slave from one of its initial states or None for a silent move
-    (a dummy label, or a slave accepting the empty word). A master move whose
-    invoked slave dies at once is left out.
+    Slave states get global ids in (slave, state) order, so tuples of ids
+    sort as the (slave, state) pairs they stand for; `slot_of[g]` is the pair
+    of id g. `moves[a][g]` lists the moves of id g on letter a as (target id,
+    effective weight), or is None when g is accepting and its slot
+    terminates. `master[q]` pairs each letter a on which q moves with those
+    master moves, as (target, accepting, starts); starts are the choices for
+    the invoked slot, a move (target id, weight, slave) of the invoked slave
+    from an initial state, or None for a silent move (a dummy label, or a
+    slave accepting the empty word). Moves whose invoked slave dies at once
+    are left out.
     """
 
     def __init__(self, nwa: Nwa):
         letters = range(len(nwa.alphabet))
-        self.accepting = (frozenset(),) + tuple(sl.base.accepting for sl in nwa.slaves)
-        self.moves = ((),) + tuple(
+        slaves = tuple(enumerate(nwa.slaves, start=1))
+        self.slot_of = tuple((i, s) for i, sl in slaves for s in range(sl.base.n_states))
+        ids = {slot: g for g, slot in enumerate(self.slot_of)}
+        self.moves = tuple(
             tuple(
-                tuple(tuple(((i, s2), sl.effective_weight(w)) for s2, w in sl.base.succ(s, a)) for a in letters)
+                None if s in sl.base.accepting
+                else tuple((ids[i, s2], sl.effective_weight(w)) for s2, w in sl.base.succ(s, a))
+                for i, sl in slaves
                 for s in range(sl.base.n_states)
             )
-            for i, sl in enumerate(nwa.slaves, start=1)
+            for a in letters
         )
         self.master = tuple(
-            tuple(tuple(self._master_moves(nwa, q, a)) for a in letters) for q in range(nwa.master.n_states)
+            tuple((a, ms) for a in letters if (ms := tuple(self._master_moves(nwa, ids, q, a))))
+            for q in range(nwa.master.n_states)
         )
 
-    def _master_moves(self, nwa: Nwa, q: int, a: int):
+    def _master_moves(self, nwa: Nwa, ids: dict, q: int, a: int):
         for q2, label in nwa.master.succ(q, a):
             starts: tuple = (None,)
             if not nwa.is_dummy(label):
                 aut = nwa.slave(label).base
-                starts = tuple(m for s0 in sorted(aut.initials - aut.accepting) for m in self.moves[label][s0][a])
+                firsts = [self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)]
+                starts = tuple((g, w, label) for moves in firsts for g, w in moves)
                 starts += (None,) * bool(aut.initials & aut.accepting)
                 if not starts:
                     continue
             yield q2, q2 in nwa.master.accepting, starts
 
-    def step(self, q: int, slots: tuple[tuple[int, int], ...], a: int) -> list[tuple]:
-        """Every joint choice from configuration (q, slots) on letter a, as
-        ((master target, target slots), slot weights, invoked slave or None,
-        released positions, master target accepting).
+    def step(self, q: int, slots: tuple[int, ...]) -> list[tuple]:
+        """Every joint choice from configuration (q, slots), slots given as
+        ids, as (letter, (master target, target slots), slot weights, their
+        sum, invoked slave or None, released positions, master target
+        accepting), by letter.
 
         Accepting-state slots terminate first (forced), then a master move is
         chosen, each surviving slot picks a move independently, and a
@@ -66,26 +76,34 @@ class StepTables:
         letter. Choices come in master move order, then the surviving slots'
         moves in lexicographic order, then the invoked slot's.
         """
-        masters = self.master[q][a]
-        if not masters:
-            return []
-        acc, moves = self.accepting, self.moves
-        returned: tuple[int, ...] = ()
-        per_slot = []
-        for pos, (i, s) in enumerate(slots, start=1):
-            if s in acc[i]:
-                returned += (pos,)
-            else:
-                per_slot.append(moves[i][s][a])
-        combos = [tuple(zip(*c)) or ((), ()) for c in product(*per_slot)]  # (kept slots, their weights)
         out = []
-        for q2, accepting, starts in masters:
-            for kept, weights in combos:
-                for new in starts:
-                    if new is None:
-                        out.append(((q2, kept), weights, None, returned, accepting))
-                    else:
-                        out.append(((q2, kept + (new[0],)), weights + (new[1],), new[0][0], returned, accepting))
+        for a, masters in self.master[q]:
+            table = self.moves[a]
+            returned: tuple[int, ...] = ()
+            # kept slots, their weights and their sum: the one choice while
+            # each slot has one move, then `combos` lists every choice
+            kept, weights, cost, combos = (), (), 0, None
+            for pos, g in enumerate(slots, start=1):
+                moves = table[g]
+                if moves is None:
+                    returned += (pos,)
+                elif not moves:
+                    break  # the slot dies, and every choice with it
+                elif combos is None and len(moves) == 1:
+                    (t, w), = moves
+                    kept, weights, cost = kept + (t,), weights + (w,), cost + w
+                else:
+                    combos = [(ks + (t,), ws + (w,), c + w) for ks, ws, c in combos or [(kept, weights, cost)]
+                              for t, w in moves]
+            else:
+                for q2, accepting, starts in masters:
+                    for ks, ws, c in combos or [(kept, weights, cost)]:
+                        for new in starts:
+                            if new is None:
+                                out.append((a, (q2, ks), ws, c, None, returned, accepting))
+                            else:
+                                t, w, i = new
+                                out.append((a, (q2, ks + (t,)), ws + (w,), c + w, i, returned, accepting))
         return out
 
 
@@ -107,15 +125,15 @@ class ConfigGraph:
     emits them; the edges of configuration u are `start[u]` to
     `start[u + 1] - 1`, and `len` counts them. `overflow` is (u, a) for
     the first step in breadth-first order that needs a (k+1)-th slot, from
-    configuration u on letter a, or None when no reachable step does; such
-    steps are not edges. `comp` gives each configuration's strongly
-    connected component, computed on first use.
+    configuration u on letter a, or None when no reachable step does; then
+    only the configurations before u in that order have all their edges.
+    `comp` gives each configuration's strongly connected component, computed
+    on first use.
     """
 
-    def __init__(self, configs: tuple[Configuration, ...], rows: list[tuple], start: list[int], initials: list[int],
-                 overflow: tuple[int, int] | None):
+    def __init__(self, configs: tuple[Configuration, ...], start: list[int], initials: list[int],
+                 overflow: tuple[int, int] | None, *columns: list):
         self.configs, self.start, self.initials, self.overflow = configs, start, initials, overflow
-        columns = tuple(zip(*rows)) or ((),) * 8
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
 
@@ -128,7 +146,7 @@ class ConfigGraph:
 
     @cached_property
     def comp(self) -> list[int]:
-        return sccs(len(self.configs), zip(self.src, self.dst))
+        return sccs(self.start, self.dst)
 
     def access(self, u: int) -> list[int]:
         """Edge indexes of a shortest path from an initial configuration to
@@ -153,38 +171,54 @@ def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
     """Reachable configurations under width cap k in canonical (master state,
     slots) order, and the edges between them.
 
-    One breadth-first worklist over (master state, slots) keys expands each
-    configuration on each letter once; steps past the cap are not expanded.
+    One breadth-first worklist over (master state, slot ids) keys expands
+    each configuration with one `StepTables.step` call, with the garbage
+    collector paused. It stops at the first step past the cap, which every
+    caller rejects: the graph is then the part explored so far.
     """
-    step = StepTables(nwa).step
+    tables = StepTables(nwa)
     keys = sorted((q, ()) for q in nwa.master.initials)
     found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
-    outs: list[list[tuple]] = []  # per discovery number, its edges to discovery numbers
+    # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
+    dst, letter, slot_weights, cost, invoked, returned, accepting = steps = tuple([] for _ in range(7))
+    ends = [0]  # per discovery number, the end of its steps
     overflow = None  # (discovery number, letter) of the first step past the cap
-    while len(outs) < len(keys):
-        q, slots = keys[len(outs)]
-        out = []
-        for a in range(len(nwa.alphabet)):
-            for target, weights, invoked, returned, accepting in step(q, slots, a):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while overflow is None and len(ends) <= len(keys):
+            for a, target, weights, total, slave, released, acc in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    overflow = overflow or (len(outs), a)
-                    continue
+                    overflow = len(ends) - 1, a
+                    break
                 d = found.get(target)
                 if d is None:
                     d = found[target] = len(keys)
                     keys.append(target)
-                out.append((d, a, weights, sum(weights), invoked, returned, accepting))
-        outs.append(out)
+                dst.append(d)
+                letter.append(a)
+                slot_weights.append(weights)
+                cost.append(total)
+                invoked.append(slave)
+                returned.append(released)
+                accepting.append(acc)
+            ends.append(len(dst))
+    finally:
+        if collecting:
+            gc.enable()
+    ends += ends[-1:] * (len(keys) + 1 - len(ends))  # configurations left unexpanded have no steps
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
+    start, perm, src = [0], [], []  # perm: the step numbers in edge order
     for u, d in enumerate(order):
         rank[d] = u
-    rows: list[tuple] = []
-    start = [0]
-    for u, d in enumerate(order):
-        rows += [(u, rank[t], *rest) for t, *rest in outs[d]]
-        start.append(len(rows))
-    configs = tuple(Configuration(*keys[d]) for d in order)
+        perm += range(ends[d], ends[d + 1])
+        src += [u] * (ends[d + 1] - ends[d])
+        start.append(len(perm))
+    slot_of = tables.slot_of
+    configs = tuple(Configuration(keys[d][0], tuple(slot_of[g] for g in keys[d][1])) for d in order)
+    columns = [src, [rank[dst[n]] for n in perm]] + [[column[n] for n in perm] for column in steps[1:]]
     if overflow is not None:
         overflow = rank[overflow[0]], overflow[1]
-    return configs, ConfigGraph(configs, rows, start, sorted(rank[: len(nwa.master.initials)]), overflow)
+    initials = sorted(rank[: len(nwa.master.initials)])
+    return configs, ConfigGraph(configs, start, initials, overflow, *columns)

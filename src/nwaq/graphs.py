@@ -5,7 +5,7 @@ from the package."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 
 def reachable(sources, edge_list) -> set[int]:
@@ -23,47 +23,44 @@ def reachable(sources, edge_list) -> set[int]:
     return seen
 
 
-def sccs(n: int, edge_list) -> list[int]:
-    """Component id per node, Kosaraju, deterministic."""
-    fwd: dict[int, list[int]] = {}
-    rev: dict[int, list[int]] = {}
-    for u, v in edge_list:
-        fwd.setdefault(u, []).append(v)
-        rev.setdefault(v, []).append(u)
-    finish = []
-    seen = [False] * n
+def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
+    """Component id per node, node u having the successors
+    `dst[start[u]:start[u + 1]]`: one iterative Tarjan search, with roots in
+    node order and successors in ascending order. Components are numbered
+    down from the last one it closes, as Kosaraju numbers them.
+    """
+    n = len(start) - 1
+    index, low, comp = [0] * n, [0] * n, [-1] * n  # index: discovery number from 1, 0 while unvisited
+    stack, closed, found = [], 0, 0
     for root in range(n):
-        if seen[root]:
+        if index[root]:
             continue
-        stack = [(root, iter(sorted(set(fwd.get(root, [])))))]
-        seen[root] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(sorted(set(fwd.get(nxt, []))))))
-                    advanced = True
+        found += 1
+        index[root] = low[root] = found
+        stack.append(root)
+        work = [(root, iter(sorted(set(dst[start[root] : start[root + 1]]))))]
+        while work:
+            u, succ = work[-1]
+            for v in succ:
+                if not index[v]:
+                    found += 1
+                    index[v] = low[v] = found
+                    stack.append(v)
+                    work.append((v, iter(sorted(set(dst[start[v] : start[v + 1]])))))
                     break
-            if not advanced:
-                finish.append(node)
-                stack.pop()
-    comp = [-1] * n
-    n_comp = 0
-    for root in reversed(finish):
-        if comp[root] != -1:
-            continue
-        stack = [root]
-        comp[root] = n_comp
-        while stack:
-            node = stack.pop()
-            for nxt in rev.get(node, ()):
-                if comp[nxt] == -1:
-                    comp[nxt] = n_comp
-                    stack.append(nxt)
-        n_comp += 1
-    return comp
+                if comp[v] < 0 and index[v] < low[u]:
+                    low[u] = index[v]
+            else:
+                work.pop()
+                if low[u] == index[u]:
+                    v = -1
+                    while v != u:
+                        v = stack.pop()
+                        comp[v] = closed
+                    closed += 1
+                elif low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
+    return [closed - 1 - c for c in comp]
 
 
 def shortest_path(starts, moves, goal) -> Optional[list[int]]:

@@ -265,28 +265,28 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
 
     tables = StepTables(nwa)
     capacity = k + 1
-    # slot: None | (slave_index, slave_state, pending_weight)
-    def successors(q: int, slots: tuple, a: int) -> Iterator[tuple[int, tuple, tuple[Instr, ...]]]:
+    # slot: None | (slave state id, pending_weight)
+    def successors(q: int, slots: tuple) -> Iterator[tuple[int, int, tuple, tuple[Instr, ...]]]:
         live = [j for j, slot in enumerate(slots) if slot is not None]
-        for (q2, kept), weights, invoked, returned, _ in tables.step(q, tuple(slots[j][:2] for j in live), a):
+        for a, (q2, kept), weights, _, invoked, returned, _ in tables.step(q, tuple(slots[j][0] for j in live)):
             released = [live[pos - 1] for pos in returned]
             slots2 = list(slots)
             vec = [Instr.skip()] * capacity
             for j in released:
                 slots2[j] = None
                 vec[j] = Instr.terminate()
-            for j, (i, s2), w in zip([j for j in live if j not in released], kept, weights):
-                slots2[j] = (i, s2, 0)
-                vec[j] = Instr.add(w + slots[j][2])
+            for j, g, w in zip([j for j in live if j not in released], kept, weights):
+                slots2[j] = (g, 0)
+                vec[j] = Instr.add(w + slots[j][1])
             if invoked is not None:
-                s1, w0 = kept[-1][1], weights[-1]
+                w0 = weights[-1]
                 free = next(
                     (j for j in range(capacity) if slots2[j] is None and vec[j].kind is InstrKind.SKIP),
                     None,
                 )
                 if free is None:
                     continue  # cannot happen below width k
-                if s1 in nwa.slave(invoked).base.accepting:
+                if tables.slot_of[kept[-1]][1] in nwa.slave(invoked).base.accepting:
                     if w0 != 0:
                         raise NwaError(
                             "one-letter slave run with nonzero weight cannot be "
@@ -294,10 +294,11 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
                         )
                     # run of a single weight-0 letter: counter starts and
                     # terminates on consecutive steps, slot freed at release
-                slots2[free] = (invoked, s1, w0)
+                slots2[free] = (kept[-1], w0)
                 vec[free] = Instr.start()
-            yield q2, tuple(slots2), tuple(vec)
+            yield a, q2, tuple(slots2), tuple(vec)
 
+    slave_state_names = [f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in tables.slot_of]
     q0s = sorted(nwa.master.initials)
     start_states = [(q, (None,) * capacity) for q in q0s]
     index: dict[tuple, int] = {}
@@ -311,9 +312,7 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
             q, slots = st
             parts = [nwa.master.state_names[q]]
             for slot in slots:
-                parts.append(
-                    "_" if slot is None else f"B{slot[0]}.{nwa.slave(slot[0]).base.state_names[slot[1]]}.{slot[2]}"
-                )
+                parts.append("_" if slot is None else f"{slave_state_names[slot[0]]}.{slot[1]}")
             names.append("|".join(parts))
         return index[st]
 
@@ -326,16 +325,15 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
     while todo:
         st = todo.pop()
         q, slots = st
-        for a in range(len(nwa.alphabet)):
-            for q2, slots2, vec in successors(q, slots, a):
-                st2 = (q2, slots2)
-                out_trans.append((intern(st), a, intern(st2), vec))
-                for j, ins in enumerate(vec):
-                    if ins.kind is not InstrKind.SKIP:
-                        used = max(used, j + 1)
-                if st2 not in seen:
-                    seen.add(st2)
-                    todo.append(st2)
+        for a, q2, slots2, vec in successors(q, slots):
+            st2 = (q2, slots2)
+            out_trans.append((intern(st), a, intern(st2), vec))
+            for j, ins in enumerate(vec):
+                if ins.kind is not InstrKind.SKIP:
+                    used = max(used, j + 1)
+            if st2 not in seen:
+                seen.add(st2)
+                todo.append(st2)
     n_counters = used
     trimmed = tuple(
         (q, a, q2, vec[:n_counters]) for q, a, q2, vec in sorted(

@@ -9,10 +9,10 @@ summed step weights are negative, and from which a path inside the component
 can release every active slave and come back. Pumping such a cycle drives
 the partial averages of the returned-value sequence arbitrarily low.
 
-For each j and component, the internal edges that keep the j oldest slots
-alive are searched for a negative cycle by Bellman-Ford over integer
-(u, v, w_j) arrays. The search stops at the first pass after which the
-parent graph has a cycle, since such a cycle is always negative, instead of
+One pass groups each live component's internal edges; for each j, those
+that keep the j oldest slots alive are searched for a negative cycle by
+Bellman-Ford over integer (u, v, w_j) arrays, which stops at the first pass
+after which the parent graph has a cycle, always a negative one, instead of
 running all n passes. Whether the slots can be released depends only on the
 component: a path from any configuration can reach one that has such a way
 back, take it, and return. Nondeterministic input needs no determinization:
@@ -62,24 +62,22 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
 
     comp, g = graph.comp, graph
     live = sorted({comp[u] for u, c in enumerate(g.configs) if c.master_state in nwa.master.accepting})
-    # per internal edge, how many of the oldest slots it keeps alive
-    keeps = {
-        n: min(g.returned[n], default=len(g.configs[u].slots) + 1) - 1
-        for n, (u, v) in enumerate(zip(g.src, g.dst))
-        if comp[u] == comp[v]
-    }
+    # per live component, its internal edges that keep the oldest slot alive, in index
+    # order: (index, source, target, how many oldest slots it keeps, slot weights)
+    inner: dict[int, list[tuple]] = {ci: [] for ci in live}
+    for n, u, v, returned in zip(range(len(g)), g.src, g.dst, g.returned):
+        if comp[u] == comp[v] and comp[u] in inner:
+            keep = (returned[0] if returned else len(g.configs[u].slots) + 1) - 1
+            if keep:
+                inner[comp[u]].append((n, u, v, keep, g.slot_weights[n]))
     for j in range(1, k + 1):
-        # per component, the internal edges that keep the j oldest slots alive
-        kept: dict[int, list[int]] = {ci: [] for ci in live}
-        for n, keep in keeps.items():
-            if keep >= j and comp[g.src[n]] in kept:
-                kept[comp[g.src[n]]].append(n)
-        for ci, ns in kept.items():
+        for ci in list(live):
+            ns, arcs = [], []
             ids: dict[int, int] = {}
-            arcs = [
-                (ids.setdefault(g.src[n], len(ids)), ids.setdefault(g.dst[n], len(ids)), sum(g.slot_weights[n][:j]))
-                for n in ns
-            ]
+            for n, u, v, keep, weights in inner[ci]:
+                if keep >= j:
+                    ns.append(n)
+                    arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(weights[:j])))
             cycle = _negative_cycle(len(ids), arcs)
             if cycle is None:
                 continue

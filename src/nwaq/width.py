@@ -32,19 +32,18 @@ def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
     queue = deque(initials)
     while queue:
         key = queue.popleft()
-        for a in range(len(letters)):
-            for target, *_ in tables.step(*key, a):
-                if len(target[1]) > k:
-                    word = [letters[a]]
-                    back = key
-                    while parent[back] is not None:
-                        back, la = parent[back]
-                        word.append(letters[la])
-                    word.reverse()
-                    return False, tuple(word)
-                if target not in parent:
-                    parent[target] = (key, a)
-                    queue.append(target)
+        for a, target, *_ in tables.step(*key):
+            if len(target[1]) > k:
+                word = [letters[a]]
+                back = key
+                while parent[back] is not None:
+                    back, la = parent[back]
+                    word.append(letters[la])
+                word.reverse()
+                return False, tuple(word)
+            if target not in parent:
+                parent[target] = (key, a)
+                queue.append(target)
     return True, None
 
 

@@ -1,7 +1,9 @@
 """Reference code the package no longer runs: the paper's explicit
 determinization, the width-1 fragment summary, threshold emptiness on a
-ratio graph, configuration counts, the finite value of a weight sequence
-and the normalization of slave accepting states.
+ratio graph, configuration counts, the finite value of a weight sequence,
+the normalization of slave accepting states, and the dict-adjacency
+component search and per-j descent test that the configuration graph's
+components and star test were rewritten from.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -27,9 +29,11 @@ from nwaq.core import (
     WeightedAutomaton,
     check64,
     is_deterministic,
+    width_error,
 )
-from nwaq.determinize import StepTables, explore
+from nwaq.determinize import ConfigGraph, StepTables, explore
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
+from nwaq.starcond import StarWitness, _closing_path, _negative_cycle
 from nwaq.width import has_width
 
 
@@ -67,19 +71,21 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
     DConfig = tuple[int, tuple[DSlot, ...]]
 
     tables = StepTables(nwa)
+    ids = {slot: g for g, slot in enumerate(tables.slot_of)}
 
-    def successors(dc: DConfig, a: int):
+    def successors(dc: DConfig):
         q, slots = dc
-        for (q2, slots2), weights, invoked, returned, _ in tables.step(q, tuple((i, s) for i, _, s in slots), a):
-            if len(slots2) > k:
+        for a, (q2, kept), weights, _, invoked, returned, _ in tables.step(q, tuple(ids[i, s] for i, _, s in slots)):
+            if len(kept) > k:
                 continue
+            slots2 = [tables.slot_of[g] for g in kept]
             survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in returned]
             to_slots = [(i, cp, s2) for (i, cp, _), (_, s2) in zip(survivors, slots2)]
             if invoked is not None:
                 used = {c for i, c, _ in to_slots if i == invoked}
                 copy = next(n for n in range(k) if n not in used)
                 to_slots.append((invoked, copy, slots2[-1][1]))
-            yield (weights, -1 if invoked is None else invoked, returned), (q2, tuple(to_slots))
+            yield a, (weights, -1 if invoked is None else invoked, returned), (q2, tuple(to_slots))
 
     start: list[DConfig] = [(q, ()) for q in initial_master]
     seen: set[DConfig] = set(start)
@@ -90,12 +96,11 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
         dc = todo.pop()
         if len(seen) > cap:
             raise CapExceededError(f"more than {cap} reachable decorated configurations")
-        for a in range(len(nwa.alphabet)):
-            for e, dc2 in successors(dc, a):
-                found_edges.append((dc, a, e, dc2))
-                if dc2 not in seen:
-                    seen.add(dc2)
-                    todo.append(dc2)
+        for a, e, dc2 in successors(dc):
+            found_edges.append((dc, a, e, dc2))
+            if dc2 not in seen:
+                seen.add(dc2)
+                todo.append(dc2)
 
     found_edges.sort(key=lambda t: (t[0], t[1], t[3], t[2]))
     letter_names = tuple(f"x{n}" for n in range(len(found_edges)))
@@ -189,6 +194,97 @@ def threshold_emptiness(g: RatioGraph, t: Threshold) -> tuple[bool, Optional[Cyc
     if witness is not None and t.admits(witness.ratio):
         return True, witness
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# Components and the descent test, on dict adjacency and per j
+
+
+def sccs(n: int, edge_list) -> list[int]:
+    """Component id per node, Kosaraju, deterministic."""
+    fwd: dict[int, list[int]] = {}
+    rev: dict[int, list[int]] = {}
+    for u, v in edge_list:
+        fwd.setdefault(u, []).append(v)
+        rev.setdefault(v, []).append(u)
+    finish = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack = [(root, iter(sorted(set(fwd.get(root, [])))))]
+        seen[root] = True
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, iter(sorted(set(fwd.get(nxt, []))))))
+                    advanced = True
+                    break
+            if not advanced:
+                finish.append(node)
+                stack.pop()
+    comp = [-1] * n
+    n_comp = 0
+    for root in reversed(finish):
+        if comp[root] != -1:
+            continue
+        stack = [root]
+        comp[root] = n_comp
+        while stack:
+            node = stack.pop()
+            for nxt in rev.get(node, ()):
+                if comp[nxt] == -1:
+                    comp[nxt] = n_comp
+                    stack.append(nxt)
+        n_comp += 1
+    return comp
+
+
+def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
+    """First witness in deterministic order (ascending j, then component order),
+    or None when every such cycle test is empty or no slave weight is negative.
+    `graph` is the configuration graph of `nwa` at width k; input wider than k
+    raises `width_error`."""
+    if graph.overflow is not None:
+        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    if nwa.min_effective_weight() >= 0:
+        return None
+
+    comp, g = graph.comp, graph
+    live = sorted({comp[u] for u, c in enumerate(g.configs) if c.master_state in nwa.master.accepting})
+    # per internal edge, how many of the oldest slots it keeps alive
+    keeps = {
+        n: min(g.returned[n], default=len(g.configs[u].slots) + 1) - 1
+        for n, (u, v) in enumerate(zip(g.src, g.dst))
+        if comp[u] == comp[v]
+    }
+    for j in range(1, k + 1):
+        # per component, the internal edges that keep the j oldest slots alive
+        kept: dict[int, list[int]] = {ci: [] for ci in live}
+        for n, keep in keeps.items():
+            if keep >= j and comp[g.src[n]] in kept:
+                kept[comp[g.src[n]]].append(n)
+        for ci, ns in kept.items():
+            ids: dict[int, int] = {}
+            arcs = [
+                (ids.setdefault(g.src[n], len(ids)), ids.setdefault(g.dst[n], len(ids)), sum(g.slot_weights[n][:j]))
+                for n in ns
+            ]
+            cycle = _negative_cycle(len(ids), arcs)
+            if cycle is None:
+                continue
+            # pumping needs a way back that releases the pumped slots; either
+            # every configuration of a component has one or none has
+            closing = _closing_path(nwa, g, g.src[ns[cycle[0]]])
+            if closing is None:
+                live.remove(ci)
+                continue
+            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
+                               closing=tuple(closing))
+    return None
 
 
 # ---------------------------------------------------------------------------

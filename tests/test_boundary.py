@@ -1,8 +1,10 @@
 """Module boundaries of the package, read from its source with `ast`.
 
 The oracle is the tests' reference for the decision pipeline, so it must not
-share a kernel with it: it imports only `core` and the standard library. The
-width-1 reduction reads the pipeline's explored configuration graph, so it
+share a kernel with it: it imports only `core` and the standard library, and
+it alone takes cartesian products of moves. The pipeline's one step rule is
+`StepTables.step`, which the explorer, the width check and the MCA
+translation call. The width-1 reduction reads the pipeline's explored configuration graph, so it
 imports neither the oracle nor the separate width check (`width`). The
 shared graph routines (`graphs`) import nothing from the package, and the
 mean-payoff solver only `core`. No module imports another's private
@@ -102,6 +104,38 @@ def test_reduce_does_not_import_the_oracle():
 def test_reduce_does_not_import_the_width_check():
     imported = _imports(_tree("reduce.py"))
     assert not {m for m in imported if m.rsplit(".", 1)[-1] == "width"}, imported
+
+
+def _calls(tree: ast.AST) -> set[str]:
+    """Names of the functions and methods called anywhere in `tree`."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def _takes_products(tree: ast.Module) -> bool:
+    """Whether the module imports `itertools.product` or reads it off `itertools`."""
+    return any(
+        isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(a.name == "product" for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "product" and getattr(node.value, "id", None) == "itertools"
+        for node in ast.walk(tree)
+    )
+
+
+def test_explorers_step_by_the_step_tables():
+    for module, name in (("determinize.py", "explore"), ("width.py", "has_width"), ("mca.py", "nwa_to_mca")):
+        function = next(n for n in ast.walk(_tree(module)) if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert {"StepTables", "step"} <= _calls(function), (module, name)
+
+
+def test_only_the_oracle_takes_products():
+    assert _takes_products(ast.parse("import itertools\nitertools.product(a, b)\n"))
+    assert _takes_products(ast.parse("from itertools import chain, product as p\n"))
+    assert not _takes_products(ast.parse("from itertools import accumulate\nproduct = 1\n"))
+    users = {path.name for path in sorted(SRC.glob("*.py")) if _takes_products(_tree(path.name))}
+    assert users == {"oracle.py"}
 
 
 def test_no_module_writes_to_dict():

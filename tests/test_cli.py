@@ -75,6 +75,17 @@ NWA_TEXT = (DATA / "art1.nwa").read_text()
         (".mca", MCA_TEXT.replace("initial q0", "initial q9"), "unknown state q9"),
         (".mca", MCA_TEXT.replace("accepting q0", "accepting q9"), "unknown state q9"),
     ],
+    ids=[
+        "nwa-repeated-letter",
+        "mca-repeated-letter",
+        "mca-empty-alphabet",
+        "mca-duplicate-state",
+        "nwa-duplicate-state",
+        "nwa-unknown-initial",
+        "nwa-unknown-accepting",
+        "mca-unknown-initial",
+        "mca-unknown-accepting",
+    ],
 )
 def test_malformed_sections_are_parse_errors(capsys, tmp_path, suffix, text, message):
     # a repeated letter, an empty alphabet, a repeated state name or an

@@ -180,17 +180,17 @@ def _generic(pipe: Pipeline) -> Graph:
     """A pipeline's ratio graph in generic form: the configurations, the
     edges, the initial configurations, and the members of the qualifying
     components as accepting nodes."""
-    g = pipe.graph
+    g = pipe.ratio
     edges = tuple(zip(g.src, g.dst, g.cost, g.ticks))
-    initials = frozenset(pipe.configs.initials)
-    return Graph(len(pipe.configs.configs), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
+    initials = frozenset(pipe.graph.initials)
+    return Graph(len(pipe.graph.configs), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
 
 
 @pytest.fixture(scope="module")
 def ladder_graphs():
     pipes = {f"art_types({k})": Pipeline(art_types(k), k) for k in (2, 3, 4)}
     pipes.update({f"k_art({k})": Pipeline(k_art(k), k) for k in range(2, 7)})
-    return {name: (pipe.graph, _generic(pipe)) for name, pipe in pipes.items()}
+    return {name: (pipe.ratio, _generic(pipe)) for name, pipe in pipes.items()}
 
 
 def assert_certified(g: Graph, value: ValueResult, witness) -> None:

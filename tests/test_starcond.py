@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
-from helpers import edge_records, has_negative_cycle_fw
-from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
-from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, k_art
+import reference
+from helpers import edge_records, has_negative_cycle_fw, random_draw, random_nondet
+from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, PreconditionError, ValueFn, WeightedAutomaton
+from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, k_art
 from nwaq.determinize import explore
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
-from nwaq.starcond import _negative_cycle, check_star_condition, pump_witness
+from nwaq.starcond import StarWitness, _negative_cycle, check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
 from nwaq.width import has_width
 
@@ -274,3 +275,27 @@ def test_descent_test_matches_floyd_warshall_on_random_automata():
         assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
         assert min_partial_average(nwa, lasso, k, 8) < 0
     assert min(verdicts.values()) > 30
+
+
+def test_components_and_descent_witness_match_the_reference(all_corpus):
+    # `ConfigGraph.comp` (Tarjan on the edge offsets) and the one-pass star
+    # test number components and find witnesses exactly as the dict-adjacency
+    # Kosaraju and the per-j edge filter they replaced
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in range(1, 6)]
+    cases += [(art_types(k), k) for k in (2, 3, 4)] + [(k_art(k), k) for k in range(2, 7)]
+    rng = random.Random(11)
+    cases += [(random_draw(rng), rng.randint(1, 3)) for _ in range(150)]
+    cases += [(nwa, 1 + seed % 2) for seed in range(40) if (nwa := random_nondet(8000 + seed)) is not None]
+    hits = 0
+    for nwa, k in cases:
+        _, graph = explore(nwa, k)
+        assert graph.comp == reference.sccs(len(graph.configs), zip(graph.src, graph.dst)), (nwa.name, k)
+        found = []
+        for check in (check_star_condition, reference.check_star_condition):
+            try:
+                found.append(check(nwa, k, graph))
+            except PreconditionError as err:
+                found.append(str(err))
+        assert found[0] == found[1], (nwa.name, k)
+        hits += isinstance(found[0], StarWitness)
+    assert hits >= 8, hits
