@@ -151,9 +151,11 @@ class Pipeline:
         pot = {u: x for pi in w.potentials for u, x in pi.items()}
         tight = sorted(n for ns in g.components for n in ns
                        if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0)
-        srcs = [g.src[n] for n in tight]  # sorted, as edge order is source order
-        part = sccs([bisect_left(srcs, u) for u in range(len(self.graph.configs) + 1)], [g.dst[n] for n in tight])
-        pieces = _qualifying(part, ((n, g.src[n], g.dst[n]) for n in tight), self._kinds)
+        src, dst = [g.src[n] for n in tight], [g.dst[n] for n in tight]
+        local = {u: i for i, u in enumerate(sorted(set(src).union(dst)))}  # the nodes they touch, relabelled
+        src, dst = list(map(local.__getitem__, src)), list(map(local.__getitem__, dst))
+        part = sccs([bisect_left(src, u) for u in range(len(local) + 1)], dst)  # src is sorted, as edges are
+        pieces = _qualifying(part, zip(tight, src, dst), self._kinds)
         if not pieces:
             return None
         # a piece lies in one component, whose edges come sorted by source, and
@@ -179,9 +181,9 @@ class Pipeline:
 def _kinds(cg: ConfigGraph) -> list[int]:
     """The certificate kinds of each configuration edge; an edge releases
     when it frees slot position 1 or leaves no slot."""
-    configs = cg.configs
+    keys = cg.keys
     return [
-        (invoked is not None) * TICK | accepting * ACCEPT | (1 in returned or not configs[v].slots) * RELEASE
+        (invoked is not None) * TICK | accepting * ACCEPT | (1 in returned or not keys[v][1]) * RELEASE
         for invoked, accepting, returned, v in zip(cg.invoked, cg.master_accepting, cg.returned, cg.dst)
     ]
 

@@ -30,7 +30,8 @@ class StepTables:
     the invoked slot, a move (target id, weight, slave) of the invoked slave
     from an initial state, or None for a silent move (a dummy label, or a
     slave accepting the empty word). Moves whose invoked slave dies at once
-    are left out.
+    are left out. `payloads` keeps one object per distinct slot-weight and
+    released-position tuple `step` has returned, which all its edges share.
     """
 
     def __init__(self, nwa: Nwa):
@@ -51,6 +52,7 @@ class StepTables:
             tuple((a, ms) for a in letters if (ms := tuple(self._master_moves(nwa, ids, q, a))))
             for q in range(nwa.master.n_states)
         )
+        self.payloads: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _master_moves(self, nwa: Nwa, ids: dict, q: int, a: int):
         for q2, label in nwa.master.succ(q, a):
@@ -76,7 +78,7 @@ class StepTables:
         letter. Choices come in master move order, then the surviving slots'
         moves in lexicographic order, then the invoked slot's.
         """
-        out = []
+        out, share = [], self.payloads.setdefault
         for a, masters in self.master[q]:
             table = self.moves[a]
             returned: tuple[int, ...] = ()
@@ -96,31 +98,36 @@ class StepTables:
                     combos = [(ks + (t,), ws + (w,), c + w) for ks, ws, c in combos or [(kept, weights, cost)]
                               for t, w in moves]
             else:
+                returned = share(returned, returned)
                 for q2, accepting, starts in masters:
                     for ks, ws, c in combos or [(kept, weights, cost)]:
                         for new in starts:
                             if new is None:
-                                out.append((a, (q2, ks), ws, c, None, returned, accepting))
+                                out.append((a, (q2, ks), share(ws, ws), c, None, returned, accepting))
                             else:
                                 t, w, i = new
-                                out.append((a, (q2, ks + (t,)), ws + (w,), c + w, i, returned, accepting))
+                                ws1 = ws + (w,)
+                                out.append((a, (q2, ks + (t,)), share(ws1, ws1), c + w, i, returned, accepting))
         return out
 
 
 class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids.
 
-    Configurations are numbered in canonical (master state, slots) order and
-    `configs[u]` is configuration u; `initials` lists the ids of the
-    slot-free initial ones. Edge n is one joint step of master and active
-    slaves: it runs from configuration `src[n]` to `dst[n]` on letter
-    `letter[n]`. `slot_weights[n]` aligns with the source's surviving slots
-    in order, the newly invoked slot last, and holds effective weights
-    (absolute for Sum+ slaves); `cost[n]` is their sum. `invoked[n]` is the
-    invoked slave, or None for a silent move. `returned[n]` lists the 1-based
-    positions of the source's slots that terminate before the letter is
-    consumed; their values live in run simulations, not in the finite graph.
-    `master_accepting[n]` tells whether the master target is accepting.
+    Configurations are numbered in canonical (master state, slots) order;
+    `keys[u]`, (master state, ids of `slot_of`), is configuration u, and
+    `configs[u]` is it as a `Configuration`, decoded on first use for output.
+    `initials` lists the ids of the slot-free initial ones. Edge n is one
+    joint step of master and active slaves: it runs from configuration
+    `src[n]` to `dst[n]` on letter `letter[n]`. `slot_weights[n]` aligns with
+    the source's surviving slots in order, the newly invoked slot last, and
+    holds effective weights (absolute for Sum+ slaves); `cost[n]` is their
+    sum. `invoked[n]` is the invoked slave, or None for a silent move.
+    `returned[n]` lists the 1-based positions of the source's slots that
+    terminate before the letter is consumed; their values live in run
+    simulations, not in the finite graph. Edges share one tuple per distinct
+    `slot_weights` and `returned` value. `master_accepting[n]` tells whether
+    the master target is accepting.
     Edges are sorted by source, then letter, then the order `StepTables.step`
     emits them; the edges of configuration u are `start[u]` to
     `start[u + 1] - 1`, and `len` counts them. `overflow` is (u, a) for
@@ -131,11 +138,15 @@ class ConfigGraph:
     on first use.
     """
 
-    def __init__(self, configs: tuple[Configuration, ...], start: list[int], initials: list[int],
-                 overflow: tuple[int, int] | None, *columns: list):
-        self.configs, self.start, self.initials, self.overflow = configs, start, initials, overflow
+    def __init__(self, keys: list[tuple[int, tuple[int, ...]]], slot_of: tuple[tuple[int, int], ...],
+                 start: list[int], initials: list[int], overflow: tuple[int, int] | None, *columns: list):
+        self.keys, self.slot_of, self.start, self.initials, self.overflow = keys, slot_of, start, initials, overflow
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
+
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        return tuple(Configuration(q, tuple(map(self.slot_of.__getitem__, slots))) for q, slots in self.keys)
 
     def __len__(self) -> int:
         return len(self.src)
@@ -167,14 +178,14 @@ class ConfigGraph:
         return LassoWord(*(tuple(letters[self.letter[n]] for n in walk) for walk in (self.access(root), period)))
 
 
-def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
-    """Reachable configurations under width cap k in canonical (master state,
-    slots) order, and the edges between them.
+def explore(nwa: Nwa, k: int) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
+    """The keys (master state, slot ids) of the reachable configurations
+    under width cap k in canonical order, and the graph over them.
 
-    One breadth-first worklist over (master state, slot ids) keys expands
-    each configuration with one `StepTables.step` call, with the garbage
-    collector paused. It stops at the first step past the cap, which every
-    caller rejects: the graph is then the part explored so far.
+    One breadth-first worklist over the keys expands each configuration with
+    one `StepTables.step` call, with the garbage collector paused. It stops
+    at the first step past the cap, which every caller rejects: the graph is
+    then the part explored so far. No `Configuration` is built here.
     """
     tables = StepTables(nwa)
     keys = sorted((q, ()) for q in nwa.master.initials)
@@ -215,10 +226,9 @@ def explore(nwa: Nwa, k: int) -> tuple[tuple[Configuration, ...], ConfigGraph]:
         perm += range(ends[d], ends[d + 1])
         src += [u] * (ends[d + 1] - ends[d])
         start.append(len(perm))
-    slot_of = tables.slot_of
-    configs = tuple(Configuration(keys[d][0], tuple(slot_of[g] for g in keys[d][1])) for d in order)
+    keys = [keys[d] for d in order]
     columns = [src, [rank[dst[n]] for n in perm]] + [[column[n] for n in perm] for column in steps[1:]]
     if overflow is not None:
         overflow = rank[overflow[0]], overflow[1]
     initials = sorted(rank[: len(nwa.master.initials)])
-    return configs, ConfigGraph(configs, start, initials, overflow, *columns)
+    return keys, ConfigGraph(keys, tables.slot_of, start, initials, overflow, *columns)

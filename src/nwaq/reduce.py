@@ -48,9 +48,10 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     ok, site = is_deterministic(nwa)
     if not ok:
         raise NondeterministicInputError(site or "input is not deterministic")
-    configs, graph = explore(nwa, k)
+    _, graph = explore(nwa, k)
     if graph.overflow is not None:
         raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    configs = graph.configs
     # per configuration, whether every active slave may terminate
     turnover = [all(s in nwa.slave(i).base.accepting for i, s in c.slots) for c in configs]
 

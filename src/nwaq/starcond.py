@@ -60,24 +60,26 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
     if nwa.min_effective_weight() >= 0:
         return None
 
-    comp, g = graph.comp, graph
-    live = sorted({comp[u] for u, c in enumerate(g.configs) if c.master_state in nwa.master.accepting})
+    comp, g, keys, slot_weights = graph.comp, graph, graph.keys, graph.slot_weights
+    live = sorted({comp[u] for u, (q, _) in enumerate(keys) if q in nwa.master.accepting})
     # per live component, its internal edges that keep the oldest slot alive, in index
-    # order: (index, source, target, how many oldest slots it keeps, slot weights)
-    inner: dict[int, list[tuple]] = {ci: [] for ci in live}
+    # order: (index, source, target, how many oldest slots it keeps)
+    inner: dict[int, list[tuple[int, int, int, int]]] = {ci: [] for ci in live}
     for n, u, v, returned in zip(range(len(g)), g.src, g.dst, g.returned):
-        if comp[u] == comp[v] and comp[u] in inner:
-            keep = (returned[0] if returned else len(g.configs[u].slots) + 1) - 1
+        c = comp[u]
+        if c == comp[v] and c in inner:
+            keep = returned[0] - 1 if returned else len(keys[u][1])
             if keep:
-                inner[comp[u]].append((n, u, v, keep, g.slot_weights[n]))
+                inner[c].append((n, u, v, keep))
     for j in range(1, k + 1):
         for ci in list(live):
             ns, arcs = [], []
             ids: dict[int, int] = {}
-            for n, u, v, keep, weights in inner[ci]:
+            for n, u, v, keep in inner[ci]:
                 if keep >= j:
                     ns.append(n)
-                    arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(weights[:j])))
+                    w = slot_weights[n]
+                    arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(w[:j]) if j > 1 else w[0]))
             cycle = _negative_cycle(len(ids), arcs)
             if cycle is None:
                 continue
@@ -164,6 +166,6 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
                 left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
                 yield n, (v, left, seen or graph.master_accepting[n])
 
-    c = graph.configs[anchor]
-    start = (anchor, len(c.slots), c.master_state in nwa.master.accepting)
+    q, slots = graph.keys[anchor]
+    start = (anchor, len(slots), q in nwa.master.accepting)
     return shortest_path([start], moves, lambda state: state == (anchor, 0, True))

@@ -1,9 +1,9 @@
 """Reference code the package no longer runs: the paper's explicit
 determinization, the width-1 fragment summary, threshold emptiness on a
-ratio graph, configuration counts, the finite value of a weight sequence,
-the normalization of slave accepting states, and the dict-adjacency
-component search and per-j descent test that the configuration graph's
-components and star test were rewritten from.
+ratio graph, configuration counts and their eager decoding, the finite
+value of a weight sequence, the normalization of slave accepting states,
+and the dict-adjacency component search and per-j descent test that the
+configuration graph's components and star test were rewritten from.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from nwaq.core import (
     NEG_INFINITY,
     Alphabet,
+    Configuration,
     LabeledAutomaton,
     Nwa,
     NwaError,
@@ -43,8 +44,16 @@ class CapExceededError(NwaError):
 
 def count_configurations(nwa: Nwa, k: int) -> int:
     """Number of configurations reachable under width cap k."""
-    configs, _ = explore(nwa, k)
-    return len(configs)
+    keys, _ = explore(nwa, k)
+    return len(keys)
+
+
+def decode_configurations(nwa: Nwa, keys) -> tuple[Configuration, ...]:
+    """The `Configuration` of each (master state, slot ids) key, decoded
+    eagerly by a fresh `StepTables(nwa).slot_of`: the reference for the
+    on-demand `ConfigGraph.configs`."""
+    slot_of = StepTables(nwa).slot_of
+    return tuple(Configuration(q, tuple(slot_of[g] for g in slots)) for q, slots in keys)
 
 
 def config_bound(nwa: Nwa, k: int) -> int:

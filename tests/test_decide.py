@@ -236,6 +236,21 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
             assert calls and max(calls.values()) == 1, (nwa.name, query)
 
 
+def test_decisions_read_keys_not_configurations(all_corpus):
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(_sign_masked(art_types(3), {2}), 3)]
+    decided = 0
+    for nwa, k in cases:
+        if not has_width(nwa, k)[0]:
+            continue
+        pipe = Pipeline(nwa, k)
+        pipe.infimum()
+        for t in (Threshold(Fraction(0)), Threshold(Fraction(1), strict=True)):
+            pipe.emptiness(t)
+        assert "configs" not in vars(pipe.graph), (nwa.name, k)
+        decided += 1
+    assert decided >= 15
+
+
 def test_pipeline_computes_components_twice(monkeypatch):
     import sys
 

@@ -14,7 +14,7 @@ from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import StepTables, explore
 from nwaq.oracle import enumerate_lasso_infimum
 from nwaq.width import has_width
-from reference import config_bound, count_configurations, materialize_deterministic, normalize_slaves
+from reference import config_bound, count_configurations, decode_configurations, materialize_deterministic, normalize_slaves
 
 
 def _tiny(alphabet, states, initials, trans, acc):
@@ -30,8 +30,8 @@ def _tiny(alphabet, states, initials, trans, acc):
 
 
 def _initial_configs(nwa):
-    configs, graph = explore(nwa, 1)
-    return [configs[u] for u in graph.initials]
+    _, graph = explore(nwa, 1)
+    return [graph.configs[u] for u in graph.initials]
 
 
 def test_graph_initials(a_art1):
@@ -54,7 +54,7 @@ def test_access_paths_are_shortest_from_the_initials(all_corpus):
         k = KNOWN_WIDTH[name]
         if k is None:
             continue
-        configs, graph = explore(nwa, k)
+        keys, graph = explore(nwa, k)
         dist = dict.fromkeys(graph.initials, 0)
         queue = list(graph.initials)
         for u in queue:
@@ -62,13 +62,27 @@ def test_access_paths_are_shortest_from_the_initials(all_corpus):
                 if graph.dst[e] not in dist:
                     dist[graph.dst[e]] = dist[u] + 1
                     queue.append(graph.dst[e])
-        assert sorted(dist) == list(range(len(configs))), name
-        for u in range(len(configs)):
+        assert sorted(dist) == list(range(len(keys))), name
+        for u in range(len(keys)):
             path = graph.access(u)
             assert len(path) == dist[u], (name, u)
             walk = [graph.src[path[0]]] + [graph.dst[e] for e in path] if path else [u]
             assert walk[0] in graph.initials and walk[-1] == u, (name, u)
             assert all(graph.src[e] == v for e, v in zip(path, walk)), (name, u)
+
+
+def test_configs_decode_the_keys(all_corpus):
+    for nwa in all_corpus.values():
+        for k in (1, 2, 3):
+            keys, graph = explore(nwa, k)
+            assert keys == graph.keys and "configs" not in vars(graph), (nwa.name, k)
+            assert graph.configs == decode_configurations(nwa, keys), (nwa.name, k)
+
+
+def test_edges_share_one_payload_per_value():
+    _, graph = explore(art_types(4), 4)
+    for column in (graph.slot_weights, graph.returned):
+        assert len({id(x) for x in column}) == len(set(column)) < len(column) // 10
 
 
 def test_deterministic_single_edge(a_art1):
@@ -106,8 +120,8 @@ def test_count_configurations(a_art1, a_ae):
     n = count_configurations(a_art1, 1)
     assert 0 < n <= config_bound(a_art1, 1)
     # brute count by explicit exploration
-    configs, _ = explore(a_ae, 1)
-    assert count_configurations(a_ae, 1) == len(configs)
+    keys, _ = explore(a_ae, 1)
+    assert count_configurations(a_ae, 1) == len(keys)
 
 
 def test_count_dummy_only():
@@ -193,7 +207,7 @@ def test_materialize_deterministic_input_matches_config_graph(a_art1):
     det = materialize_deterministic(a_art1, 1)
     ok, _ = is_deterministic(det)
     assert ok
-    configs, edges = explore(a_art1, 1)
+    _, edges = explore(a_art1, 1)
     # one output letter per live edge of the input explorer
     assert len(det.alphabet) == len(edges)
     vi, _ = enumerate_lasso_infimum(a_art1, 2, 4, 1)
@@ -264,21 +278,21 @@ def test_explore_matches_reference_successors(all_corpus):
     overflows = 0
     for nwa, k in cases:
         keys, edges, overflow = reference_config_graph(nwa, k)
-        configs, got = explore(nwa, k)
+        _, got = explore(nwa, k)
         columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned, got.master_accepting)
         assert (got.overflow is not None) == overflow, nwa.name
         if overflow:
             # exploration stops at the first step past the cap: what it
             # explored so far is part of the reference graph
             assert got.overflow_word(nwa.alphabet.letters) == has_width(nwa, k)[1], nwa.name
-            named = [(c.master_state, c.slots) for c in configs]
+            named = [(c.master_state, c.slots) for c in got.configs]
             assert set(named) <= set(keys), nwa.name
             ids = {key: n for n, key in enumerate(keys)}
             assert {(ids[named[u]], ids[named[v]], *rest) for u, v, *rest in zip(*columns)} <= set(edges), nwa.name
             assert list(got.cost) == [sum(weights) for weights in got.slot_weights]
             overflows += 1
             continue
-        assert [(c.master_state, c.slots) for c in configs] == keys, nwa.name
+        assert [(c.master_state, c.slots) for c in got.configs] == keys, nwa.name
         assert list(zip(*columns)) == edges, nwa.name
         assert list(got.cost) == [sum(e[3]) for e in edges]
         assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]

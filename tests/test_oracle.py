@@ -172,14 +172,14 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
     from nwaq.oracle import _Rules, _window_value
 
     for nwa, cap in ((a_art1, 1), (a_cond1, 2)):
-        configs, graph = explore(nwa, cap)
+        _, graph = explore(nwa, cap)
         adjacency = {}
         choices = {}  # (source, letter) -> edges so far; an edge's choice is its place among them
         for e in edge_records(graph):
             n = choices[e[:2]] = choices.get(e[:2], -1) + 1
             adjacency.setdefault(e[0], []).append((e, n))
         # shortest edge path from the initial configuration to every config
-        (initial,) = (configs[u] for u in graph.initials)
+        (initial,) = (graph.configs[u] for u in graph.initials)
         access = {initial: ()}
         queue = [initial]
         while queue:

@@ -220,9 +220,9 @@ def _descent_by_floyd_warshall(nwa, k) -> bool:
     component with an accepting master state, from which every slot alive at
     one of its configurations can be released without leaving it, the edges
     that keep the j oldest slots alive close a negative cycle (Floyd-Warshall)."""
-    configs, graph = explore(nwa, k)
+    _, graph = explore(nwa, k)
     edges = edge_records(graph)
-    for comp in _components(configs, [(u, v) for u, _, v, _, _ in edges]):
+    for comp in _components(graph.configs, [(u, v) for u, _, v, _, _ in edges]):
         if not any(c.master_state in nwa.master.accepting for c in comp):
             continue
         inner = [e for e in edges if e[0] in comp and e[2] in comp]
