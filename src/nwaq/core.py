@@ -167,16 +167,6 @@ class Nwa:
         """`is_deterministic(self)`, computed on first use."""
         return is_deterministic(self)
 
-    def min_effective_weight(self) -> int:
-        """Least effective slave weight; 0 when no slave has a transition."""
-        best = 0
-        for sl in self.slaves:
-            for _, _, _, lab in sl.base.transitions:
-                w = sl.effective_weight(lab)
-                if w < best:
-                    best = w
-        return best
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -13,7 +13,8 @@ qualifies when its internal edges include a tick, a master-accepting and a
 releasing edge, and policy iteration receives the internal edges of each
 qualifying one.
 Certificates are lassos over the input alphabet read off the same graph, or,
-for minus infinity, the witness cycle and a pumped word.
+for minus infinity, the witness cycle and a pumped word. Universality runs
+the same stages on the same graph with every weight negated.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from .core import (
     PLUS_INFINITY,
     PreconditionError,
     Threshold,
-    ValueFn,
     ValueResult,
-    LabeledAutomaton,
-    WeightedAutomaton,
     is_deterministic,
     validate_nwa,
 )
@@ -69,13 +67,14 @@ class Certificate:
 
 
 class Pipeline:
-    """All decision stages for one automaton and width bound, built once."""
+    """All decision stages for one automaton and width bound, built once, on
+    its configuration graph with every weight times `sign` (see `StepTables`)."""
 
-    def __init__(self, nwa: Nwa, k: int):
+    def __init__(self, nwa: Nwa, k: int, sign: int = 1):
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
-        _, graph = explore(nwa, k)
+        _, graph = explore(nwa, k, sign)
         self.nwa = nwa
         self.k = k
         self.graph = graph
@@ -96,11 +95,15 @@ class Pipeline:
             return PLUS_INFINITY, Certificate(kind="infimum", value=PLUS_INFINITY)
         return self.value, self._lasso(None)
 
+    def below(self, t: Threshold) -> bool:
+        """Does some word have value below the threshold? No certificate is built."""
+        return self.star is not None or self._witness is not None and t.admits(self._witness.ratio)
+
     def emptiness(self, t: Threshold) -> tuple[bool, Certificate]:
-        """Does some word have value below the threshold?"""
+        """`below(t)`, with its certificate."""
         if self.star is not None:
             return True, self._star(pumps=_pumps_for(self.star, t, self.k))
-        if self._witness is None or not t.admits(self._witness.ratio):
+        if not self.below(t):
             return False, Certificate(kind="infimum", value=self.value)
         return True, self._lasso(t)
 
@@ -231,42 +234,19 @@ def infimum(nwa: Nwa, k: int) -> tuple[ValueResult, Certificate]:
     return Pipeline(nwa, k).infimum()
 
 
-def mirror(nwa: Nwa) -> Nwa:
-    """Negate every slave's effective weights; Sum+ slaves become Sum slaves
-    over the negated absolute values so that word values flip sign exactly."""
-    slaves = []
-    for sl in nwa.slaves:
-        base = sl.base
-        flipped = tuple(
-            (q, a, q2, -sl.effective_weight(w)) for q, a, q2, w in base.transitions
-        )
-        slaves.append(
-            WeightedAutomaton(
-                LabeledAutomaton(
-                    alphabet=base.alphabet,
-                    n_states=base.n_states,
-                    state_names=base.state_names,
-                    initials=base.initials,
-                    transitions=flipped,
-                    accepting=base.accepting,
-                ),
-                ValueFn.SUM,
-            )
-        )
-    return Nwa(nwa.master, tuple(slaves), nwa.master_value_fn, nwa.name + ".mirror" if nwa.name else "")
-
-
 def universality_deterministic(nwa: Nwa, k: int, t: Threshold) -> bool:
-    """No word has value above the threshold.
+    """Every word has value at most t (below t when strict).
 
-    Decided by mirroring the weights, flipping the threshold and strictness,
-    and negating the emptiness verdict. Negating weights turns the liminf
-    into a limsup, so in general this decides the limsup variant of the
-    complement; the two agree on ultimately periodic words.
+    `Pipeline.below` on the input's own graph, every weight negated in its
+    step tables, at -t with strictness flipped asks whether some word's
+    limsup passes t (a liminf of negated averages is a negated limsup); the
+    answer is its negation. Without a descent in the negated graph this is
+    the liminf question too: the infimum argument, negated, bounds every
+    word's limsup by the greatest cycle ratio R, and lassos, whose averages
+    converge, reach or approach R. With a descent the limsup question's
+    answer is no at every t; whether the liminf question's is too is open.
     """
     ok, site = is_deterministic(nwa)
     if not ok:
         raise NondeterministicInputError(site or "universality needs a deterministic automaton")
-    flipped = Threshold(-t.value, not t.strict)
-    answer, _ = emptiness(mirror(nwa), k, flipped)
-    return not answer
+    return not Pipeline(nwa, k, sign=-1).below(Threshold(-t.value, not t.strict))

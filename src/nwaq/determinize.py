@@ -32,9 +32,11 @@ class StepTables:
     slave accepting the empty word). Moves whose invoked slave dies at once
     are left out. `payloads` keeps one object per distinct slot-weight and
     released-position tuple `step` has returned, which all its edges share.
+    Weights are stored times `sign`, -1 for universality and +1 otherwise;
+    `least` is the least stored weight, 0 when none is.
     """
 
-    def __init__(self, nwa: Nwa):
+    def __init__(self, nwa: Nwa, sign: int = 1):
         letters = range(len(nwa.alphabet))
         slaves = tuple(enumerate(nwa.slaves, start=1))
         self.slot_of = tuple((i, s) for i, sl in slaves for s in range(sl.base.n_states))
@@ -42,12 +44,13 @@ class StepTables:
         self.moves = tuple(
             tuple(
                 None if s in sl.base.accepting
-                else tuple((ids[i, s2], sl.effective_weight(w)) for s2, w in sl.base.succ(s, a))
+                else tuple((ids[i, s2], sign * sl.effective_weight(w)) for s2, w in sl.base.succ(s, a))
                 for i, sl in slaves
                 for s in range(sl.base.n_states)
             )
             for a in letters
         )
+        self.least = min((w for table in self.moves for moves in table if moves for _, w in moves), default=0)
         self.master = tuple(
             tuple((a, ms) for a in letters if (ms := tuple(self._master_moves(nwa, ids, q, a))))
             for q in range(nwa.master.n_states)
@@ -115,14 +118,15 @@ class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids.
 
     Configurations are numbered in canonical (master state, slots) order;
-    `keys[u]`, (master state, ids of `slot_of`), is configuration u, and
-    `configs[u]` is it as a `Configuration`, decoded on first use for output.
+    `keys[u]`, (master state, slot ids), is configuration u, and `configs[u]`
+    is it as a `Configuration`, decoded by `tables` on first use for output.
     `initials` lists the ids of the slot-free initial ones. Edge n is one
     joint step of master and active slaves: it runs from configuration
     `src[n]` to `dst[n]` on letter `letter[n]`. `slot_weights[n]` aligns with
     the source's surviving slots in order, the newly invoked slot last, and
-    holds effective weights (absolute for Sum+ slaves); `cost[n]` is their
-    sum. `invoked[n]` is the invoked slave, or None for a silent move.
+    holds effective weights (absolute for Sum+ slaves) times the tables'
+    sign; `cost[n]` is their sum. `invoked[n]` is the invoked slave, or None
+    for a silent move.
     `returned[n]` lists the 1-based positions of the source's slots that
     terminate before the letter is consumed; their values live in run
     simulations, not in the finite graph. Edges share one tuple per distinct
@@ -138,15 +142,15 @@ class ConfigGraph:
     on first use.
     """
 
-    def __init__(self, keys: list[tuple[int, tuple[int, ...]]], slot_of: tuple[tuple[int, int], ...],
+    def __init__(self, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
                  start: list[int], initials: list[int], overflow: tuple[int, int] | None, *columns: list):
-        self.keys, self.slot_of, self.start, self.initials, self.overflow = keys, slot_of, start, initials, overflow
+        self.keys, self.tables, self.start, self.initials, self.overflow = keys, tables, start, initials, overflow
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(q, tuple(map(self.slot_of.__getitem__, slots))) for q, slots in self.keys)
+        return tuple(Configuration(q, tuple(map(self.tables.slot_of.__getitem__, slots))) for q, slots in self.keys)
 
     def __len__(self) -> int:
         return len(self.src)
@@ -178,16 +182,17 @@ class ConfigGraph:
         return LassoWord(*(tuple(letters[self.letter[n]] for n in walk) for walk in (self.access(root), period)))
 
 
-def explore(nwa: Nwa, k: int) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
+def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
     """The keys (master state, slot ids) of the reachable configurations
-    under width cap k in canonical order, and the graph over them.
+    under width cap k in canonical order, and the graph over them, its
+    weights times `sign` (see `StepTables`).
 
     One breadth-first worklist over the keys expands each configuration with
     one `StepTables.step` call, with the garbage collector paused. It stops
     at the first step past the cap, which every caller rejects: the graph is
     then the part explored so far. No `Configuration` is built here.
     """
-    tables = StepTables(nwa)
+    tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
     found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
@@ -231,4 +236,4 @@ def explore(nwa: Nwa, k: int) -> tuple[list[tuple[int, tuple[int, ...]]], Config
     if overflow is not None:
         overflow = rank[overflow[0]], overflow[1]
     initials = sorted(rank[: len(nwa.master.initials)])
-    return keys, ConfigGraph(keys, tables.slot_of, start, initials, overflow, *columns)
+    return keys, ConfigGraph(keys, tables, start, initials, overflow, *columns)

@@ -52,12 +52,12 @@ class StarWitness:
 
 def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
-    or None when every such cycle test is empty or no slave weight is negative.
-    `graph` is the configuration graph of `nwa` at width k; input wider than k
-    raises `width_error`."""
+    or None when every such cycle test is empty or the graph's step tables
+    hold no negative weight. `graph` is the configuration graph of `nwa` at
+    width k; input wider than k raises `width_error`."""
     if graph.overflow is not None:
         raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
-    if nwa.min_effective_weight() >= 0:
+    if graph.tables.least >= 0:
         return None
 
     comp, g, keys, slot_weights = graph.comp, graph, graph.keys, graph.slot_weights

@@ -2,8 +2,10 @@
 determinization, the width-1 fragment summary, threshold emptiness on a
 ratio graph, configuration counts and their eager decoding, the finite
 value of a weight sequence, the normalization of slave accepting states,
-and the dict-adjacency component search and per-j descent test that the
-configuration graph's components and star test were rewritten from.
+the dict-adjacency component search and per-j descent test that the
+configuration graph's components and star test were rewritten from, and the
+mirrored automaton and least slave weight that universality and the star
+test's quick exit read before the step tables took the sign.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -12,7 +14,7 @@ checks the oracle against. Nothing under `src/` imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from nwaq.core import (
@@ -259,7 +261,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
     raises `width_error`."""
     if graph.overflow is not None:
         raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
-    if nwa.min_effective_weight() >= 0:
+    if min_effective_weight(nwa) >= 0:
         return None
 
     comp, g = graph.comp, graph
@@ -676,3 +678,22 @@ def normalize_slaves(nwa: Nwa) -> Nwa:
     if not changed:
         return nwa
     return Nwa(nwa.master, tuple(new_slaves), nwa.master_value_fn, nwa.name)
+
+
+def min_effective_weight(nwa: Nwa) -> int:
+    """Least effective slave weight; 0 when no slave has a transition."""
+    return min((sl.effective_weight(w) for sl in nwa.slaves for _, _, _, w in sl.base.transitions), default=0)
+
+
+def mirror(nwa: Nwa) -> Nwa:
+    """Negate every slave's effective weights; Sum+ slaves become Sum slaves
+    over the negated absolute values so that word values flip sign exactly."""
+    slaves = tuple(
+        WeightedAutomaton(
+            replace(sl.base, transitions=tuple((q, a, q2, -sl.effective_weight(w))
+                                               for q, a, q2, w in sl.base.transitions)),
+            ValueFn.SUM,
+        )
+        for sl in nwa.slaves
+    )
+    return Nwa(nwa.master, slaves, nwa.master_value_fn, nwa.name + ".mirror" if nwa.name else "")

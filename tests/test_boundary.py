@@ -130,6 +130,14 @@ def test_explorers_step_by_the_step_tables():
         assert {"StepTables", "step"} <= _calls(function), (module, name)
 
 
+def test_decisions_build_no_automaton():
+    # universality negates the weights in the step tables, not in a second automaton
+    builders = {"Nwa", "WeightedAutomaton", "LabeledAutomaton"}
+    for module in ("decide.py", "starcond.py"):
+        assert not builders & _calls(_tree(module)), module
+    assert "min_effective_weight" not in _calls(_tree("starcond.py"))
+
+
 def test_only_the_oracle_takes_products():
     assert _takes_products(ast.parse("import itertools\nitertools.product(a, b)\n"))
     assert _takes_products(ast.parse("from itertools import chain, product as p\n"))

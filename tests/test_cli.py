@@ -164,6 +164,22 @@ def test_cli_infimum_star_universal(capsys):
     assert code == 1 and out["answer"] is False
 
 
+def test_cli_universal_accepts_the_least_64_bit_weight(capsys, tmp_path):
+    # every word's value is -2^63, whose negation leaves the 64-bit range
+    path = tmp_path / "int64_min.nwa"
+    path.write_text(
+        "nwa\nalphabet a\nmaster\n  states m0\n  initial m0\n  accepting m0\n  trans m0 a m0 invoke 1\n"
+        "slave 1 valuefn sum\n  states s0 s1\n  initial s0\n  accepting s1\n"
+        "  trans s0 a s1 weight -9223372036854775808\n"
+    )
+    code, out = run_cli(capsys, "infimum", str(path), "--k", "1")
+    assert code == 0 and out["value"] == {"tag": "finite", "p": -(2**63), "q": 1}
+    for flag, t, expected in (("--le", "0", True), ("--le", "-9223372036854775808", True),
+                              ("--lt", "-9223372036854775808", False)):
+        code, out = run_cli(capsys, "universal", str(path), "--k", "1", flag, t)
+        assert (code, out["answer"]) == (0 if expected else 1, expected), (flag, t)
+
+
 def test_cli_nondeterministic_descent_witness(capsys, tmp_path):
     # cond_a2 with a weight-5 twin of the decrementing slave's a step
     nwa = twinned(cond_a2(), 5, slave=2, letter="a")

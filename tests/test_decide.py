@@ -13,11 +13,14 @@ from nwaq.core import (
     ValueFn,
     ValueResult,
     WeightedAutomaton,
+    is_deterministic,
+    validate_nwa,
 )
-from helpers import random_nondet, reference_infimum, twinned
-from reference import materialize_deterministic
+from helpers import random_draw, random_nondet, reference_infimum, twinned
+from reference import materialize_deterministic, mirror
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
-from nwaq.decide import Pipeline, emptiness, infimum, mirror, universality_deterministic
+from nwaq.decide import Pipeline, emptiness, infimum, universality_deterministic
+from nwaq.determinize import explore
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, lasso_values, min_partial_average
 from nwaq.textio import parse_nwa, parse_word
 from nwaq.width import has_width
@@ -112,6 +115,65 @@ def test_mirror_negates_lasso_values(all_corpus):
         assert m.value == -v.value
 
 
+def _universality_cases(all_corpus):
+    """Every corpus automaton at k = 1..3 within its width, and the
+    sign-masked art_types(3), whose Sum+ slaves the negation turns to Sum."""
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(_sign_masked(art_types(3), {2}), 3)]
+    return [(nwa, k) for nwa, k in cases if has_width(nwa, k)[0]]
+
+
+def test_negated_graph_is_the_mirrors_graph(all_corpus):
+    cases = _universality_cases(all_corpus)
+    for nwa, k in cases:
+        keys, got = explore(nwa, k, sign=-1)
+        want_keys, want = explore(mirror(nwa), k)
+        assert keys == want_keys and got.keys == want.keys, (nwa.name, k)
+        for column in ("start", "initials", "overflow", "src", "dst", "letter", "slot_weights", "cost", "invoked",
+                       "returned", "master_accepting"):
+            assert getattr(got, column) == getattr(want, column), (nwa.name, k, column)
+        # the star test's quick exit: no stored weight is below the least one
+        assert got.tables.least <= min((w for ws in got.slot_weights for w in ws), default=0), (nwa.name, k)
+    assert len(cases) >= 15
+
+
+def test_universality_matches_emptiness_of_the_mirror(all_corpus):
+    thresholds = [Threshold(Fraction(v), strict) for v, strict in (("0", False), ("0", True), ("1/2", False),
+                                                                     ("1", True), ("2", False))]
+    decided = 0
+    for nwa, k in _universality_cases(all_corpus):
+        if not is_deterministic(nwa)[0]:
+            continue
+        for t in thresholds:
+            old = not emptiness(mirror(nwa), k, Threshold(-t.value, not t.strict))[0]
+            assert universality_deterministic(nwa, k, t) == old, (nwa.name, k, str(t))
+        decided += 1
+    assert decided >= 15
+
+
+def test_universality_says_no_below_the_largest_lasso_value():
+    """On seeded deterministic draws of width 2, universality says no at
+    and just below the largest finite value m of a short lasso, and the
+    negated pipeline's infimum, the negated supremum, is at most -m."""
+    rng = random.Random(0)
+    kept = 0
+    for _ in range(2000):
+        nwa = random_draw(rng)
+        if validate_nwa(nwa) or not is_deterministic(nwa)[0] or not has_width(nwa, 2)[0]:
+            continue
+        values = [v.value for _, v in lasso_values(nwa, 2, 4, 2) if v.is_finite()]
+        if not values:
+            continue
+        m = max(values)
+        assert not universality_deterministic(nwa, 2, Threshold(m, strict=True)), m
+        assert not universality_deterministic(nwa, 2, Threshold(m - Fraction(1, 7))), m
+        negated, _ = Pipeline(nwa, 2, sign=-1).infimum()
+        assert negated is NEG_INFINITY or -negated.value >= m, (m, negated)
+        kept += 1
+        if kept == 150:
+            break
+    assert kept == 150
+
+
 def test_universality_constant_value():
     sigma = Alphabet(("a", "b"))
 
@@ -142,6 +204,14 @@ def test_universality_art1(a_art1):
 
 def test_universality_ae_unbounded_above(a_ae):
     assert not universality_deterministic(a_ae, 1, Threshold(Fraction(10**6)))
+
+
+def test_universality_at_the_largest_threshold(a_art1, a_ae):
+    # both negated graphs descend, so no bound holds; the answer builds no
+    # pumped word, whose length would grow with the threshold
+    for nwa in (a_art1, a_ae):
+        for strict in (False, True):
+            assert not universality_deterministic(nwa, 1, Threshold(Fraction(2**63 - 1), strict))
 
 
 def test_nondeterministic_pipeline():
