@@ -31,6 +31,7 @@ from .reduce import reduce_width1
 from .starcond import StarWitness, check_star_condition
 from .textio import (
     ParseError,
+    header,
     parse_mca,
     parse_nwa,
     parse_threshold,
@@ -52,14 +53,14 @@ def _read(path: str):
             text = fh.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
-    head = text.lstrip().split(None, 1)
-    if not head:
+    head = header(text)
+    if head is None:
         raise UsageError(f"{path}: empty file")
-    if head[0] == "nwa":
+    if head == "nwa":
         return parse_nwa(text)
-    if head[0] == "mca":
+    if head == "mca":
         return parse_mca(text)
-    raise UsageError(f"{path}: unknown header {head[0]!r}")
+    raise UsageError(f"{path}: unknown header {head!r}")
 
 
 def _load(path: str):

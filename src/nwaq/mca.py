@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     Alphabet,
@@ -27,8 +27,7 @@ from .core import (
     limavg_periodic,
     width_error,
 )
-from .determinize import StepTables
-from .width import has_width
+from .determinize import explore
 
 
 class InstrKind(enum.Enum):
@@ -157,7 +156,7 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
         if not step:
             return PLUS_INFINITY
         state, vec = step[0]
-        assigned: Optional[int] = None
+        ended: list[int] = []  # the values of the counters this step terminates
         for j, ins in enumerate(vec):
             if ins.kind is InstrKind.START:
                 if j in counters:
@@ -168,7 +167,7 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
             elif ins.kind is InstrKind.TERMINATE:
                 if j not in counters:
                     return PLUS_INFINITY
-                assigned = counters.pop(j)[0]
+                ended.append(counters.pop(j)[0])
             elif ins.kind is InstrKind.ADD:
                 if j not in counters:
                     return PLUS_INFINITY
@@ -181,7 +180,7 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
                 return PLUS_INFINITY  # counter never terminated
             counters[j] = (v, g + 1)
         if recorded_key is not None:
-            window_values.append(assigned)
+            window_values += ended or [None]  # a silent entry keeps the window nonempty
             if state in mca.accepting:
                 window_accept = True
 
@@ -258,97 +257,68 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
     into its next add. A terminate occupies the counter's instruction slot for
     one step, so a fresh run arriving at the release step takes the next free
     counter; k+1 counters always suffice and are allocated only when needed.
+    A depth-first worklist walks the edges of the one explored configuration
+    graph (`determinize.explore`); each entry carries a state, its
+    configuration and the counters of that configuration's slots, oldest first.
     """
-    ok, witness = has_width(nwa, k)
-    if not ok:
-        raise width_error(k, witness)
-
-    tables = StepTables(nwa)
-    capacity = k + 1
-    # slot: None | (slave state id, pending_weight)
-    def successors(q: int, slots: tuple) -> Iterator[tuple[int, int, tuple, tuple[Instr, ...]]]:
-        live = [j for j, slot in enumerate(slots) if slot is not None]
-        for a, (q2, kept), weights, _, invoked, returned, _ in tables.step(q, tuple(slots[j][0] for j in live)):
-            released = [live[pos - 1] for pos in returned]
-            slots2 = list(slots)
-            vec = [Instr.skip()] * capacity
-            for j in released:
-                slots2[j] = None
-                vec[j] = Instr.terminate()
-            for j, g, w in zip([j for j in live if j not in released], kept, weights):
-                slots2[j] = (g, 0)
-                vec[j] = Instr.add(w + slots[j][1])
-            if invoked is not None:
-                w0 = weights[-1]
-                free = next(
-                    (j for j in range(capacity) if slots2[j] is None and vec[j].kind is InstrKind.SKIP),
-                    None,
-                )
-                if free is None:
-                    continue  # cannot happen below width k
-                if tables.slot_of[kept[-1]][1] in nwa.slave(invoked).base.accepting:
-                    if w0 != 0:
-                        raise NwaError(
-                            "one-letter slave run with nonzero weight cannot be "
-                            "expressed with monitor counters"
-                        )
-                    # run of a single weight-0 letter: counter starts and
-                    # terminates on consecutive steps, slot freed at release
-                slots2[free] = (kept[-1], w0)
-                vec[free] = Instr.start()
-            yield a, q2, tuple(slots2), tuple(vec)
-
-    slave_state_names = [f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in tables.slot_of]
-    q0s = sorted(nwa.master.initials)
-    start_states = [(q, (None,) * capacity) for q in q0s]
+    if k < 1:
+        raise ValueError("k must be positive")
+    _, graph = explore(nwa, k)
+    if graph.overflow is not None:
+        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    slot_of = graph.tables.slot_of
+    slot_names = [f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slot_of]
+    # state (master state, per counter None or (slot id, pending weight)) -> id
     index: dict[tuple, int] = {}
     names: list[str] = []
-    order: list[tuple] = []
 
     def intern(st) -> int:
         if st not in index:
-            index[st] = len(order)
-            order.append(st)
-            q, slots = st
-            parts = [nwa.master.state_names[q]]
-            for slot in slots:
-                parts.append("_" if slot is None else f"{slave_state_names[slot[0]]}.{slot[1]}")
-            names.append("|".join(parts))
+            index[st] = len(names)
+            parts = ["_" if slot is None else f"{slot_names[slot[0]]}.{slot[1]}" for slot in st[1]]
+            names.append("|".join([nwa.master.state_names[st[0]], *parts]))
         return index[st]
 
-    for st in start_states:
-        intern(st)
-    out_trans = []
-    todo = list(start_states)
-    seen = set(start_states)
-    used = 0
+    todo = [((graph.keys[u][0], (None,) * (k + 1)), u, ()) for u in graph.initials]
+    initials = frozenset(intern(st) for st, _, _ in todo)
+    trans = []
     while todo:
-        st = todo.pop()
-        q, slots = st
-        for a, q2, slots2, vec in successors(q, slots):
-            st2 = (q2, slots2)
-            out_trans.append((intern(st), a, intern(st2), vec))
-            for j, ins in enumerate(vec):
-                if ins.kind is not InstrKind.SKIP:
-                    used = max(used, j + 1)
-            if st2 not in seen:
-                seen.add(st2)
-                todo.append(st2)
-    n_counters = used
-    trimmed = tuple(
-        (q, a, q2, vec[:n_counters]) for q, a, q2, vec in sorted(
-            out_trans, key=lambda t: (t[0], t[1], t[2], tuple(map(str, t[3])))
-        )
-    )
-    accepting = frozenset(i for i, (q, _) in enumerate(order) if q in nwa.master.accepting)
+        st, u, counters = todo.pop()
+        slots = st[1]
+        for n in graph.out(u):
+            weights, invoked = graph.slot_weights[n], graph.invoked[n]
+            q2, ids = graph.keys[graph.dst[n]]
+            slots2, vec = list(slots), [Instr.skip()] * len(slots)
+            released = [counters[pos - 1] for pos in graph.returned[n]]
+            for j in released:
+                slots2[j], vec[j] = None, Instr.terminate()
+            kept = [j for j in counters if j not in released]
+            for j, g, w in zip(kept, ids, weights):
+                slots2[j], vec[j] = (g, 0), Instr.add(w + slots[j][1])
+            if invoked is not None:
+                # below width k a counter is always free
+                j = next(j for j, slot in enumerate(slots2) if slot is None and vec[j].kind is InstrKind.SKIP)
+                if slot_of[ids[-1]][1] in nwa.slave(invoked).base.accepting and weights[-1]:
+                    raise NwaError(
+                        "one-letter slave run with nonzero weight cannot be expressed with monitor counters"
+                    )
+                # a run of a single weight-0 letter starts and terminates on consecutive steps
+                slots2[j], vec[j] = (ids[-1], weights[-1]), Instr.start()
+                kept.append(j)
+            st2 = (q2, tuple(slots2))
+            if st2 not in index:
+                todo.append((st2, graph.dst[n], tuple(kept)))
+            trans.append((index[st], graph.letter[n], intern(st2), tuple(vec)))
+    used = max((j + 1 for *_, vec in trans for j, ins in enumerate(vec) if ins.kind is not InstrKind.SKIP),
+               default=0)
+    trans = sorted(((q, a, q2, vec[:used]) for q, a, q2, vec in trans), key=lambda t: (*t[:3], tuple(map(str, t[3]))))
     return Mca(
         alphabet=nwa.alphabet,
-        n_states=len(order),
+        n_states=len(names),
         state_names=tuple(names),
-        initials=frozenset(intern(st) for st in start_states),
-        accepting=accepting,
-        n_counters=n_counters,
-        transitions=trimmed,
+        initials=initials,
+        accepting=frozenset(i for st, i in index.items() if st[0] in nwa.master.accepting),
+        n_counters=used,
+        transitions=tuple(trans),
         name=(nwa.name + "_as_mca") if nwa.name else "",
     )
-

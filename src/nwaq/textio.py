@@ -30,14 +30,17 @@ class ParseError(NwaError):
 
 
 def _tokenize(text: str):
-    """(line number, tokens) for every nonempty line, comments stripped."""
-    out = []
+    """(line number, tokens, indent) for each nonempty line in turn, comments stripped."""
     for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0]
-        tokens = line.split()
+        tokens = raw.split(";", 1)[0].split()
         if tokens:
-            out.append((n, tokens, len(raw) - len(raw.lstrip())))
-    return out
+            yield n, tokens, len(raw) - len(raw.lstrip())
+
+
+def header(text: str) -> str | None:
+    """The first token of `text`, which names its format, or None when it
+    has none; lines after it are not tokenized."""
+    return next((tokens[0] for _, tokens, _ in _tokenize(text)), None)
 
 
 def _alphabet(n: int, col: int, toks: list[str]) -> Alphabet:
@@ -105,7 +108,7 @@ def _build_labeled(alphabet: Alphabet, sec: _Section, kind: str) -> LabeledAutom
 
 
 def parse_nwa(text: str) -> Nwa:
-    lines = _tokenize(text)
+    lines = list(_tokenize(text))
     if not lines or lines[0][1] != ["nwa"]:
         raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'nwa'")
     alphabet = None
@@ -172,7 +175,7 @@ def _render_section(aut: LabeledAutomaton, keyword: str) -> list[str]:
 
 
 def parse_mca(text: str) -> Mca:
-    lines = _tokenize(text)
+    lines = list(_tokenize(text))
     if not lines or lines[0][1] != ["mca"]:
         raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'mca'")
     alphabet = None

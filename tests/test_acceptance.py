@@ -24,7 +24,7 @@ from nwaq.core import (
     is_deterministic,
     validate_nwa,
 )
-from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
+from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art, art1, art_types, average_excess, cond_a1, cond_a2, corpus, k_art, mca_counter
 from nwaq.decide import Pipeline
 from nwaq.determinize import explore
 from nwaq.mca import evaluate_lasso_mca, mca_to_nwa, nwa_to_mca
@@ -187,10 +187,14 @@ def test_criterion_5_translation_equivalence():
         round_trip = nwa_to_mca(as_nwa, 1)
         for word in _random_lassos(m.alphabet, 50, 3, 6, seed=5002):
             assert evaluate_lasso_mca(m, word) == evaluate_lasso_mca(round_trip, word), word
-        for nwa, k, seed in ((art1(), 1, 5003), (average_excess(), 1, 5004)):
+        cases = ((art1(), 1, 5003), (average_excess(), 1, 5004), (k_art(2), 2, 5005), (k_art(3), 3, 5006),
+                 (art_types(2), 2, 5007))
+        for nwa, k, seed in cases:
             as_mca = nwa_to_mca(nwa, k)
             for word in _random_lassos(nwa.alphabet, 50, 3, 6, seed=seed):
                 assert evaluate_lasso(nwa, word, k) == evaluate_lasso_mca(as_mca, word), word
+            for word, value in lasso_values(nwa, 2, 3, k):
+                assert evaluate_lasso_mca(as_mca, word) == value, (nwa.name, word)
 
 
 def _random_ratio_graph(rng):

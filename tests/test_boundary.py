@@ -3,12 +3,14 @@
 The oracle is the tests' reference for the decision pipeline, so it must not
 share a kernel with it: it imports only `core` and the standard library, and
 it alone takes cartesian products of moves. The pipeline's one step rule is
-`StepTables.step`, which the explorer, the width check and the MCA
-translation call. The width-1 reduction reads the pipeline's explored configuration graph, so it
-imports neither the oracle nor the separate width check (`width`). The
-shared graph routines (`graphs`) import nothing from the package, and the
-mean-payoff solver only `core`. No module imports another's private
-(underscore) names or stores data in an object's `__dict__`.
+`StepTables.step`, which only the explorer and the width check call. The
+width-1 reduction and the MCA translation read the pipeline's explored
+configuration graph, so neither imports the separate width check (`width`),
+the reduction does not import the oracle, and the translation does not
+import `StepTables`. The shared graph routines (`graphs`) import nothing
+from the package, and the mean-payoff solver only `core`. No module imports
+another's private (underscore) names or stores data in an object's
+`__dict__`.
 """
 
 import ast
@@ -102,8 +104,10 @@ def test_reduce_does_not_import_the_oracle():
 
 
 def test_reduce_does_not_import_the_width_check():
-    imported = _imports(_tree("reduce.py"))
-    assert not {m for m in imported if m.rsplit(".", 1)[-1] == "width"}, imported
+    # nor does the MCA translation: both read the explored graph
+    for module in ("reduce.py", "mca.py"):
+        imported = _imports(_tree(module))
+        assert not {m for m in imported if m.rsplit(".", 1)[-1] == "width"}, (module, imported)
 
 
 def _calls(tree: ast.AST) -> set[str]:
@@ -125,9 +129,19 @@ def _takes_products(tree: ast.Module) -> bool:
 
 
 def test_explorers_step_by_the_step_tables():
-    for module, name in (("determinize.py", "explore"), ("width.py", "has_width"), ("mca.py", "nwa_to_mca")):
-        function = next(n for n in ast.walk(_tree(module)) if isinstance(n, ast.FunctionDef) and n.name == name)
-        assert {"StepTables", "step"} <= _calls(function), (module, name)
+    # the oracle's `step` calls are its own rule: it imports only `core`
+    functions = {
+        (path.name, node.name): node
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "oracle.py"
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.FunctionDef) and "step" in _calls(node)
+    }
+    assert set(functions) == {("determinize.py", "explore"), ("width.py", "has_width")}
+    assert all("StepTables" in _calls(function) for function in functions.values())
+    tree = _tree("mca.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "StepTables" not in imported, imported
 
 
 def test_decisions_build_no_automaton():

@@ -119,6 +119,28 @@ def test_cli_check_and_exit_codes(capsys, tmp_path):
     assert code == 1 and out["answer"] is False
 
 
+@pytest.mark.parametrize("shape", ["comment-line-first", "comment-on-header"])
+def test_cli_reads_the_header_past_comments(capsys, tmp_path, shape):
+    text = (DATA / "art1.nwa").read_text()
+    text = "; note\n" + text if shape == "comment-line-first" else text.replace("nwa\n", "nwa;note\n", 1)
+    commented = tmp_path / "art1.nwa"
+    commented.write_text(text)
+    for args in (["check"], ["infimum", "--k", "1"], ["eval", "--word", "| r g"]):
+        expected = run_cli(capsys, args[0], str(DATA / "art1.nwa"), *args[1:])
+        assert expected[0] in (0, 1) and run_cli(capsys, args[0], str(commented), *args[1:]) == expected
+
+
+def test_cli_rejects_a_comment_only_file(capsys, tmp_path):
+    blank = tmp_path / "blank.nwa"
+    blank.write_text("; only a note\n   ; and another\n")
+    for args in (["check"], ["infimum", "--k", "1"], ["eval", "--word", "| r g"]):
+        assert main([args[0], str(blank), *args[1:]]) == 2
+        assert "empty file" in capsys.readouterr().err
+    blank.write_text("nwa2\n")
+    assert main(["check", str(blank)]) == 2
+    assert "unknown header 'nwa2'" in capsys.readouterr().err
+
+
 def test_cli_eval(capsys):
     code, out = run_cli(capsys, "eval", str(DATA / "art1.nwa"), "--word", "| r g", "--cap", "1")
     assert code == 0

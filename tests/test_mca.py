@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
-from nwaq.core import Alphabet, LassoWord, PLUS_INFINITY, ValueResult
+import pytest
+
+from helpers import random_draw
+from nwaq.core import Alphabet, LassoWord, NwaError, PLUS_INFINITY, ValueResult
 from nwaq.corpus import art1, average_excess
 from nwaq.mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
-from nwaq.oracle import evaluate_lasso
+from nwaq.oracle import evaluate_lasso, lasso_values
 
 
 def random_lassos(alphabet, count, max_prefix, max_period, seed):
@@ -90,6 +94,27 @@ def test_unterminated_counter_rejects():
     assert evaluate_lasso_mca(m, LassoWord(("s",), ("a",))) is PLUS_INFINITY
 
 
+def test_one_step_terminates_two_counters():
+    # both values enter the average, not only the last counter's
+    sigma = Alphabet(("a", "e"))
+    m = Mca(
+        alphabet=sigma,
+        n_states=3,
+        state_names=("q0", "q1", "q2"),
+        initials=frozenset({0}),
+        accepting=frozenset({0}),
+        n_counters=2,
+        transitions=(
+            (0, 0, 1, (Instr.start(), Instr.skip())),
+            (1, 0, 2, (Instr.add(3), Instr.start())),
+            (2, 1, 0, (Instr.terminate(), Instr.terminate())),
+        ),
+    )
+    word = LassoWord((), ("a", "a", "e"))
+    assert evaluate_lasso_mca(m, word) == ValueResult.finite(Fraction(3, 2))
+    assert evaluate_lasso(mca_to_nwa(m), word, 2) == ValueResult.finite(Fraction(3, 2))
+
+
 def test_mca_to_nwa_structure(m_counter):
     nwa = mca_to_nwa(m_counter)
     assert len(nwa.slaves) == m_counter.n_counters + 1
@@ -148,3 +173,24 @@ def test_round_trip(m_counter):
     assert again.is_deterministic()
     for word in random_lassos(m_counter.alphabet, 50, 3, 6, seed=404):
         assert evaluate_lasso_mca(m_counter, word) == evaluate_lasso_mca(again, word), word
+
+
+def test_nwa_to_mca_random_width_2_agreement():
+    # seeded deterministic draws; on some of them two slaves return on one step
+    rng = random.Random(0)
+    translated = 0
+    for _ in range(200):
+        nwa = random_draw(rng)
+        try:
+            m = nwa_to_mca(nwa, 2)
+        except NwaError:  # wider than 2, or a one-letter slave run of nonzero weight
+            continue
+        translated += 1
+        for word, value in lasso_values(nwa, 2, 3, 2):
+            assert evaluate_lasso_mca(m, word) == value, (translated, word)
+    assert translated >= 30
+
+
+def test_nwa_to_mca_rejects_a_nonpositive_width():
+    with pytest.raises(ValueError):
+        nwa_to_mca(art1(), 0)
