@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 from functools import cached_property
 
-from .core import Configuration, LassoWord, Nwa
+from .core import LassoWord, Nwa
 from .graphs import sccs, shortest_path
 
 
@@ -118,8 +118,8 @@ class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids.
 
     Configurations are numbered in canonical (master state, slots) order;
-    `keys[u]`, (master state, slot ids), is configuration u, and `configs[u]`
-    is it as a `Configuration`, decoded by `tables` on first use for output.
+    `keys[u]`, (master state, slot ids), is configuration u, and
+    `tables.slot_of` names the (slave, state) pair of each slot id.
     `initials` lists the ids of the slot-free initial ones. Edge n is one
     joint step of master and active slaves: it runs from configuration
     `src[n]` to `dst[n]` on letter `letter[n]`. `slot_weights[n]` aligns with
@@ -147,10 +147,6 @@ class ConfigGraph:
         self.keys, self.tables, self.start, self.initials, self.overflow = keys, tables, start, initials, overflow
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
-
-    @cached_property
-    def configs(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(q, tuple(map(self.tables.slot_of.__getitem__, slots))) for q, slots in self.keys)
 
     def __len__(self) -> int:
         return len(self.src)

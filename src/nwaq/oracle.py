@@ -1,13 +1,21 @@
 """Ground-truth evaluation of nested weighted automata on lasso words.
 
 The oracle is written from the semantics and imports only `core`: it has its
-own step rule (`_Rules.step`) and shares no code with the decision pipeline,
+own step rule (`Oracle.step`) and shares no code with the decision pipeline,
 so the tests that compare the two check one against the other.
 
-A run takes one of the step's joint choices at every letter. A deterministic
-automaton has at most one, choice 0, so `evaluate_lasso`, `trace_lasso` and
-`run_values` take a lasso word and reject nondeterministic input;
-`enumerate_lasso_infimum` passes explicit choices on nondeterministic input.
+An `Oracle(nwa, width_cap)` holds one automaton's step rule, memoized per
+step, and the width cap; a caller that evaluates many words or runs on one
+automaton asks one `Oracle` for all of them. The module functions
+`evaluate_lasso`, `run_values`, `min_partial_average` and
+`enumerate_lasso_infimum` each make one for a single call.
+
+A run takes one of the step's joint choices at every letter, and
+`Oracle.run_value` evaluates a run given as one (letter id, choice index)
+move per letter. A deterministic automaton has at most one choice, choice 0,
+so `evaluate`, `trace`, `values` and `lasso_values` run lasso words and
+reject nondeterministic input; `infimum` enumerates runs with explicit
+choices on nondeterministic input.
 
 The simulator is exact: a slave is released the moment its state is
 accepting (checked before the next letter is consumed), and an invoked slave
@@ -25,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice, product
-from typing import Optional
+from functools import cache
+from itertools import accumulate, chain, cycle, islice, product
+from typing import Iterator, Optional
 
 from .core import (
     Configuration,
@@ -60,14 +69,16 @@ class RunTrace:
     steps: tuple[TraceStep, ...]
 
 
-class _Rules:
-    """The oracle's step rule for one automaton, read off the automaton as
-    written. One is made per public call and passed down; it memoizes each
-    step, so a run that winds through the same configurations, or many runs
-    of one call, look each step up once."""
+class Oracle:
+    """The oracle for one automaton under a positive width cap: its step
+    rule, read off the automaton as written. Each step is memoized, so a run
+    that winds through the same configurations, or many runs on one
+    automaton, look each step up once. Determinism is checked by the methods
+    that need it."""
 
-    def __init__(self, nwa: Nwa):
+    def __init__(self, nwa: Nwa, width_cap: int):
         self.nwa = nwa
+        self.width_cap = width_cap
         self.initials = sorted(nwa.master.initials)
         self.max_states = max([sl.base.n_states for sl in nwa.slaves], default=1)
         self._memo: dict[tuple, tuple] = {}
@@ -122,24 +133,223 @@ class _Rules:
         got = self._memo[key] = (tuple(released), choices)
         return got
 
+    def _deterministic(self) -> None:
+        """Reject a width cap below 1 and nondeterministic input, where a
+        word has no one run."""
+        if self.width_cap < 1:
+            raise ValueError("width_cap must be positive")
+        ok, site = self.nwa.determinism
+        if not ok:
+            raise NondeterministicInputError(site or "input is not deterministic")
 
-def _deterministic_rules(nwa: Nwa, width_cap: int) -> _Rules:
-    """The rules of a deterministic automaton, for a positive width cap."""
-    if width_cap < 1:
-        raise ValueError("width_cap must be positive")
-    ok, site = nwa.determinism
-    if not ok:
-        raise NondeterministicInputError(site or "input is not deterministic")
-    return _Rules(nwa)
+    def _word_moves(self, w: LassoWord) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The (letter id, choice 0) moves of a lasso word's prefix and
+        period: the word's one run."""
+        self._deterministic()
+        ids = self.nwa.alphabet.id_of
+        return [(ids(a), 0) for a in w.prefix], [(ids(a), 0) for a in w.period]
+
+    def run_value(self, start: int, prefix: list[tuple[int, int]], period: list[tuple[int, int]]) -> ValueResult:
+        """Exact value of the run from master state `start` that takes the
+        (letter id, choice index) moves of prefix . period^omega."""
+        run = _Run(self, start)
+        age_cap = len(prefix) + (self.max_states + 2) * len(period) + 2
+        seen: set[tuple] = set()
+        recorded = None
+        window_values: list[int] = []
+        window_accept = False
+        moves = prefix
+        for _ in range(10_000_000):
+            for a, choice in moves:
+                released, _, acc_now = run.step(a, choice)
+                if not run.alive:
+                    return PLUS_INFINITY
+                if run.decor and run.decor[0][1] > age_cap:
+                    return PLUS_INFINITY  # the oldest slave can never terminate
+                if recorded is not None:
+                    window_values.extend(v for _, v in released)
+                    window_accept = window_accept or acc_now
+            moves = period
+            # a period boundary
+            snap = run.snapshot()
+            if recorded is not None:
+                if snap == recorded:
+                    if not window_accept or not window_values:
+                        return PLUS_INFINITY
+                    return limavg_periodic([], window_values)
+            elif snap in seen:
+                recorded = snap
+                window_values = []
+                window_accept = run.q in self.nwa.master.accepting
+            else:
+                seen.add(snap)
+        raise NwaError("periodicity not detected (internal bound exceeded)")
+
+    def evaluate(self, w: LassoWord) -> ValueResult:
+        """Exact value of the unique run of a deterministic NWA on prefix.period^omega."""
+        prefix, period = self._word_moves(w)
+        return self.run_value(self.initials[0], prefix, period)
+
+    def trace(self, w: LassoWord, steps: int) -> RunTrace:
+        """First `steps` positions of the run on w, with per-position release records."""
+        prefix, period = self._word_moves(w)
+        run = _Run(self, self.initials[0])
+        out = []
+        for move in islice(chain(prefix, cycle(period)), steps):
+            config = run.config()
+            released, invoked, _ = run.step(*move)
+            out.append(TraceStep(run.position, config, w.letter_at(run.position), invoked, tuple(sorted(released))))
+            if not run.alive:
+                break
+        return RunTrace(tuple(out))
+
+    def values(self, w: LassoWord, count: int) -> list[int]:
+        """First `count` values returned on w, ordered by invocation position.
+
+        These are the non-silent entries of the value sequence the master
+        aggregates; silent positions are skipped.
+        """
+        prefix, period = self._word_moves(w)
+        run = _Run(self, self.initials[0])
+        values: dict[int, int] = {}
+        pending: set[int] = set()
+        horizon = len(prefix) + (count + 2) * (self.max_states + 2) * len(period) + count + 4
+        for move in islice(chain(prefix, cycle(period)), horizon):
+            released, invoked, _ = run.step(*move)
+            for born, v in released:
+                values[born] = v
+                pending.discard(born)
+            if invoked is not None:
+                pending.add(run.position)
+            done = sorted(values)
+            if len(done) >= count and not any(p < done[count - 1] for p in pending):
+                return [values[p] for p in done[:count]]
+            if not run.alive:
+                break
+        raise NwaError(f"run did not produce {count} resolved values within {horizon} steps")
+
+    def min_partial_average(self, w: LassoWord, count: int) -> Fraction:
+        """Minimum over n <= count of the average of the first n values
+        returned on w.
+
+        This is the dip of the partial averages whose liminf the master value
+        function takes; pumping a negative cycle drives it down without bound.
+        """
+        return min(Fraction(total, n) for n, total in enumerate(accumulate(self.values(w, count)), start=1))
+
+    def lasso_values(self, max_prefix: int, max_period: int) -> Iterator[tuple[LassoWord, ValueResult]]:
+        """Yield (lasso, exact value) for every lasso within the size bounds
+        whose run does not die outright, prefixes and then periods in
+        depth-first letter order; the omitted ones are all +inf.
+        Deterministic automata only."""
+        for prefix, period, value in self._runs(max_prefix, max_period, closed=False):
+            yield self._word(prefix, period), value
+
+    def infimum(self, max_prefix: int, max_period: int) -> tuple[ValueResult, Optional[LassoWord]]:
+        """Minimum oracle value over all lassos within the size bounds, with witness.
+
+        Deterministic input: every letter lasso with |prefix| <= max_prefix
+        and 1 <= |period| <= max_period whose run does not die outright is
+        evaluated. Nondeterministic input: run lassos of the same bounds are
+        enumerated, each run one choice per letter and its period a cycle of
+        configurations; the result is an upper bound on the true infimum.
+        Ties are broken toward the shorter, then lexicographically least
+        period, then prefix.
+        """
+        best = None
+        for prefix, period, value in self._runs(max_prefix, max_period, closed=not self.nwa.determinism[0]):
+            if value is PLUS_INFINITY:
+                continue
+            key = (value.sort_key(), len(period), [m[0] for m in period], len(prefix), [m[0] for m in prefix])
+            if best is None or key < best[0]:
+                best = key, value, self._word(prefix, period)
+        return (best[1], best[2]) if best else (PLUS_INFINITY, None)
+
+    def _word(self, prefix: tuple, period: tuple) -> LassoWord:
+        """The lasso word that a run lasso's moves read."""
+        letters = self.nwa.alphabet.letters
+        return LassoWord(tuple([letters[a] for a, _, _ in prefix]), tuple([letters[a] for a, _, _ in period]))
+
+    def _runs(self, max_prefix: int, max_period: int, closed: bool) -> Iterator[tuple[tuple, tuple, ValueResult]]:
+        """Yield (prefix, period, value) for every run lasso within the size
+        bounds whose moves stay in the move table, prefixes and then periods
+        in depth-first table order; moves are (letter, choice index, target).
+        With `closed`, a period must return to the configuration it starts
+        from, since a choice index means nothing elsewhere; without it the
+        input must be deterministic and every period is a word's.
+
+        Values are memoized on the configuration reached after the prefix and
+        the period's moves, which fix the recurring window. A run whose period
+        leaves the table at a later boundary dies or needs a slot too many: it
+        is +inf, and is not simulated."""
+        if not closed:
+            self._deterministic()
+        table = self._moves()
+        periods = cache(lambda c: [p for p, end in _paths(table, c, max_period) if p and (end == c or not closed)])
+        memo: dict[tuple, ValueResult] = {}
+        for root, q in enumerate(self.initials):
+            for prefix, anchor in _paths(table, root, max_prefix):
+                for period in periods(anchor):
+                    value = memo.get((anchor, period))
+                    if value is None:
+                        value = PLUS_INFINITY
+                        if _winds(table, anchor, period):
+                            value = self.run_value(q, [m[:2] for m in prefix], [m[:2] for m in period])
+                        memo[anchor, period] = value
+                    yield prefix, period, value
+
+    def _moves(self) -> list[dict[tuple[int, int], int]]:
+        """The move table: the configurations reachable from the initials
+        under the width cap, numbered as found, the slot-free initial ones
+        first, and per configuration its moves in letter order as
+        {(letter, choice index): target number}. Steps past the cap are left
+        out. A deterministic automaton has at most one move per letter."""
+        index = {(q, ()): i for i, q in enumerate(self.initials)}
+        nodes, table = list(index), []
+        while len(table) < len(nodes):
+            targets = {(a, n): choice[0] for a in range(len(self.nwa.alphabet))
+                       for n, choice in enumerate(self.step(*nodes[len(table)], a)[1])
+                       if len(choice[0][1]) <= self.width_cap}
+            for c in targets.values():
+                if c not in index:
+                    index[c] = len(nodes)
+                    nodes.append(c)
+            table.append({move: index[c] for move, c in targets.items()})
+        return table
+
+
+def _paths(table: list[dict], root: int, depth: int) -> Iterator[tuple[tuple, int]]:
+    """Yield (moves, end) for every path of at most `depth` moves from
+    `root`, the empty one first, depth first in table order."""
+    stack = [((), root)]
+    while stack:
+        path, c = stack.pop()
+        yield path, c
+        if len(path) < depth:
+            stack += [(path + ((a, n, t),), t) for (a, n), t in reversed(table[c].items())]
+
+
+def _winds(table: list[dict], anchor: int, period: tuple) -> bool:
+    """Whether the walk that takes the period's moves from `anchor` over and
+    over stays in the table until a configuration at a period boundary
+    repeats, so that the walk goes on forever."""
+    seen, at = {anchor}, anchor
+    while True:
+        for a, n, _ in period:
+            at = table[at].get((a, n))
+            if at is None:
+                return False
+        if at in seen:
+            return True
+        seen.add(at)
 
 
 class _Run:
     """A run in progress from a slot-free configuration: the configuration,
     and per slot its accumulated value, age and invocation position."""
 
-    def __init__(self, rules: _Rules, q: int, width_cap: int):
-        self.rules = rules
-        self.cap = width_cap
+    def __init__(self, oracle: Oracle, q: int):
+        self.oracle = oracle
         self.q = q
         self.slots: tuple[tuple[int, int], ...] = ()
         self.decor: list[list[int]] = []  # [value, age, born] per slot
@@ -157,7 +367,7 @@ class _Run:
         value) list, invoked slave or None for silent, master-accepting-after
         flag). The run dies when there is no such choice."""
         self.position += 1
-        released, choices = self.rules.step(self.q, self.slots, letter_id)
+        released, choices = self.oracle.step(self.q, self.slots, letter_id)
         kept = self.decor
         values = []
         if released:
@@ -167,7 +377,7 @@ class _Run:
             self.alive = False
             return values, None, False
         (q2, slots2), weights, invoked, accepting = choices[choice]
-        if len(slots2) > self.cap:
+        if len(slots2) > self.oracle.width_cap:
             raise WidthExceededError(self.position)
         for d, w in zip(kept, weights):
             d[0] = check64(d[0] + w)
@@ -178,331 +388,23 @@ class _Run:
         return values, invoked, accepting
 
 
-def _word_moves(nwa: Nwa, w: LassoWord) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The (letter id, choice 0) moves of a lasso word's prefix and period."""
-    ids = nwa.alphabet.id_of
-    return [(ids(a), 0) for a in w.prefix], [(ids(a), 0) for a in w.period]
-
-
-def _window_value(rules: _Rules, start: int, prefix: list, period: list, width_cap: int) -> ValueResult:
-    """Exact value of the run from master state `start` that takes the
-    (letter id, choice index) moves of prefix . period^omega."""
-    run = _Run(rules, start, width_cap)
-    age_cap = len(prefix) + (rules.max_states + 2) * len(period) + 2
-
-    seen: set[tuple] = set()
-    recorded = None
-    window_values: list[int] = []
-    window_accept = False
-    moves = prefix
-    for _ in range(10_000_000):
-        for a, choice in moves:
-            released, _, acc_now = run.step(a, choice)
-            if not run.alive:
-                return PLUS_INFINITY
-            if run.decor and run.decor[0][1] > age_cap:
-                return PLUS_INFINITY  # the oldest slave can never terminate
-            if recorded is not None:
-                window_values.extend(v for _, v in released)
-                window_accept = window_accept or acc_now
-        moves = period
-        # a period boundary
-        snap = run.snapshot()
-        if recorded is not None:
-            if snap == recorded:
-                if not window_accept or not window_values:
-                    return PLUS_INFINITY
-                return limavg_periodic([], window_values)
-        elif snap in seen:
-            recorded = snap
-            window_values = []
-            window_accept = run.q in rules.nwa.master.accepting
-        else:
-            seen.add(snap)
-    raise NwaError("periodicity not detected (internal bound exceeded)")
-
-
 def evaluate_lasso(nwa: Nwa, w: LassoWord, width_cap: int) -> ValueResult:
-    """Exact value of the unique run of a deterministic NWA on prefix.period^omega."""
-    rules = _deterministic_rules(nwa, width_cap)
-    return _window_value(rules, rules.initials[0], *_word_moves(nwa, w), width_cap)
-
-
-def trace_lasso(nwa: Nwa, w: LassoWord, width_cap: int, steps: int) -> RunTrace:
-    """First `steps` positions of the run, with per-position release records."""
-    rules = _deterministic_rules(nwa, width_cap)
-    run = _Run(rules, rules.initials[0], width_cap)
-    prefix, period = _word_moves(nwa, w)
-    out = []
-    for move in islice(chain(prefix, cycle(period)), steps):
-        config = run.config()
-        released, invoked, _ = run.step(*move)
-        out.append(TraceStep(run.position, config, w.letter_at(run.position), invoked, tuple(sorted(released))))
-        if not run.alive:
-            break
-    return RunTrace(tuple(out))
+    """`Oracle(nwa, width_cap).evaluate(w)`."""
+    return Oracle(nwa, width_cap).evaluate(w)
 
 
 def run_values(nwa: Nwa, w: LassoWord, width_cap: int, count: int) -> list[int]:
-    """First `count` returned values, ordered by invocation position.
-
-    These are the non-silent entries of the value sequence the master
-    aggregates; silent positions are skipped.
-    """
-    rules = _deterministic_rules(nwa, width_cap)
-    run = _Run(rules, rules.initials[0], width_cap)
-    prefix, period = _word_moves(nwa, w)
-    values: dict[int, int] = {}
-    pending: set[int] = set()
-    horizon = len(prefix) + (count + 2) * (rules.max_states + 2) * len(period) + count + 4
-    for move in islice(chain(prefix, cycle(period)), horizon):
-        released, invoked, _ = run.step(*move)
-        for born, v in released:
-            values[born] = v
-            pending.discard(born)
-        if invoked is not None:
-            pending.add(run.position)
-        if not run.alive:
-            break
-        done = sorted(values)
-        if len(done) >= count and not any(p < done[count - 1] for p in pending):
-            return [values[p] for p in done[:count]]
-    done = sorted(values)
-    if len(done) >= count and not any(p < done[count - 1] for p in pending):
-        return [values[p] for p in done[:count]]
-    raise NwaError(f"run did not produce {count} resolved values within {horizon} steps")
+    """`Oracle(nwa, width_cap).values(w, count)`."""
+    return Oracle(nwa, width_cap).values(w, count)
 
 
 def min_partial_average(nwa: Nwa, w: LassoWord, width_cap: int, count: int) -> Fraction:
-    """Minimum over n <= count of the average of the first n returned values.
-
-    This is the dip of the partial averages whose liminf the master value
-    function takes; pumping a negative cycle drives it down without bound.
-    """
-    vals = run_values(nwa, w, width_cap, count)
-    best = None
-    total = 0
-    for n, v in enumerate(vals, start=1):
-        total += v
-        avg = Fraction(total, n)
-        if best is None or avg < best:
-            best = avg
-    assert best is not None
-    return best
+    """`Oracle(nwa, width_cap).min_partial_average(w, count)`."""
+    return Oracle(nwa, width_cap).min_partial_average(w, count)
 
 
 def enumerate_lasso_infimum(
     nwa: Nwa, max_prefix: int, max_period: int, width_cap: int
 ) -> tuple[ValueResult, Optional[LassoWord]]:
-    """Minimum oracle value over all lassos within the size bounds, with witness.
-
-    Deterministic input: every letter lasso with |prefix| <= max_prefix and
-    1 <= |period| <= max_period is evaluated (dead branches are pruned, and
-    values are memoized on the configuration reached after the prefix, which
-    determines the periodic window). Nondeterministic input: run lassos of the
-    same bounds are enumerated in the configuration graph the oracle's step
-    spans, each run one choice per letter; the result is an upper bound on the
-    true infimum. Ties are broken toward the shorter, then lexicographically
-    least period, then prefix.
-    """
-    ok, _ = nwa.determinism
-    if ok:
-        return _enumerate_det(nwa, max_prefix, max_period, width_cap)
-    return _enumerate_nondet(nwa, max_prefix, max_period, width_cap)
-
-
-def _snapshot_graph(rules: _Rules, n_letters: int, width_cap: int):
-    """Reachable (master state, slot states) snapshots with per-letter moves.
-
-    Snapshots abstract accumulations and ages away, which is enough to decide
-    liveness and to key period evaluations. Letters whose step would exceed
-    the width cap are treated as dead (their lassos abort).
-    """
-    start = (rules.initials[0], ())
-    index = {start: 0}
-    nodes = [start]
-    moves: list[list[tuple[int, int]]] = []  # node -> [(letter, target node)]
-    todo = [0]
-    while todo:
-        ni = todo.pop()
-        while len(moves) <= ni:
-            moves.append([])
-        out = []
-        for a in range(n_letters):
-            _, choices = rules.step(*nodes[ni], a)
-            if not choices:
-                continue
-            key = choices[0][0]
-            if len(key[1]) > width_cap:
-                continue
-            if key not in index:
-                index[key] = len(nodes)
-                nodes.append(key)
-                todo.append(index[key])
-            out.append((a, index[key]))
-        moves[ni] = out
-    while len(moves) < len(nodes):
-        moves.append([])
-    return nodes, moves
-
-
-def lasso_values(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
-    """Yield (lasso, exact value) for every lasso within the size bounds whose
-    run does not die outright; the omitted ones are all +inf.
-
-    Values are memoized on the configuration reached after the prefix, and a
-    cheap snapshot-winding walk rejects dying periods before full evaluation.
-    Deterministic automata only.
-    """
-    rules = _deterministic_rules(nwa, width_cap)
-    letters = nwa.alphabet.letters
-    nodes, moves = _snapshot_graph(rules, len(letters), width_cap)
-    move_map = [dict(m) for m in moves]
-    memo: dict[tuple[int, tuple[int, ...]], ValueResult] = {}
-
-    def survives_winding(ni: int, period: tuple[int, ...]) -> bool:
-        # the run dies unless the snapshot walk outlives enough windings to
-        # close a boundary cycle
-        at = ni
-        seen_boundaries = {at}
-        for _ in range(len(nodes) + 1):
-            for a in period:
-                nxt = move_map[at].get(a)
-                if nxt is None:
-                    return False
-                at = nxt
-            if at in seen_boundaries:
-                return True
-            seen_boundaries.add(at)
-        return True
-
-    prefixes: list[tuple[tuple[int, ...], int]] = []
-    stack = [((), 0)]
-    while stack:
-        path, ni = stack.pop()
-        prefixes.append((path, ni))
-        if len(path) < max_prefix:
-            for a, nj in reversed(moves[ni]):
-                stack.append((path + (a,), nj))
-
-    periods_from: dict[int, list[tuple[int, ...]]] = {}
-
-    def periods(ni: int) -> list[tuple[int, ...]]:
-        if ni not in periods_from:
-            out = []
-            st = [((), ni)]
-            while st:
-                path, nj = st.pop()
-                if path:
-                    out.append(path)
-                if len(path) < max_period:
-                    for a, nk in reversed(moves[nj]):
-                        st.append((path + (a,), nk))
-            periods_from[ni] = out
-        return periods_from[ni]
-
-    for prefix, ni in prefixes:
-        for period in periods(ni):
-            mkey = (ni, period)
-            value = memo.get(mkey)
-            if value is None:
-                if not survives_winding(ni, period):
-                    value = PLUS_INFINITY
-                else:
-                    try:
-                        value = _window_value(
-                            rules, rules.initials[0], [(a, 0) for a in prefix], [(a, 0) for a in period], width_cap
-                        )
-                    except WidthExceededError:
-                        value = PLUS_INFINITY
-                memo[mkey] = value
-            yield LassoWord(
-                tuple(letters[a] for a in prefix), tuple(letters[a] for a in period)
-            ), value
-
-
-def _enumerate_det(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
-    best: Optional[ValueResult] = None
-    best_key = None
-    best_witness = None
-    idx = nwa.alphabet.id_of
-    for word, value in lasso_values(nwa, max_prefix, max_period, width_cap):
-        if value is PLUS_INFINITY:
-            continue
-        key = (
-            value.sort_key(),
-            len(word.period),
-            tuple(idx(a) for a in word.period),
-            len(word.prefix),
-            tuple(idx(a) for a in word.prefix),
-        )
-        if best_key is None or key < best_key:
-            best, best_key, best_witness = value, key, word
-    if best is None:
-        return PLUS_INFINITY, None
-    return best, best_witness
-
-
-def _enumerate_nondet(nwa: Nwa, max_prefix: int, max_period: int, width_cap: int):
-    rules = _Rules(nwa)
-    # per configuration, its moves under the width cap: (letter, choice, target)
-    adjacency: dict[tuple, list[tuple]] = {}
-    todo = [(q, ()) for q in rules.initials]
-    while todo:
-        c = todo.pop()
-        if c in adjacency:
-            continue
-        out = []
-        for a in range(len(nwa.alphabet)):
-            _, choices = rules.step(*c, a)
-            out += [(a, n, target, w) for n, (target, w, _, _) in enumerate(choices) if len(target[1]) <= width_cap]
-        out.sort(key=lambda m: (m[0], m[2], m[3]))
-        adjacency[c] = [(a, n, target) for a, n, target, _ in out]
-        todo += [target for _, _, target in adjacency[c]]
-
-    best: Optional[ValueResult] = None
-    best_key = None
-    best_witness = None
-
-    def consider(value: ValueResult, prefix_moves, cycle_moves):
-        nonlocal best, best_key, best_witness
-        prefix = tuple(nwa.alphabet.letters[m[0]] for m in prefix_moves)
-        period = tuple(nwa.alphabet.letters[m[0]] for m in cycle_moves)
-        key = (
-            value.sort_key(),
-            len(period),
-            tuple(m[0] for m in cycle_moves),
-            len(prefix),
-            tuple(m[0] for m in prefix_moves),
-        )
-        if best_key is None or key < best_key:
-            best, best_key, best_witness = value, key, LassoWord(prefix, period)
-
-    prefix_stack = [(q, (), (q, ())) for q in rules.initials]
-    prefix_paths = []
-    while prefix_stack:
-        start, path, c = prefix_stack.pop()
-        prefix_paths.append((start, path, c))
-        if len(path) < max_prefix:
-            for m in adjacency[c]:
-                prefix_stack.append((start, path + (m,), m[2]))
-
-    evaluated: dict[tuple, ValueResult] = {}
-    for start, path, anchor in prefix_paths:
-        cycle_stack = [((), anchor)]
-        while cycle_stack:
-            cyc, c = cycle_stack.pop()
-            if cyc and c == anchor:
-                key = (anchor, cyc)
-                if key not in evaluated:
-                    evaluated[key] = _window_value(
-                        rules, start, [m[:2] for m in path], [m[:2] for m in cyc], width_cap
-                    )
-                if evaluated[key] is not PLUS_INFINITY:
-                    consider(evaluated[key], path, cyc)
-            if len(cyc) < max_period:
-                for m in adjacency[c]:
-                    cycle_stack.append((cyc + (m,), m[2]))
-    if best is None:
-        return PLUS_INFINITY, None
-    return best, best_witness
+    """`Oracle(nwa, width_cap).infimum(max_prefix, max_period)`."""
+    return Oracle(nwa, width_cap).infimum(max_prefix, max_period)

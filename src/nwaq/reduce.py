@@ -23,7 +23,6 @@ on the decision path; it lives with the tests' reference code in
 from __future__ import annotations
 
 from .core import (
-    Configuration,
     LabeledAutomaton,
     Nwa,
     NondeterministicInputError,
@@ -51,9 +50,9 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     _, graph = explore(nwa, k)
     if graph.overflow is not None:
         raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
-    configs = graph.configs
+    slot_of = graph.tables.slot_of
     # per configuration, whether every active slave may terminate
-    turnover = [all(s in nwa.slave(i).base.accepting for i, s in c.slots) for c in configs]
+    turnover = [all(s in nwa.slave(i).base.accepting for i, s in (slot_of[g] for g in ids)) for _, ids in graph.keys]
 
     # state: (input configuration, weight of the step just taken, whether
     # that step invoked, whether a compound instance runs, master-acceptance
@@ -68,7 +67,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         return state[3] == 0 and state[5]
 
     u0 = graph.initials[0]
-    state0 = (u0, 0, False, 0, configs[u0].master_state in nwa.master.accepting, True, 1)
+    state0 = (u0, 0, False, 0, graph.keys[u0][0] in nwa.master.accepting, True, 1)
     states = [state0]
     index = {state0: 0}
     trans = []  # (source, letter, target, spawn site or None)
@@ -85,7 +84,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         carry = bit == 1  # the window spans one compound instance
         for n in graph.out(u):
             v, invoked_real = graph.dst[n], graph.invoked[n] is not None
-            instance_acc = invoked_real or not configs[v].slots
+            instance_acc = invoked_real or not graph.keys[v][1]
             bit2 = 1 if (spawn or carry) and not instance_acc else 0
             state2 = (v, check64(graph.cost[n]), invoked_real, bit2, graph.master_accepting[n] or (f1s and carry),
                       turnover[v] or (f2s and carry), ph2)
@@ -101,7 +100,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     def name(state):
         u, pending, jflag, bit, f1s, f2s, ph = state
         flags = ("!" if jflag else "") + ("F" if f1s else "") + ("T" if f2s else "")
-        return f"{_config_name(nwa, configs[u])}w{pending}{flags}{bit}p{ph}"
+        return f"{_config_name(nwa, graph, u)}w{pending}{flags}{bit}p{ph}"
 
     master = LabeledAutomaton(
         alphabet=nwa.alphabet,
@@ -120,9 +119,11 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     return Nwa(master, slaves + (dummy,), name=(nwa.name + "_w1") if nwa.name else "w1")
 
 
-def _config_name(nwa: Nwa, c: Configuration) -> str:
-    inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in c.slots)
-    return f"{nwa.master.state_names[c.master_state]}[{inner}]"
+def _config_name(nwa: Nwa, graph: ConfigGraph, u: int) -> str:
+    q, ids = graph.keys[u]
+    slots = (graph.tables.slot_of[g] for g in ids)
+    inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slots)
+    return f"{nwa.master.state_names[q]}[{inner}]"
 
 
 def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> WeightedAutomaton:
@@ -142,7 +143,7 @@ def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> Weig
 
     def accepting_state(state) -> bool:
         v, _, cut = state
-        return cut or not graph.configs[v].slots
+        return cut or not graph.keys[v][1]
 
     todo = [(0, *site)]  # (state id, configuration, carried weight) to expand
     while todo:
@@ -160,7 +161,7 @@ def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> Weig
         if state == entry:
             return "entry"
         v, pending, cut = state
-        return f"{_config_name(nwa, graph.configs[v])}w{pending}{'!' if cut else ''}"
+        return f"{_config_name(nwa, graph, v)}w{pending}{'!' if cut else ''}"
 
     return WeightedAutomaton(
         LabeledAutomaton(

@@ -9,50 +9,36 @@ lexicographically least among shortest.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .core import Nwa
-from .determinize import StepTables
+from .determinize import StepTables, explore
+from .graphs import shortest_path
 
 
 def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
     """True iff no reachable run ever needs a (k+1)-th simultaneous slave.
 
-    On failure the witness prefix ends with the letter of the violating
+    A breadth-first search over (master state, slot ids) keys that stops at
+    the first key past the cap, found first in (expansion, letter) order. On
+    failure the witness prefix ends with the letter of the violating
     invocation; replaying it in the oracle at width cap k blows up at its
     last position.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    letters = nwa.alphabet.letters
     tables = StepTables(nwa)
-    initials = sorted((q, ()) for q in nwa.master.initials)
-    parent: dict[tuple, Optional[tuple[tuple, int]]] = {key: None for key in initials}
-    queue = deque(initials)
-    while queue:
-        key = queue.popleft()
-        for a, target, *_ in tables.step(*key):
-            if len(target[1]) > k:
-                word = [letters[a]]
-                back = key
-                while parent[back] is not None:
-                    back, la = parent[back]
-                    word.append(letters[la])
-                word.reverse()
-                return False, tuple(word)
-            if target not in parent:
-                parent[target] = (key, a)
-                queue.append(target)
-    return True, None
+    starts = sorted((q, ()) for q in nwa.master.initials)
+    path = shortest_path(starts, lambda key: ((a, target) for a, target, *_ in tables.step(*key)),
+                         lambda key: len(key[1]) > k)
+    return path is None, None if path is None else tuple(nwa.alphabet.letters[a] for a in path)
 
 
 def minimal_width(nwa: Nwa, k_max: int) -> Optional[int]:
-    """Smallest k <= k_max for which has_width holds, or None."""
+    """Smallest k <= k_max for which has_width holds, or None: one
+    exploration at cap k_max, whose widest configuration, or 1, is the
+    answer when no step overflows."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    for k in range(1, k_max + 1):
-        ok, _ = has_width(nwa, k)
-        if ok:
-            return k
-    return None
+    keys, graph = explore(nwa, k_max)
+    return None if graph.overflow is not None else max(1, *(len(slots) for _, slots in keys))

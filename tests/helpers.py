@@ -18,9 +18,15 @@ from nwaq.core import (
     is_deterministic,
 )
 from nwaq.meanpayoff import RatioGraph, infimum_ratio
-from nwaq.oracle import _Rules
+from nwaq.oracle import Oracle
 from nwaq.reduce import reduce_width1
-from reference import NegInfinityFragmentError, SilentLimAvgAutomaton, finite_value, fragment_automaton
+from reference import (
+    NegInfinityFragmentError,
+    SilentLimAvgAutomaton,
+    decode_configurations,
+    finite_value,
+    fragment_automaton,
+)
 
 
 def reference_config_graph(nwa: Nwa, k: int):
@@ -29,7 +35,7 @@ def reference_config_graph(nwa: Nwa, k: int):
     the edges (source id, target id, letter, slot weights, invoked,
     released, accepting) by source, then letter, then emission order, and
     whether some step needs a (k+1)-th slot."""
-    step = _Rules(nwa).step
+    step = Oracle(nwa, k).step
     out: dict[tuple, list[tuple]] = {(q, ()): [] for q in sorted(nwa.master.initials)}
     queue = deque(out)
     overflow = False
@@ -230,10 +236,10 @@ def _karp(nodes: list[int], edges) -> Optional[Fraction]:
     return best
 
 
-def edge_records(graph) -> list[tuple]:
-    """Each edge of a configuration graph, in edge order, as (from_config,
-    letter, to_config, slot_weights, returned)."""
-    c = graph.configs
+def edge_records(nwa: Nwa, graph) -> list[tuple]:
+    """Each edge of the configuration graph of `nwa`, in edge order, as
+    (from_config, letter, to_config, slot_weights, returned)."""
+    c = decode_configurations(nwa, graph.keys)
     columns = zip(graph.src, graph.letter, graph.dst, graph.slot_weights, graph.returned)
     return [(c[u], a, c[v], weights, returned) for u, a, v, weights, returned in columns]
 

@@ -52,8 +52,7 @@ def count_configurations(nwa: Nwa, k: int) -> int:
 
 def decode_configurations(nwa: Nwa, keys) -> tuple[Configuration, ...]:
     """The `Configuration` of each (master state, slot ids) key, decoded
-    eagerly by a fresh `StepTables(nwa).slot_of`: the reference for the
-    on-demand `ConfigGraph.configs`."""
+    by a fresh `StepTables(nwa).slot_of`."""
     slot_of = StepTables(nwa).slot_of
     return tuple(Configuration(q, tuple(slot_of[g] for g in slots)) for q, slots in keys)
 
@@ -264,11 +263,11 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
     if min_effective_weight(nwa) >= 0:
         return None
 
-    comp, g = graph.comp, graph
-    live = sorted({comp[u] for u, c in enumerate(g.configs) if c.master_state in nwa.master.accepting})
+    comp, g, configs = graph.comp, graph, decode_configurations(nwa, graph.keys)
+    live = sorted({comp[u] for u, c in enumerate(configs) if c.master_state in nwa.master.accepting})
     # per internal edge, how many of the oldest slots it keeps alive
     keeps = {
-        n: min(g.returned[n], default=len(g.configs[u].slots) + 1) - 1
+        n: min(g.returned[n], default=len(configs[u].slots) + 1) - 1
         for n, (u, v) in enumerate(zip(g.src, g.dst))
         if comp[u] == comp[v]
     }

@@ -29,13 +29,7 @@ from nwaq.decide import Pipeline
 from nwaq.determinize import explore
 from nwaq.mca import evaluate_lasso_mca, mca_to_nwa, nwa_to_mca
 from nwaq.meanpayoff import infimum_ratio
-from nwaq.oracle import (
-    enumerate_lasso_infimum,
-    evaluate_lasso,
-    lasso_values,
-    min_partial_average,
-    run_values,
-)
+from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
 from nwaq.reduce import reduce_width1
 from nwaq.starcond import check_star_condition, pump_witness
 from nwaq.textio import parse_mca, parse_nwa, render_mca, render_nwa
@@ -103,11 +97,11 @@ def test_criterion_3_star_soundness():
             _, graph = explore(nwa, k)
             witness = check_star_condition(nwa, k, graph)
             assert witness is not None
-            dips = []
+            dips, oracle = [], Oracle(nwa, k)
             for m in (1, 2, 4, 8):
                 lasso = pump_witness(nwa, graph, witness, pumps=16 * m)
-                assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
-                dips.append(min_partial_average(nwa, lasso, k, 8))
+                assert oracle.evaluate(lasso) is not PLUS_INFINITY
+                dips.append(oracle.min_partial_average(lasso, 8))
             assert all(b < a for a, b in zip(dips, dips[1:])), nwa.name
             assert dips[-1] < Fraction(-100), nwa.name
 
@@ -119,7 +113,7 @@ def test_criterion_4_pipeline_oracle_agreement():
             k = KNOWN_WIDTH[name]
             pipe = Pipeline(nwa, k)
             finite_values = set()
-            for _, value in lasso_values(nwa, 2, 6, k):
+            for _, value in Oracle(nwa, k).lasso_values(2, 6):
                 if value is not PLUS_INFINITY:
                     finite_values.add(value.value)
             assert finite_values, name
@@ -145,9 +139,9 @@ def test_criterion_4_differential_fuzz():
                     continue
                 kept += 1
                 where = (seed, draw)
-                pipe = Pipeline(nwa, 2)
+                pipe, oracle = Pipeline(nwa, 2), Oracle(nwa, 2)
                 value, cert = pipe.infimum()
-                bound, _ = enumerate_lasso_infimum(nwa, 2, 4, 2)
+                bound, _ = oracle.infimum(2, 4)
                 assert value.sort_key() <= bound.sort_key(), where
                 certs = [cert]
                 if value.is_finite():
@@ -157,7 +151,7 @@ def test_criterion_4_differential_fuzz():
                     certs.append(cert)
                 for cert in certs:
                     if cert.kind == "lasso":
-                        assert evaluate_lasso(nwa, cert.lasso, 2) == cert.value, where
+                        assert oracle.evaluate(cert.lasso) == cert.value, where
                 if value is not NEG_INFINITY:
                     old = reference_infimum(nwa, 2)
                     if old is not None and old.sort_key() <= bound.sort_key():
@@ -190,10 +184,10 @@ def test_criterion_5_translation_equivalence():
         cases = ((art1(), 1, 5003), (average_excess(), 1, 5004), (k_art(2), 2, 5005), (k_art(3), 3, 5006),
                  (art_types(2), 2, 5007))
         for nwa, k, seed in cases:
-            as_mca = nwa_to_mca(nwa, k)
+            as_mca, oracle = nwa_to_mca(nwa, k), Oracle(nwa, k)
             for word in _random_lassos(nwa.alphabet, 50, 3, 6, seed=seed):
-                assert evaluate_lasso(nwa, word, k) == evaluate_lasso_mca(as_mca, word), word
-            for word, value in lasso_values(nwa, 2, 3, k):
+                assert oracle.evaluate(word) == evaluate_lasso_mca(as_mca, word), word
+            for word, value in oracle.lasso_values(2, 3):
                 assert evaluate_lasso_mca(as_mca, word) == value, (nwa.name, word)
 
 
@@ -231,8 +225,9 @@ def test_criterion_7_reduction_fidelity():
             k = KNOWN_WIDTH[name]
             reduced = reduce_width1(nwa, k)
             assert has_width(reduced, 1) == (True, None), name
-            for word, value in lasso_values(nwa, 2, 6, k):
-                assert evaluate_lasso(reduced, word, 1) == value, (name, word)
+            oracle = Oracle(reduced, 1)
+            for word, value in Oracle(nwa, k).lasso_values(2, 6):
+                assert oracle.evaluate(word) == value, (name, word)
 
 
 def test_criterion_8_determinization_fidelity():

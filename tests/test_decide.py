@@ -21,7 +21,7 @@ from reference import materialize_deterministic, mirror
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, universality_deterministic
 from nwaq.determinize import explore
-from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, lasso_values, min_partial_average
+from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average
 from nwaq.textio import parse_nwa, parse_word
 from nwaq.width import has_width
 
@@ -69,7 +69,7 @@ def test_pipeline_oracle_soundness(all_corpus):
         nwa = all_corpus[name]
         k = KNOWN_WIDTH[name]
         pipe = Pipeline(nwa, k)
-        values = {v.value for _, v in lasso_values(nwa, 2, 6, k) if v is not PLUS_INFINITY}
+        values = {v.value for _, v in Oracle(nwa, k).lasso_values(2, 6) if v is not PLUS_INFINITY}
         for v in sorted(values):
             assert pipe.emptiness(Threshold(v))[0], (name, v)
 
@@ -160,7 +160,7 @@ def test_universality_says_no_below_the_largest_lasso_value():
         nwa = random_draw(rng)
         if validate_nwa(nwa) or not is_deterministic(nwa)[0] or not has_width(nwa, 2)[0]:
             continue
-        values = [v.value for _, v in lasso_values(nwa, 2, 4, 2) if v.is_finite()]
+        values = [v.value for _, v in Oracle(nwa, 2).lasso_values(2, 4) if v.is_finite()]
         if not values:
             continue
         m = max(values)

@@ -30,8 +30,8 @@ def _tiny(alphabet, states, initials, trans, acc):
 
 
 def _initial_configs(nwa):
-    _, graph = explore(nwa, 1)
-    return [graph.configs[u] for u in graph.initials]
+    keys, graph = explore(nwa, 1)
+    return [decode_configurations(nwa, keys)[u] for u in graph.initials]
 
 
 def test_graph_initials(a_art1):
@@ -75,8 +75,10 @@ def test_configs_decode_the_keys(all_corpus):
     for nwa in all_corpus.values():
         for k in (1, 2, 3):
             keys, graph = explore(nwa, k)
-            assert keys == graph.keys and "configs" not in vars(graph), (nwa.name, k)
-            assert graph.configs == decode_configurations(nwa, keys), (nwa.name, k)
+            configs = decode_configurations(nwa, keys)
+            assert keys == graph.keys, (nwa.name, k)
+            # slot ids sort as the (slave, state) pairs they name
+            assert sorted(configs, key=lambda c: (c.master_state, c.slots)) == list(configs), (nwa.name, k)
 
 
 def test_edges_share_one_payload_per_value():
@@ -88,7 +90,7 @@ def test_edges_share_one_payload_per_value():
 def test_deterministic_single_edge(a_art1):
     _, graph = explore(a_art1, 1)
     per_key = {}
-    for edge in edge_records(graph):
+    for edge in edge_records(a_art1, graph):
         per_key.setdefault(edge[:2], []).append(edge)
     assert all(len(v) == 1 for v in per_key.values())
 
@@ -225,7 +227,7 @@ def test_materialize_edges_biject_with_letters():
         _, live = explore(det, 2)
         if not live:
             continue  # degenerate sample: the input has no live step at all
-        counts = Counter(letter for _, letter, *_ in edge_records(live))
+        counts = Counter(letter for _, letter, *_ in edge_records(det, live))
         assert len(live) == len(det.alphabet)
         assert max(counts.values()) == 1
 
@@ -285,14 +287,14 @@ def test_explore_matches_reference_successors(all_corpus):
             # exploration stops at the first step past the cap: what it
             # explored so far is part of the reference graph
             assert got.overflow_word(nwa.alphabet.letters) == has_width(nwa, k)[1], nwa.name
-            named = [(c.master_state, c.slots) for c in got.configs]
+            named = [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)]
             assert set(named) <= set(keys), nwa.name
             ids = {key: n for n, key in enumerate(keys)}
             assert {(ids[named[u]], ids[named[v]], *rest) for u, v, *rest in zip(*columns)} <= set(edges), nwa.name
             assert list(got.cost) == [sum(weights) for weights in got.slot_weights]
             overflows += 1
             continue
-        assert [(c.master_state, c.slots) for c in got.configs] == keys, nwa.name
+        assert [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)] == keys, nwa.name
         assert list(zip(*columns)) == edges, nwa.name
         assert list(got.cost) == [sum(e[3]) for e in edges]
         assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]

@@ -7,7 +7,7 @@ from helpers import random_draw
 from nwaq.core import Alphabet, LassoWord, NwaError, PLUS_INFINITY, ValueResult
 from nwaq.corpus import art1, average_excess
 from nwaq.mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
-from nwaq.oracle import evaluate_lasso, lasso_values
+from nwaq.oracle import Oracle, evaluate_lasso
 
 
 def random_lassos(alphabet, count, max_prefix, max_period, seed):
@@ -186,7 +186,7 @@ def test_nwa_to_mca_random_width_2_agreement():
         except NwaError:  # wider than 2, or a one-letter slave run of nonzero weight
             continue
         translated += 1
-        for word, value in lasso_values(nwa, 2, 3, 2):
+        for word, value in Oracle(nwa, 2).lasso_values(2, 3):
             assert evaluate_lasso_mca(m, word) == value, (translated, word)
     assert translated >= 30
 

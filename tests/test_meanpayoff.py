@@ -183,7 +183,7 @@ def _generic(pipe: Pipeline) -> Graph:
     g = pipe.ratio
     edges = tuple(zip(g.src, g.dst, g.cost, g.ticks))
     initials = frozenset(pipe.graph.initials)
-    return Graph(len(pipe.graph.configs), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
+    return Graph(len(pipe.graph.keys), edges, initials, frozenset(g.src[n] for ns in g.components for n in ns))
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,7 @@ import pytest
 
 from nwaq.core import LassoWord, PLUS_INFINITY, ValueResult, WidthExceededError
 from nwaq.corpus import KNOWN_WIDTH
-from nwaq.oracle import (
-    enumerate_lasso_infimum,
-    evaluate_lasso,
-    min_partial_average,
-    run_values,
-    trace_lasso,
-)
+from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
 
 
 def test_art_request_grant_cycle(a_art):
@@ -49,7 +43,7 @@ def test_art_paper_value_sequence(a_art):
 
 
 def test_trace_records_invocations(a_art1):
-    trace = trace_lasso(a_art1, LassoWord((), ("r", "g")), 1, 4)
+    trace = Oracle(a_art1, 1).trace(LassoWord((), ("r", "g")), 4)
     assert trace.steps[0].invoked == 1
     assert trace.steps[1].invoked is None
     # the value of the slave invoked at position 1 is returned before step 3
@@ -155,12 +149,11 @@ def test_enumerate_dummy_only():
 
 def test_enumerate_never_beats_pointwise(a_cond1):
     # consistency: the enumerated minimum is attained and not undercut
-    from nwaq.oracle import lasso_values
-
-    value, witness = enumerate_lasso_infimum(a_cond1, 1, 4, 2)
-    seen = [v for _, v in lasso_values(a_cond1, 1, 4, 2) if v is not PLUS_INFINITY]
+    oracle = Oracle(a_cond1, 2)
+    value, witness = oracle.infimum(1, 4)
+    seen = [v for _, v in oracle.lasso_values(1, 4) if v is not PLUS_INFINITY]
     assert min(v.sort_key() for v in seen) == value.sort_key()
-    assert evaluate_lasso(a_cond1, witness, 2) == value
+    assert oracle.evaluate(witness) == value
 
 
 def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
@@ -169,17 +162,17 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
     # with one choice index per letter, must agree exactly with the word
     from helpers import edge_records
     from nwaq.determinize import explore
-    from nwaq.oracle import _Rules, _window_value
+    from reference import decode_configurations
 
     for nwa, cap in ((a_art1, 1), (a_cond1, 2)):
-        _, graph = explore(nwa, cap)
+        keys, graph = explore(nwa, cap)
         adjacency = {}
         choices = {}  # (source, letter) -> edges so far; an edge's choice is its place among them
-        for e in edge_records(graph):
+        for e in edge_records(nwa, graph):
             n = choices[e[:2]] = choices.get(e[:2], -1) + 1
             adjacency.setdefault(e[0], []).append((e, n))
         # shortest edge path from the initial configuration to every config
-        (initial,) = (graph.configs[u] for u in graph.initials)
+        (initial,) = (decode_configurations(nwa, keys)[u] for u in graph.initials)
         access = {initial: ()}
         queue = [initial]
         while queue:
@@ -188,7 +181,7 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
                 if e[2] not in access:
                     access[e[2]] = access[c] + ((e, n),)
                     queue.append(e[2])
-        rules = _Rules(nwa)
+        oracle = Oracle(nwa, cap)
         checked = 0
         for anchor, prefix_edges in sorted(access.items(), key=lambda kv: len(kv[1])):
             stack = [((), anchor)]
@@ -199,9 +192,9 @@ def test_edge_lasso_evaluator_matches_direct_simulation(a_art1, a_cond1):
                         tuple(nwa.alphabet.letters[e[1]] for e, _ in prefix_edges),
                         tuple(nwa.alphabet.letters[e[1]] for e, _ in path),
                     )
-                    direct = evaluate_lasso(nwa, word, cap)
+                    direct = oracle.evaluate(word)
                     run = [(e[1], n) for e, n in prefix_edges], [(e[1], n) for e, n in path]
-                    via_run = _window_value(rules, initial.master_state, *run, cap)
+                    via_run = oracle.run_value(initial.master_state, *run)
                     assert via_run == direct, word
                     checked += 1
                 if len(path) < 5:
@@ -282,6 +275,7 @@ def test_random_rotation_and_pumping_invariance():
         if nwa is None:
             continue
         letters = nwa.alphabet.letters
+        oracle = Oracle(nwa, 8)
         for _ in range(8):
             prefix = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
             period = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
@@ -289,9 +283,9 @@ def test_random_rotation_and_pumping_invariance():
             rotated = LassoWord(prefix + (period[0],), period[1:] + (period[0],))
             doubled = LassoWord(prefix, period * 2)
             try:
-                base = evaluate_lasso(nwa, word, 8)
-                doubled_value = evaluate_lasso(nwa, doubled, 8)
-                rotated_value = evaluate_lasso(nwa, rotated, 8)
+                base = oracle.evaluate(word)
+                doubled_value = oracle.evaluate(doubled)
+                rotated_value = oracle.evaluate(rotated)
             except WidthExceededError:
                 continue  # the cap bound the run: invariance holds only below it
             assert doubled_value == base, (seed, word)

@@ -10,7 +10,7 @@ from nwaq.core import (
     WeightedAutomaton,
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, corpus, k_art
-from nwaq.oracle import evaluate_lasso, lasso_values
+from nwaq.oracle import Oracle
 from nwaq.reduce import reduce_width1
 from nwaq.width import has_width
 from reference import _fragment_values, fragment_automaton, min_slave_value
@@ -36,29 +36,29 @@ def test_reduced_outputs_have_width_one(all_corpus):
 
 
 def test_reduced_width_one_input_keeps_values(a_art1):
-    out = reduce_width1(a_art1, 1)
-    for word, value in lasso_values(a_art1, 2, 6, 1):
-        assert evaluate_lasso(out, word, 1) == value, word
+    out = Oracle(reduce_width1(a_art1, 1), 1)
+    for word, value in Oracle(a_art1, 1).lasso_values(2, 6):
+        assert out.evaluate(word) == value, word
 
 
 def test_reduced_cond_a1_keeps_values(a_cond1):
-    out = reduce_width1(a_cond1, 2)
-    for word, value in lasso_values(a_cond1, 2, 6, 2):
-        assert evaluate_lasso(out, word, 1) == value, word
+    out = Oracle(reduce_width1(a_cond1, 2), 1)
+    for word, value in Oracle(a_cond1, 2).lasso_values(2, 6):
+        assert out.evaluate(word) == value, word
 
 
 def test_reduced_k_art_values_on_random_lassos():
     import random
 
     nwa = k_art(2)
-    out = reduce_width1(nwa, 2)
+    oracle, out = Oracle(nwa, 2), Oracle(reduce_width1(nwa, 2), 1)
     rng = random.Random(55)
     letters = nwa.alphabet.letters
     for _ in range(50):
         prefix = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
         period = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
         word = LassoWord(prefix, period)
-        assert evaluate_lasso(nwa, word, 2) == evaluate_lasso(out, word, 1), word
+        assert oracle.evaluate(word) == out.evaluate(word), word
 
 
 def _block_master_nwa(restrict_g: bool) -> Nwa:
@@ -152,9 +152,7 @@ def _brute_fragments(nwa, q1, a, slave_idx, max_len):
     """min value per endpoint over realizing words of bounded length, walked
     with the oracle's own step: the invocation at (q1, a), then silent master
     moves while the invoked slave runs."""
-    from nwaq.oracle import _Rules
-
-    step = _Rules(nwa).step
+    step = Oracle(nwa, 1).step
     _, choices = step(q1, (), nwa.alphabet.id_of(a))
     if not choices or choices[0][2] is None:
         return {}

@@ -221,8 +221,8 @@ def _descent_by_floyd_warshall(nwa, k) -> bool:
     one of its configurations can be released without leaving it, the edges
     that keep the j oldest slots alive close a negative cycle (Floyd-Warshall)."""
     _, graph = explore(nwa, k)
-    edges = edge_records(graph)
-    for comp in _components(graph.configs, [(u, v) for u, _, v, _, _ in edges]):
+    edges = edge_records(nwa, graph)
+    for comp in _components(reference.decode_configurations(nwa, graph.keys), [(u, v) for u, _, v, _, _ in edges]):
         if not any(c.master_state in nwa.master.accepting for c in comp):
             continue
         inner = [e for e in edges if e[0] in comp and e[2] in comp]
@@ -265,11 +265,12 @@ def test_descent_test_matches_floyd_warshall_on_random_automata():
         comp = {graph.comp[graph.src[n]] for n in ring}
         assert len(comp) == 1
         (ci,) = comp
-        assert any(c.master_state in nwa.master.accepting for n, c in enumerate(graph.configs) if graph.comp[n] == ci)
+        configs = reference.decode_configurations(nwa, graph.keys)
+        assert any(c.master_state in nwa.master.accepting for n, c in enumerate(configs) if graph.comp[n] == ci)
         # the cycle chains and closes at its anchor, the source of its first edge
         assert all(graph.dst[a] == graph.src[b] for a, b in zip(ring, ring[1:] + ring[:1]))
         j = witness.j
-        assert all(len(graph.configs[graph.src[n]].slots) >= j and all(p > j for p in graph.returned[n]) for n in ring)
+        assert all(len(configs[graph.src[n]].slots) >= j and all(p > j for p in graph.returned[n]) for n in ring)
         assert _j_sum(graph, witness) == witness.j_sum < 0
         lasso = pump_witness(nwa, graph, witness, pumps=8)
         assert evaluate_lasso(nwa, lasso, k) is not PLUS_INFINITY
@@ -289,7 +290,7 @@ def test_components_and_descent_witness_match_the_reference(all_corpus):
     hits = 0
     for nwa, k in cases:
         _, graph = explore(nwa, k)
-        assert graph.comp == reference.sccs(len(graph.configs), zip(graph.src, graph.dst)), (nwa.name, k)
+        assert graph.comp == reference.sccs(len(graph.keys), zip(graph.src, graph.dst)), (nwa.name, k)
         found = []
         for check in (check_star_condition, reference.check_star_condition):
             try:

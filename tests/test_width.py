@@ -1,6 +1,10 @@
+import random
+from collections import Counter
+
 import pytest
 
-from nwaq.core import LassoWord, WidthExceededError
+from helpers import random_draw, random_nondet
+from nwaq.core import LassoWord, WidthExceededError, validate_nwa
 from nwaq.corpus import KNOWN_WIDTH, corpus, k_art
 from nwaq.oracle import evaluate_lasso
 from nwaq.width import has_width, minimal_width
@@ -59,3 +63,17 @@ def test_witness_replays_in_oracle(all_corpus):
             with pytest.raises(WidthExceededError) as err:
                 evaluate_lasso(nwa, lasso, k)
             assert err.value.position == len(witness)
+
+
+def test_minimal_width_is_the_least_width_that_holds():
+    # one exploration at the top cap answers as a search at every cap would
+    rng = random.Random(3)
+    cases = [nwa for nwa in (random_draw(rng) for _ in range(200)) if not validate_nwa(nwa)]
+    cases += [nwa for seed in range(9000, 9100) if (nwa := random_nondet(seed)) is not None]
+    answers = Counter()
+    for nwa in cases:
+        for m in (1, 2, 3, 4):
+            want = next((k for k in range(1, m + 1) if has_width(nwa, k)[0]), None)
+            assert minimal_width(nwa, m) == want, (nwa.name, m)
+            answers[want] += 1
+    assert min(answers[k] for k in (None, 1, 2)) >= 100 and answers[3], answers
