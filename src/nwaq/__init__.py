@@ -4,7 +4,6 @@ and threshold emptiness/universality decisions."""
 
 from .core import (
     Alphabet,
-    Configuration,
     LabeledAutomaton,
     LassoWord,
     NEG_INFINITY,

@@ -1,7 +1,10 @@
 """Core data model: alphabets, labeled/weighted automata, nested automata,
-configurations, exact values, and the finite/limit-average value functions.
+exact values, and the finite/limit-average value functions.
 
 All types are immutable after construction; operations are pure functions.
+The records that only hold values are named tuples, which cost far less to
+define at import than dataclasses; the automata keep `@dataclass(frozen=True)`,
+because their `cached_property` tables need an instance dict.
 Weights are constrained to signed 64-bit range and accumulation is checked,
 so a decision is never silently corrupted by wraparound.
 """
@@ -9,10 +12,11 @@ so a decision is never silently corrupted by wraparound.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import reachable
 
@@ -118,9 +122,7 @@ class LabeledAutomaton:
         return self.by_source.get((state, letter_id), ())
 
 
-
-@dataclass(frozen=True)
-class WeightedAutomaton:
+class WeightedAutomaton(NamedTuple):
     """Integer-weighted automaton over finite words with a Sum-family value function.
 
     SUM_PLUS takes absolute values of the labels at evaluation time; the labels
@@ -168,38 +170,27 @@ class Nwa:
         return is_deterministic(self)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Master state plus the states of active slaves, least recently invoked first."""
-
-    master_state: int
-    slots: tuple[tuple[int, int], ...] = ()  # (slave index, slave state)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"B{i}@{s}" for i, s in self.slots)
-        return f"({self.master_state}; [{inner}])"
-
-
 class ValueTag(enum.Enum):
     FINITE = "finite"
     NEG_INFINITY = "neg-infinity"
     PLUS_INFINITY = "plus-infinity"
 
 
-@dataclass(frozen=True, order=False)
-class ValueResult:
+class ValueResult(namedtuple("ValueResult", "tag value")):
     """Value of a word: an exact rational or one of the infinities."""
 
+    __slots__ = ()
     tag: ValueTag
-    value: Optional[Fraction] = None
+    value: Optional[Fraction]
 
-    def __post_init__(self):
-        if self.tag is ValueTag.FINITE:
-            if self.value is None:
+    def __new__(cls, tag: ValueTag, value: Optional[Fraction] = None):
+        if tag is ValueTag.FINITE:
+            if value is None:
                 raise ValueError("finite result needs a value")
-            object.__setattr__(self, "value", Fraction(self.value))
-        elif self.value is not None:
-            raise ValueError(f"{self.tag} carries no value")
+            value = Fraction(value)
+        elif value is not None:
+            raise ValueError(f"{tag} carries no value")
+        return super().__new__(cls, tag, value)
 
     @staticmethod
     def finite(value) -> "ValueResult":
@@ -223,15 +214,15 @@ NEG_INFINITY = ValueResult(ValueTag.NEG_INFINITY)
 PLUS_INFINITY = ValueResult(ValueTag.PLUS_INFINITY)
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(namedtuple("Threshold", "value strict")):
     """Rational threshold; strict=True reads '<', otherwise '<='."""
 
+    __slots__ = ()
     value: Fraction
-    strict: bool = False
+    strict: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __new__(cls, value: Fraction, strict: bool = False):
+        return super().__new__(cls, Fraction(value), strict)
 
     def admits(self, v: Fraction) -> bool:
         return v < self.value if self.strict else v <= self.value
@@ -240,16 +231,17 @@ class Threshold:
         return f"{'<' if self.strict else '<='} {self.value}"
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(namedtuple("LassoWord", "prefix period")):
     """Ultimately periodic word prefix . period^omega over letter identifiers."""
 
+    __slots__ = ()
     prefix: tuple[str, ...]
     period: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, prefix: tuple[str, ...], period: tuple[str, ...]):
+        if not period:
             raise ValueError("lasso period must be nonempty")
+        return super().__new__(cls, prefix, period)
 
     def letter_at(self, position: int) -> str:
         """1-based position in the infinite word."""

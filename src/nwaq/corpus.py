@@ -1,16 +1,21 @@
 """Golden automata used across the test suites.
 
-Each instance is reconstructed from its prose description and validated in
-tests against the documented facts (determinism, width, specific word values,
-infima). The request/grant counter slave here yields the response-time
-sequence 5,4,3,1,1 on r r r # r g r g..., which pins its weight structure:
-1 per letter before the grant, 0 on the grant itself.
+The fixed instances are the packaged `corpus_data` files, parsed; the
+parametric families `k_art(k)` and `art_types(k)` are built here. Each
+instance is validated in tests against the documented facts (determinism,
+width, specific word values, infima). The request/grant counter slave yields
+the response-time sequence 5,4,3,1,1 on r r r # r g r g..., which pins its
+weight structure: 1 per letter before the grant, 0 on the grant itself.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from importlib.resources import files
+
 from .core import Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
-from .mca import Instr, Mca
+from .mca import Mca
+from .textio import parse_mca, parse_nwa
 
 
 def _automaton(alphabet: Alphabet, states: list[str], initials, transitions, accepting) -> LabeledAutomaton:
@@ -36,36 +41,46 @@ def _response_time_slave(alphabet: Alphabet, grant: str = "g") -> WeightedAutoma
     return WeightedAutomaton(_automaton(alphabet, ["s0", "s1"], ["s0"], trans, ["s1"]), ValueFn.SUM_PLUS)
 
 
+def _load(name: str, suffix: str, parse):
+    """The packaged `corpus_data/<name><suffix>`, parsed, named after its file."""
+    text = (files(__package__) / "corpus_data" / (name + suffix)).read_text(encoding="utf-8")
+    return replace(parse(text), name=name)
+
+
 def art() -> Nwa:
     """ART: every request invokes the response-time slave; unbounded width."""
-    sigma = Alphabet(("r", "g", "hash"))
-    master = _automaton(
-        sigma,
-        ["m0"],
-        ["m0"],
-        [("m0", "r", "m0", 1), ("m0", "g", "m0", 2), ("m0", "hash", "m0", 2)],
-        ["m0"],
-    )
-    return Nwa(master, (_response_time_slave(sigma), _dummy(sigma)), name="art")
+    return _load("art", ".nwa", parse_nwa)
 
 
 def art1() -> Nwa:
     """1-ART: ART restricted to (r hash* g hash*)^omega; width 1."""
-    sigma = Alphabet(("r", "g", "hash"))
-    master = _automaton(
-        sigma,
-        ["u_init", "u_wait", "u_idle"],
-        ["u_init"],
-        [
-            ("u_init", "r", "u_wait", 1),
-            ("u_wait", "hash", "u_wait", 2),
-            ("u_wait", "g", "u_idle", 2),
-            ("u_idle", "hash", "u_idle", 2),
-            ("u_idle", "r", "u_wait", 1),
-        ],
-        ["u_idle"],
-    )
-    return Nwa(master, (_response_time_slave(sigma), _dummy(sigma)), name="art1")
+    return _load("art1", ".nwa", parse_nwa)
+
+
+def average_excess() -> Nwa:
+    """Average excess over dollar-separated blocks; deterministic, width 1.
+
+    The block slave is invoked at the first content letter of each block and
+    reads through the closing dollar, summing +1/-1/0 for r/g/#. Invoking it
+    at the block's first letter rather than at the separator keeps a single
+    slave active at a time under run-from-invocation-position semantics.
+    """
+    return _load("average_excess", ".nwa", parse_nwa)
+
+
+def cond_a1() -> Nwa:
+    """Blocks 1 2 a^m #: the incrementing slave is invoked first; infimum 0."""
+    return _load("cond_a1", ".nwa", parse_nwa)
+
+
+def cond_a2() -> Nwa:
+    """Blocks 2 1 a^m #: the decrementing slave is invoked first; infimum -inf."""
+    return _load("cond_a2", ".nwa", parse_nwa)
+
+
+def mca_counter() -> Mca:
+    """One-counter automaton: start on #, add 1 per a, terminate on the next #."""
+    return _load("mca_counter", ".mca", parse_mca)
 
 
 def k_art(k: int) -> Nwa:
@@ -111,98 +126,6 @@ def art_types(k: int) -> Nwa:
     master = _automaton(sigma, [name_of[s] for s in subsets], [name_of[frozenset()]], trans, [name_of[frozenset()]])
     slaves = tuple(_response_time_slave(sigma, grant=f"g{i}") for i in range(1, k + 1)) + (_dummy(sigma),)
     return Nwa(master, slaves, name=f"art_types_{k}")
-
-
-def average_excess() -> Nwa:
-    """Average excess over dollar-separated blocks; deterministic, width 1.
-
-    The block slave is invoked at the first content letter of each block and
-    reads through the closing dollar, summing +1/-1/0 for r/g/#. Invoking it
-    at the block's first letter rather than at the separator keeps a single
-    slave active at a time under run-from-invocation-position semantics.
-    """
-    sigma = Alphabet(("r", "g", "hash", "dollar"))
-    content = ("r", "g", "hash")
-    master_trans = [("m_pre", a, "m_pre", 2) for a in content]
-    master_trans.append(("m_pre", "dollar", "m_sep", 2))
-    master_trans.append(("m_sep", "dollar", "m_sep", 2))
-    master_trans.extend(("m_sep", a, "m_in", 1) for a in content)
-    master_trans.extend(("m_in", a, "m_in", 2) for a in content)
-    master_trans.append(("m_in", "dollar", "m_sep", 2))
-    master = _automaton(sigma, ["m_pre", "m_sep", "m_in"], ["m_pre"], master_trans, ["m_sep"])
-    slave_trans = [("c0", "r", "c0", 1), ("c0", "g", "c0", -1), ("c0", "hash", "c0", 0), ("c0", "dollar", "c1", 0)]
-    block = WeightedAutomaton(_automaton(sigma, ["c0", "c1"], ["c0"], slave_trans, ["c1"]), ValueFn.SUM)
-    return Nwa(master, (block, _dummy(sigma)), name="average_excess")
-
-
-def _counting_slave(sigma: Alphabet, step: int) -> WeightedAutomaton:
-    """Sum slave adding `step` per a-letter, terminating at the first hash."""
-    trans = [
-        ("v0", "one", "v0", 0),
-        ("v0", "two", "v0", 0),
-        ("v0", "a", "v0", step),
-        ("v0", "hash", "v1", 0),
-    ]
-    return WeightedAutomaton(_automaton(sigma, ["v0", "v1"], ["v0"], trans, ["v1"]), ValueFn.SUM)
-
-
-def cond_a1() -> Nwa:
-    """Blocks 1 2 a^m #: the incrementing slave is invoked first; infimum 0."""
-    sigma = Alphabet(("one", "two", "a", "hash"))
-    master = _automaton(
-        sigma,
-        ["m0", "m1", "m2"],
-        ["m0"],
-        [
-            ("m0", "one", "m1", 1),
-            ("m1", "two", "m2", 2),
-            ("m2", "a", "m2", 3),
-            ("m2", "hash", "m0", 3),
-        ],
-        ["m0"],
-    )
-    return Nwa(master, (_counting_slave(sigma, 1), _counting_slave(sigma, -1), _dummy(sigma)), name="cond_a1")
-
-
-def cond_a2() -> Nwa:
-    """Blocks 2 1 a^m #: the decrementing slave is invoked first; infimum -inf."""
-    sigma = Alphabet(("one", "two", "a", "hash"))
-    master = _automaton(
-        sigma,
-        ["n0", "n1", "n2"],
-        ["n0"],
-        [
-            ("n0", "two", "n1", 2),
-            ("n1", "one", "n2", 1),
-            ("n2", "a", "n2", 3),
-            ("n2", "hash", "n0", 3),
-        ],
-        ["n0"],
-    )
-    return Nwa(master, (_counting_slave(sigma, 1), _counting_slave(sigma, -1), _dummy(sigma)), name="cond_a2")
-
-
-def mca_counter() -> Mca:
-    """One-counter automaton: start on #, add 1 per a, terminate on the next #."""
-    sigma = Alphabet(("hash", "a"))
-    states = ("q0", "q1")
-    idx = {s: i for i, s in enumerate(states)}
-    trans = [
-        (idx["q0"], sigma.id_of("hash"), idx["q1"], (Instr.start(),)),
-        (idx["q0"], sigma.id_of("a"), idx["q0"], (Instr.skip(),)),
-        (idx["q1"], sigma.id_of("a"), idx["q1"], (Instr.add(1),)),
-        (idx["q1"], sigma.id_of("hash"), idx["q0"], (Instr.terminate(),)),
-    ]
-    return Mca(
-        alphabet=sigma,
-        n_states=2,
-        state_names=states,
-        initials=frozenset({idx["q0"]}),
-        accepting=frozenset({idx["q0"]}),
-        n_counters=1,
-        transitions=tuple(sorted(trans, key=lambda t: (t[0], t[1], t[2]))),
-        name="mca_counter",
-    )
 
 
 def corpus() -> dict[str, Nwa]:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     LassoWord,
@@ -46,8 +45,7 @@ from .starcond import StarWitness, check_star_condition, pump_witness
 TICK, ACCEPT, RELEASE = 1, 2, 4
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Evidence behind a verdict.
 
     kind "lasso": `lasso`, a word over the input alphabet, replays to

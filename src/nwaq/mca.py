@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Alphabet,
@@ -37,8 +37,7 @@ class InstrKind(enum.Enum):
     SKIP = "."
 
 
-@dataclass(frozen=True)
-class Instr:
+class Instr(NamedTuple):
     kind: InstrKind
     amount: int = 0
 

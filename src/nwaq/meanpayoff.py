@@ -26,15 +26,13 @@ threshold by comparing it with the minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import PLUS_INFINITY, ValueResult
 
 
-@dataclass(frozen=True)
-class RatioGraph:
+class RatioGraph(NamedTuple):
     """Edge columns of a limit-average graph and its qualifying components.
 
     Edge n runs from node `src[n]` to `dst[n]`, costs the integer `cost[n]`
@@ -51,8 +49,7 @@ class RatioGraph:
     components: Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A qualifying cycle of least ratio, and the potentials that prove no
     qualifying cycle has a lower ratio.
 

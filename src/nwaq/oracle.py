@@ -31,14 +31,12 @@ is rejected at that point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, cycle, islice, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
-    Configuration,
     LassoWord,
     Nwa,
     NwaError,
@@ -51,8 +49,18 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class Configuration(NamedTuple):
+    """Master state plus the states of active slaves, least recently invoked first."""
+
+    master_state: int
+    slots: tuple[tuple[int, int], ...] = ()  # (slave index, slave state)
+
+    def __str__(self) -> str:
+        inner = ", ".join(f"B{i}@{s}" for i, s in self.slots)
+        return f"({self.master_state}; [{inner}])"
+
+
+class TraceStep(NamedTuple):
     """One position of a run: the configuration seen before the letter, the
     slave invoked there (None for silent moves), and the values returned at
     this position, each tagged with its invocation position."""
@@ -64,8 +72,7 @@ class TraceStep:
     returned: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
 
 

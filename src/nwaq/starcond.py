@@ -22,16 +22,14 @@ run, and a word's value is the least over its runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import LassoWord, Nwa, width_error
 from .determinize import ConfigGraph
 from .graphs import shortest_path
 
 
-@dataclass(frozen=True)
-class StarWitness:
+class StarWitness(NamedTuple):
     """A reachable negative cycle over the j least recently invoked slaves.
 
     `cycle` lists edge indexes of the configuration graph it was found in,

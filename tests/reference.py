@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from nwaq.core import (
     NEG_INFINITY,
     Alphabet,
-    Configuration,
     LabeledAutomaton,
     Nwa,
     NwaError,
@@ -36,6 +35,7 @@ from nwaq.core import (
 )
 from nwaq.determinize import ConfigGraph, StepTables, explore
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
+from nwaq.oracle import Configuration
 from nwaq.starcond import StarWitness, _closing_path, _negative_cycle
 from nwaq.width import has_width
 

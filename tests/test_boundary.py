@@ -10,7 +10,9 @@ the reduction does not import the oracle, and the translation does not
 import `StepTables`. The shared graph routines (`graphs`) import nothing
 from the package, and the mean-payoff solver only `core`. No module imports
 another's private (underscore) names or stores data in an object's
-`__dict__`.
+`__dict__`. Only the four automaton classes, whose `cached_property` tables
+need an instance dict, are dataclasses: the value records are named tuples,
+which cost a fraction of a dataclass to define at import.
 """
 
 import ast
@@ -68,6 +70,20 @@ def _dict_writes(tree: ast.Module) -> list[int]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             lines.extend(t.lineno for t in targets if is_dict(t))
     return lines
+
+
+def _dataclasses(tree: ast.Module) -> list[str]:
+    """Classes decorated with `dataclass` or `dataclasses.dataclass`, called or not."""
+
+    def is_dataclass(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) == "dataclass" or getattr(node, "attr", None) == "dataclass"
+
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(is_dataclass(d) for d in node.decorator_list)
+    ]
 
 
 def _package_imports(name: str) -> set[str]:
@@ -166,6 +182,11 @@ def test_no_module_writes_to_dict():
     assert not {name: lines for name, lines in writes.items() if lines}
 
 
+def test_only_the_automata_are_dataclasses():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py")) for name in _dataclasses(_tree(path.name))}
+    assert found == {("core.py", "Alphabet"), ("core.py", "LabeledAutomaton"), ("core.py", "Nwa"), ("mca.py", "Mca")}
+
+
 def test_the_checks_catch_what_they_forbid():
     tree = ast.parse(
         "from . import determinize\nfrom .oracle import x\nimport numpy\n"
@@ -175,3 +196,8 @@ def test_the_checks_catch_what_they_forbid():
     assert _imports(tree) == {".determinize", ".oracle", "numpy", ".meanpayoff", "__future__"}
     assert sorted(_dict_writes(tree)) == [4, 5, 6]
     assert _private_imports(tree) == ["_sccs"]
+    tree = ast.parse(
+        "@dataclass\nclass A: pass\n@dataclass(frozen=True)\nclass B: pass\n"
+        "@dataclasses.dataclass(order=True)\nclass C: pass\n@cache\nclass D(NamedTuple): pass\n"
+    )
+    assert _dataclasses(tree) == ["A", "B", "C"]

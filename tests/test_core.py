@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,16 +7,24 @@ from helpers import slave_language
 from nwaq.core import (
     Alphabet,
     LabeledAutomaton,
+    LassoWord,
     Nwa,
     OverflowLimitError,
     PLUS_INFINITY,
+    Threshold,
     ValueFn,
     ValueResult,
+    ValueTag,
     WeightedAutomaton,
     is_deterministic,
     limavg_periodic,
     validate_nwa,
 )
+from nwaq.decide import Certificate
+from nwaq.mca import Instr
+from nwaq.meanpayoff import CycleWitness, RatioGraph
+from nwaq.oracle import Configuration, RunTrace, TraceStep
+from nwaq.starcond import StarWitness
 from reference import finite_value, normalize_slaves
 
 
@@ -56,6 +66,57 @@ def test_limavg_rotation_and_repetition(period, rot, reps):
     rotated = period[rot % len(period):] + period[: rot % len(period)]
     assert limavg_periodic([], rotated) == base
     assert limavg_periodic([], period * reps) == base
+
+
+_BASE = LabeledAutomaton(Alphabet(("a",)), 1, ("q",), frozenset({0}), (), frozenset({0}))
+
+
+def _step() -> TraceStep:
+    return TraceStep(1, Configuration(0, ((1, 0),)), "a", 1, ((1, 4),))
+
+
+# each value record, built afresh by each call, with its field names in order
+RECORDS = [
+    (lambda: WeightedAutomaton(_BASE, ValueFn.SUM_PLUS), "base value_fn"),
+    (lambda: Configuration(0, ((1, 0),)), "master_state slots"),
+    (lambda: ValueResult.finite(Fraction(1, 2)), "tag value"),
+    (lambda: Threshold(Fraction(1, 2), strict=True), "value strict"),
+    (lambda: LassoWord(("a",), ("a", "a")), "prefix period"),
+    (lambda: Certificate("lasso", PLUS_INFINITY, LassoWord((), ("a",)), flags=("not-attained",)),
+     "kind value lasso star pumped flags"),
+    (lambda: Instr.add(3), "kind amount"),
+    (lambda: RatioGraph((0,), (0,), (2,), (1,), ((0,),)), "src dst cost ticks components"),
+    (lambda: CycleWitness((0,), Fraction(2), ()), "cycle ratio potentials"),
+    (_step, "position config_before letter invoked returned"),
+    (lambda: RunTrace((_step(),)), "steps"),
+    (lambda: StarWitness(1, (0, 1), -1, (2,)), "j cycle j_sum closing"),
+]
+
+
+@pytest.mark.parametrize("make, fields", RECORDS, ids=[type(make()).__name__ for make, _ in RECORDS])
+def test_value_records_are_frozen_comparable_and_named(make, fields):
+    record, twin = make(), make()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    names = fields.split()
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], getattr(twin, names[0]))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+    assert repr(record) == f"{type(record).__name__}({shown})"
+
+
+def test_value_records_check_and_normalise_their_fields():
+    with pytest.raises(ValueError, match="finite result needs a value"):
+        ValueResult(ValueTag.FINITE)
+    with pytest.raises(ValueError, match="carries no value"):
+        ValueResult(ValueTag.NEG_INFINITY, 1)
+    with pytest.raises(ValueError, match="lasso period must be nonempty"):
+        LassoWord((), ())
+    assert type(Threshold(1).value) is Fraction and Threshold(1) == Threshold(Fraction(1), False)
+    assert type(ValueResult.finite(1).value) is Fraction
+    assert type(ValueResult(ValueTag.FINITE, 3).value) is Fraction
+    assert ValueResult(ValueTag.PLUS_INFINITY) == PLUS_INFINITY
 
 
 def _tiny(alphabet, states, initials, trans, acc):

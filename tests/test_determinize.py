@@ -3,7 +3,6 @@ import random
 from helpers import edge_records, random_draw, random_nondet, reference_config_graph, twinned
 from nwaq.core import (
     Alphabet,
-    Configuration,
     LabeledAutomaton,
     Nwa,
     ValueFn,
@@ -12,7 +11,7 @@ from nwaq.core import (
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import StepTables, explore
-from nwaq.oracle import enumerate_lasso_infimum
+from nwaq.oracle import Configuration, enumerate_lasso_infimum
 from nwaq.width import has_width
 from reference import config_bound, count_configurations, decode_configurations, materialize_deterministic, normalize_slaves
 
