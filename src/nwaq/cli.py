@@ -89,7 +89,7 @@ def _witness_json(cert: Certificate, pipe: Pipeline):
     if cert.kind == "lasso" and cert.lasso is not None:
         return render_word(cert.lasso)
     if cert.kind == "star" and cert.star is not None:
-        data = {"kind": "star", **_star_json(cert.star, pipe.nwa, pipe.graph)}
+        data = {"kind": "star", **_star_json(cert.star, pipe.graph)}
         if cert.pumped is not None:
             data["pumped"] = render_word(cert.pumped)
         return data
@@ -98,8 +98,8 @@ def _witness_json(cert: Certificate, pipe: Pipeline):
     return None
 
 
-def _star_json(star: StarWitness, nwa: Nwa, graph: ConfigGraph) -> dict:
-    letters = [nwa.alphabet.letters[graph.letter[n]] for n in star.cycle]
+def _star_json(star: StarWitness, graph: ConfigGraph) -> dict:
+    letters = [graph.nwa.alphabet.letters[graph.letter[n]] for n in star.cycle]
     return {"j": star.j, "j_sum": star.j_sum, "cycle_letters": letters}
 
 
@@ -249,7 +249,7 @@ def _cmd_infimum(args) -> int:
 
 
 def _cmd_universal(args) -> int:
-    nwa = _require_nwa(_load(args.file))
+    nwa = _require_nwa(_read(args.file))  # `Pipeline` validates it
     t = _get_threshold(args)
     answer = universality_deterministic(nwa, args.k, t)
     _emit("universal", answer)
@@ -259,11 +259,11 @@ def _cmd_universal(args) -> int:
 def _cmd_star(args) -> int:
     nwa = _require_nwa(_load(args.file))
     _, graph = explore(nwa, args.k)
-    witness = check_star_condition(nwa, args.k, graph)
+    witness = check_star_condition(graph)
     if witness is None:
         _emit("star", False)
         return 1
-    _emit("star", True, witness=_star_json(witness, nwa, graph))
+    _emit("star", True, witness=_star_json(witness, graph))
     return 0
 
 

@@ -66,17 +66,21 @@ class Certificate(NamedTuple):
 
 class Pipeline:
     """All decision stages for one automaton and width bound, built once, on
-    its configuration graph with every weight times `sign` (see `StepTables`)."""
+    its configuration graph with every weight times `sign` (see `StepTables`).
+    Negated weights answer universality only for deterministic input, so
+    with a negative sign nondeterministic input is rejected."""
 
     def __init__(self, nwa: Nwa, k: int, sign: int = 1):
         problems = validate_nwa(nwa)
         if problems:
             raise PreconditionError("; ".join(problems))
+        if sign < 0:
+            ok, site = is_deterministic(nwa)
+            if not ok:
+                raise NondeterministicInputError(site or "universality needs a deterministic automaton")
         _, graph = explore(nwa, k, sign)
-        self.nwa = nwa
-        self.k = k
         self.graph = graph
-        self.star: Optional[StarWitness] = check_star_condition(nwa, k, graph)
+        self.star: Optional[StarWitness] = check_star_condition(graph)
         self.ratio: Optional[RatioGraph] = None
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
@@ -100,13 +104,13 @@ class Pipeline:
     def emptiness(self, t: Threshold) -> tuple[bool, Certificate]:
         """`below(t)`, with its certificate."""
         if self.star is not None:
-            return True, self._star(pumps=_pumps_for(self.star, t, self.k))
+            return True, self._star(pumps=_pumps_for(self.star, t, self.graph.k))
         if not self.below(t):
             return False, Certificate(kind="infimum", value=self.value)
         return True, self._lasso(t)
 
     def _star(self, pumps: int) -> Certificate:
-        pumped = pump_witness(self.nwa, self.graph, self.star, pumps)
+        pumped = pump_witness(self.graph, self.star, pumps)
         return Certificate(kind="star", value=NEG_INFINITY, star=self.star, pumped=pumped)
 
     def _lasso(self, t: Optional[Threshold]) -> Certificate:
@@ -115,7 +119,7 @@ class Pipeline:
         w, g = self._witness, self.ratio
         found = self._tight_period()
         if found is not None:
-            lasso = self.graph.lasso(self.nwa.alphabet.letters, *found)
+            lasso = self.graph.lasso(*found)
             return Certificate(kind="lasso", value=self.value, lasso=lasso)
         flags = ("not-attained",)
         if t is not None and t.value == w.ratio:
@@ -132,7 +136,7 @@ class Pipeline:
             x = (c - t.value * d) / (t.value * b - a)
             n = max(1, math.floor(x) + 1 if t.strict else math.ceil(x))
         value = ValueResult.finite(Fraction(n * a + c, n * b + d))
-        lasso = self.graph.lasso(self.nwa.alphabet.letters, root, list(w.cycle) * n + detour)
+        lasso = self.graph.lasso(root, list(w.cycle) * n + detour)
         return Certificate(kind="lasso", value=value, lasso=lasso, flags=flags)
 
     def _tight_period(self) -> Optional[tuple[int, list[int]]]:
@@ -148,8 +152,7 @@ class Pipeline:
         three kinds.
         """
         g, w = self.ratio, self._witness
-        p, q = w.ratio.numerator, w.ratio.denominator
-        pot = {u: x for pi in w.potentials for u, x in pi.items()}
+        p, q, pot = w.ratio.numerator, w.ratio.denominator, w.potentials
         tight = sorted(n for ns in g.components for n in ns
                        if q * g.cost[n] - p * g.ticks[n] + pot[g.dst[n]] - pot[g.src[n]] == 0)
         src, dst = [g.src[n] for n in tight], [g.dst[n] for n in tight]
@@ -244,7 +247,4 @@ def universality_deterministic(nwa: Nwa, k: int, t: Threshold) -> bool:
     converge, reach or approach R. With a descent the limsup question's
     answer is no at every t; whether the liminf question's is too is open.
     """
-    ok, site = is_deterministic(nwa)
-    if not ok:
-        raise NondeterministicInputError(site or "universality needs a deterministic automaton")
     return not Pipeline(nwa, k, sign=-1).below(Threshold(-t.value, not t.strict))

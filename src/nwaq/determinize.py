@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 from functools import cached_property
 
-from .core import LassoWord, Nwa
+from .core import LassoWord, Nwa, width_error
 from .graphs import sccs, shortest_path
 
 
@@ -134,17 +134,14 @@ class ConfigGraph:
     the master target is accepting.
     Edges are sorted by source, then letter, then the order `StepTables.step`
     emits them; the edges of configuration u are `start[u]` to
-    `start[u + 1] - 1`, and `len` counts them. `overflow` is (u, a) for
-    the first step in breadth-first order that needs a (k+1)-th slot, from
-    configuration u on letter a, or None when no reachable step does; then
-    only the configurations before u in that order have all their edges.
-    `comp` gives each configuration's strongly connected component, computed
-    on first use.
+    `start[u + 1] - 1`, and `len` counts them. `nwa` and `k` are the
+    automaton and width cap it was explored from. `comp` gives each
+    configuration's strongly connected component, computed on first use.
     """
 
-    def __init__(self, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
-                 start: list[int], initials: list[int], overflow: tuple[int, int] | None, *columns: list):
-        self.keys, self.tables, self.start, self.initials, self.overflow = keys, tables, start, initials, overflow
+    def __init__(self, nwa: Nwa, k: int, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
+                 start: list[int], initials: list[int], *columns: list):
+        self.nwa, self.k, self.keys, self.tables, self.start, self.initials = nwa, k, keys, tables, start, initials
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
          self.master_accepting) = columns
 
@@ -165,16 +162,10 @@ class ConfigGraph:
         dst = self.dst
         return shortest_path(self.initials, lambda v: ((n, dst[n]) for n in self.out(v)), u.__eq__)
 
-    def overflow_word(self, letters: tuple[str, ...]) -> tuple[str, ...]:
-        """The letters of `access` to the `overflow` step's configuration,
-        then its letter: a shortest word whose last step needs a (k+1)-th
-        slot, the first in edge order, as `has_width` finds it."""
-        u, a = self.overflow
-        return tuple(letters[self.letter[n]] for n in self.access(u)) + (letters[a],)
-
-    def lasso(self, letters: tuple[str, ...], root: int, period: list[int]) -> LassoWord:
+    def lasso(self, root: int, period: list[int]) -> LassoWord:
         """The letters of `access(root)`, then of the closed walk `period`
         from `root` forever."""
+        letters = self.nwa.alphabet.letters
         return LassoWord(*(tuple(letters[self.letter[n]] for n in walk) for walk in (self.access(root), period)))
 
 
@@ -184,9 +175,10 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     weights times `sign` (see `StepTables`).
 
     One breadth-first worklist over the keys expands each configuration with
-    one `StepTables.step` call, with the garbage collector paused. It stops
-    at the first step past the cap, which every caller rejects: the graph is
-    then the part explored so far. No `Configuration` is built here.
+    one `StepTables.step` call, with the garbage collector paused. The first
+    step past the cap raises `width_error`, its witness the letters of a
+    shortest path to that step's source, the first in step order, then the
+    step's letter, as `has_width` finds it. No `Configuration` is built here.
     """
     tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
@@ -194,15 +186,19 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
     dst, letter, slot_weights, cost, invoked, returned, accepting = steps = tuple([] for _ in range(7))
     ends = [0]  # per discovery number, the end of its steps
-    overflow = None  # (discovery number, letter) of the first step past the cap
     collecting = gc.isenabled()
     gc.disable()
     try:
-        while overflow is None and len(ends) <= len(keys):
+        while len(ends) <= len(keys):
             for a, target, weights, total, slave, released, acc in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    overflow = len(ends) - 1, a
-                    break
+                    # discovery order is breadth-first order, so a search over
+                    # the steps taken so far meets the source as has_width does
+                    path = shortest_path(range(len(nwa.master.initials)),
+                                         lambda d: ((n, dst[n]) for n in range(ends[d], ends[d + 1])),
+                                         (len(ends) - 1).__eq__)
+                    letters = nwa.alphabet.letters
+                    raise width_error(k, [letters[letter[n]] for n in path] + [letters[a]])
                 d = found.get(target)
                 if d is None:
                     d = found[target] = len(keys)
@@ -218,7 +214,6 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     finally:
         if collecting:
             gc.enable()
-    ends += ends[-1:] * (len(keys) + 1 - len(ends))  # configurations left unexpanded have no steps
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
     start, perm, src = [0], [], []  # perm: the step numbers in edge order
@@ -229,7 +224,5 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
         start.append(len(perm))
     keys = [keys[d] for d in order]
     columns = [src, [rank[dst[n]] for n in perm]] + [[column[n] for n in perm] for column in steps[1:]]
-    if overflow is not None:
-        overflow = rank[overflow[0]], overflow[1]
     initials = sorted(rank[: len(nwa.master.initials)])
-    return keys, ConfigGraph(keys, tables, start, initials, overflow, *columns)
+    return keys, ConfigGraph(nwa, k, keys, tables, start, initials, *columns)

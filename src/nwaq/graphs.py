@@ -66,20 +66,27 @@ def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
 def shortest_path(starts, moves, goal) -> Optional[list[int]]:
     """Edge indexes of a shortest path from a start state to a goal state,
     breadth first; `moves(state)` yields (edge index, next state) pairs in a
-    fixed order, so the first shortest path in that order is returned."""
-    parent = {s: None for s in starts}
-    queue = deque(starts)
+    fixed order, so the first shortest path in that order is returned. The
+    starts are tested in order, and every other state when it is first
+    reached: states are popped in the order they are reached, so this finds
+    the path a test on popping would."""
+    parent = {}
+    for s in starts:
+        if goal(s):
+            return []
+        parent[s] = None
+    queue = deque(parent)
     while queue:
         state = queue.popleft()
-        if goal(state):
-            path = []
-            while parent[state] is not None:
-                state, n = parent[state]
-                path.append(n)
-            path.reverse()
-            return path
         for n, nxt in moves(state):
             if nxt not in parent:
                 parent[nxt] = (state, n)
+                if goal(nxt):
+                    path = []
+                    while parent[nxt] is not None:
+                        nxt, n = parent[nxt]
+                        path.append(n)
+                    path.reverse()
+                    return path
                 queue.append(nxt)
     return None

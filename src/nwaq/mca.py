@@ -25,7 +25,6 @@ from .core import (
     ValueResult,
     WeightedAutomaton,
     limavg_periodic,
-    width_error,
 )
 from .determinize import explore
 
@@ -263,8 +262,6 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
     if k < 1:
         raise ValueError("k must be positive")
     _, graph = explore(nwa, k)
-    if graph.overflow is not None:
-        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
     slot_of = graph.tables.slot_of
     slot_names = [f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slot_of]
     # state (master state, per counter None or (slot id, pending weight)) -> id

@@ -53,14 +53,14 @@ class CycleWitness(NamedTuple):
     """A qualifying cycle of least ratio, and the potentials that prove no
     qualifying cycle has a lower ratio.
 
-    `potentials` holds one map per qualifying component, from its nodes to
-    integers pi with q*cost - p*ticks + pi(v) - pi(u) >= 0 on each of its
-    internal edges u -> v, where ratio = p/q; see `check_ratio_bound`.
+    `potentials` maps each node of every qualifying component to an integer
+    pi with q*cost - p*ticks + pi(v) - pi(u) >= 0 on each internal edge
+    u -> v of a component, where ratio = p/q; see `check_ratio_bound`.
     """
 
     cycle: tuple[int, ...]  # edge indexes
     ratio: Fraction
-    potentials: tuple[Mapping[int, int], ...]
+    potentials: Mapping[int, int]
 
 
 def _policy_iteration(g: RatioGraph, edge_idxs: Sequence[int]):
@@ -159,27 +159,20 @@ def _policy_iteration(g: RatioGraph, edge_idxs: Sequence[int]):
             return ratio, ring, pot
 
 
-def check_ratio_bound(g: RatioGraph, lam: Fraction, potentials: Sequence[Mapping[int, int]]) -> bool:
-    """Do integer potentials prove that no cycle inside one of their
-    components has a ratio below `lam`?
+def check_ratio_bound(g: RatioGraph, lam: Fraction, pi: Mapping[int, int]) -> bool:
+    """Do integer potentials prove that no cycle inside a qualifying
+    component has a ratio below `lam`?
 
-    With lam = p/q, every edge u -> v whose ends lie in the same map must
+    With lam = p/q, every internal edge u -> v listed in `g.components` must
     satisfy q*cost - p*ticks + pi(v) - pi(u) >= 0; around a cycle the
-    potentials cancel, leaving q*cost - p*ticks >= 0. A node in two maps
-    fails the check.
+    potentials cancel, leaving q*cost - p*ticks >= 0. A node of such an edge
+    without a potential fails the check.
     """
     p, q = lam.numerator, lam.denominator
-    owner: dict[int, int] = {}
-    for i, pi in enumerate(potentials):
-        for u in pi:
-            if u in owner:
-                return False
-            owner[u] = i
-    for u, v, cost, ticks in zip(g.src, g.dst, g.cost, g.ticks):
-        i = owner.get(u)
-        if i is not None and owner.get(v) == i:
-            pi = potentials[i]
-            if q * cost - p * ticks + pi[v] - pi[u] < 0:
+    for edge_idxs in g.components:
+        for n in edge_idxs:
+            u, v = g.src[n], g.dst[n]
+            if u not in pi or v not in pi or q * g.cost[n] - p * g.ticks[n] + pi[v] - pi[u] < 0:
                 return False
     return True
 
@@ -206,6 +199,6 @@ def infimum_ratio(g: RatioGraph) -> tuple[ValueResult, Optional[CycleWitness]]:
     # least ratio p/q <= p_c/q_c; flooring q*x keeps them integers and keeps
     # every edge inequality, whose other terms are integers
     q = ratio.denominator
-    potentials = tuple({u: q * x // own.denominator for u, x in pot.items()} for own, pot in solved)
+    potentials = {u: q * x // own.denominator for own, pot in solved for u, x in pot.items()}
     witness = CycleWitness(cycle=tuple(ring), ratio=ratio, potentials=potentials)
     return ValueResult.finite(ratio), witness

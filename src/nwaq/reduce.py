@@ -30,7 +30,6 @@ from .core import (
     WeightedAutomaton,
     check64,
     is_deterministic,
-    width_error,
 )
 from .determinize import ConfigGraph, explore
 
@@ -48,8 +47,6 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     if not ok:
         raise NondeterministicInputError(site or "input is not deterministic")
     _, graph = explore(nwa, k)
-    if graph.overflow is not None:
-        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
     slot_of = graph.tables.slot_of
     # per configuration, whether every active slave may terminate
     turnover = [all(s in nwa.slave(i).base.accepting for i, s in (slot_of[g] for g in ids)) for _, ids in graph.keys]
@@ -100,7 +97,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     def name(state):
         u, pending, jflag, bit, f1s, f2s, ph = state
         flags = ("!" if jflag else "") + ("F" if f1s else "") + ("T" if f2s else "")
-        return f"{_config_name(nwa, graph, u)}w{pending}{flags}{bit}p{ph}"
+        return f"{_config_name(graph, u)}w{pending}{flags}{bit}p{ph}"
 
     master = LabeledAutomaton(
         alphabet=nwa.alphabet,
@@ -111,7 +108,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         accepting=frozenset(i for i, s in enumerate(states) if s[6] == 1 and f1(s)),
     )
 
-    slaves = tuple(_compound_slave(nwa, graph, site) for site in sites)
+    slaves = tuple(_compound_slave(graph, site) for site in sites)
     dummy = WeightedAutomaton(
         LabeledAutomaton(nwa.alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0})),
         ValueFn.SUM,
@@ -119,14 +116,14 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     return Nwa(master, slaves + (dummy,), name=(nwa.name + "_w1") if nwa.name else "w1")
 
 
-def _config_name(nwa: Nwa, graph: ConfigGraph, u: int) -> str:
+def _config_name(graph: ConfigGraph, u: int) -> str:
     q, ids = graph.keys[u]
     slots = (graph.tables.slot_of[g] for g in ids)
-    inner = ",".join(f"B{i}.{nwa.slave(i).base.state_names[s]}" for i, s in slots)
-    return f"{nwa.master.state_names[q]}[{inner}]"
+    inner = ",".join(f"B{i}.{graph.nwa.slave(i).base.state_names[s]}" for i, s in slots)
+    return f"{graph.nwa.master.state_names[q]}[{inner}]"
 
 
-def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> WeightedAutomaton:
+def _compound_slave(graph: ConfigGraph, site: tuple[int, int]) -> WeightedAutomaton:
     """The compound instance spawned one step after an invocation site, a
     configuration id and the weight pending there.
 
@@ -161,11 +158,11 @@ def _compound_slave(nwa: Nwa, graph: ConfigGraph, site: tuple[int, int]) -> Weig
         if state == entry:
             return "entry"
         v, pending, cut = state
-        return f"{_config_name(nwa, graph, v)}w{pending}{'!' if cut else ''}"
+        return f"{_config_name(graph, v)}w{pending}{'!' if cut else ''}"
 
     return WeightedAutomaton(
         LabeledAutomaton(
-            alphabet=nwa.alphabet,
+            alphabet=graph.nwa.alphabet,
             n_states=len(states),
             state_names=tuple(name(s) for s in states),
             initials=frozenset({0}),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .core import LassoWord, Nwa, width_error
+from .core import LassoWord
 from .determinize import ConfigGraph
 from .graphs import shortest_path
 
@@ -48,18 +48,16 @@ class StarWitness(NamedTuple):
     closing: tuple[int, ...]
 
 
-def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
+def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
     or None when every such cycle test is empty or the graph's step tables
-    hold no negative weight. `graph` is the configuration graph of `nwa` at
-    width k; input wider than k raises `width_error`."""
-    if graph.overflow is not None:
-        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    hold no negative weight."""
     if graph.tables.least >= 0:
         return None
 
     comp, g, keys, slot_weights = graph.comp, graph, graph.keys, graph.slot_weights
-    live = sorted({comp[u] for u, (q, _) in enumerate(keys) if q in nwa.master.accepting})
+    accepting = graph.nwa.master.accepting
+    live = sorted({comp[u] for u, (q, _) in enumerate(keys) if q in accepting})
     # per live component, its internal edges that keep the oldest slot alive, in index
     # order: (index, source, target, how many oldest slots it keeps)
     inner: dict[int, list[tuple[int, int, int, int]]] = {ci: [] for ci in live}
@@ -69,7 +67,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
             keep = returned[0] - 1 if returned else len(keys[u][1])
             if keep:
                 inner[c].append((n, u, v, keep))
-    for j in range(1, k + 1):
+    for j in range(1, graph.k + 1):
         for ci in list(live):
             ns, arcs = [], []
             ids: dict[int, int] = {}
@@ -83,7 +81,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            closing = _closing_path(nwa, g, g.src[ns[cycle[0]]])
+            closing = _closing_path(g, g.src[ns[cycle[0]]])
             if closing is None:
                 live.remove(ci)
                 continue
@@ -132,7 +130,7 @@ def _negative_cycle(n: int, arcs: Sequence[tuple[int, int, int]]) -> Optional[li
                 return cycle
 
 
-def pump_witness(nwa: Nwa, graph: ConfigGraph, witness: StarWitness, pumps: int) -> LassoWord:
+def pump_witness(graph: ConfigGraph, witness: StarWitness, pumps: int) -> LassoWord:
     """Lasso (path to the cycle, cycle^pumps . closing path), for a witness
     found in `graph`.
 
@@ -142,10 +140,10 @@ def pump_witness(nwa: Nwa, graph: ConfigGraph, witness: StarWitness, pumps: int)
     entered it.
     """
     anchor = graph.src[witness.cycle[0]]
-    return graph.lasso(nwa.alphabet.letters, anchor, list(witness.cycle * pumps + witness.closing))
+    return graph.lasso(anchor, list(witness.cycle * pumps + witness.closing))
 
 
-def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
+def _closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
     """Edge indexes of a shortest path from configuration `anchor` back to it
     that releases every slot alive at its start and passes a configuration
     with an accepting master state, or None.
@@ -165,5 +163,5 @@ def _closing_path(nwa: Nwa, graph: ConfigGraph, anchor: int) -> Optional[list[in
                 yield n, (v, left, seen or graph.master_accepting[n])
 
     q, slots = graph.keys[anchor]
-    start = (anchor, len(slots), q in nwa.master.accepting)
+    start = (anchor, len(slots), q in graph.nwa.master.accepting)
     return shortest_path([start], moves, lambda state: state == (anchor, 0, True))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Nwa
+from .core import Nwa, PreconditionError
 from .determinize import StepTables, explore
 from .graphs import shortest_path
 
@@ -37,8 +37,11 @@ def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
 def minimal_width(nwa: Nwa, k_max: int) -> Optional[int]:
     """Smallest k <= k_max for which has_width holds, or None: one
     exploration at cap k_max, whose widest configuration, or 1, is the
-    answer when no step overflows."""
+    answer when the exploration does not raise `width_error`."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    keys, graph = explore(nwa, k_max)
-    return None if graph.overflow is not None else max(1, *(len(slots) for _, slots in keys))
+    try:
+        keys, _ = explore(nwa, k_max)
+    except PreconditionError:
+        return None
+    return max(1, *(len(slots) for _, slots in keys))

@@ -31,7 +31,6 @@ from nwaq.core import (
     WeightedAutomaton,
     check64,
     is_deterministic,
-    width_error,
 )
 from nwaq.determinize import ConfigGraph, StepTables, explore
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
@@ -253,13 +252,10 @@ def sccs(n: int, edge_list) -> list[int]:
     return comp
 
 
-def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarWitness]:
+def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
-    or None when every such cycle test is empty or no slave weight is negative.
-    `graph` is the configuration graph of `nwa` at width k; input wider than k
-    raises `width_error`."""
-    if graph.overflow is not None:
-        raise width_error(k, graph.overflow_word(nwa.alphabet.letters))
+    or None when every such cycle test is empty or no slave weight is negative."""
+    nwa = graph.nwa
     if min_effective_weight(nwa) >= 0:
         return None
 
@@ -271,7 +267,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
         for n, (u, v) in enumerate(zip(g.src, g.dst))
         if comp[u] == comp[v]
     }
-    for j in range(1, k + 1):
+    for j in range(1, graph.k + 1):
         # per component, the internal edges that keep the j oldest slots alive
         kept: dict[int, list[int]] = {ci: [] for ci in live}
         for n, keep in keeps.items():
@@ -288,7 +284,7 @@ def check_star_condition(nwa: Nwa, k: int, graph: ConfigGraph) -> Optional[StarW
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            closing = _closing_path(nwa, g, g.src[ns[cycle[0]]])
+            closing = _closing_path(g, g.src[ns[cycle[0]]])
             if closing is None:
                 live.remove(ci)
                 continue

@@ -95,11 +95,11 @@ def test_criterion_3_star_soundness():
     with _Budget("3 descent-condition soundness", 5.0):
         for nwa, k in ((cond_a2(), 2), (average_excess(), 1)):
             _, graph = explore(nwa, k)
-            witness = check_star_condition(nwa, k, graph)
+            witness = check_star_condition(graph)
             assert witness is not None
             dips, oracle = [], Oracle(nwa, k)
             for m in (1, 2, 4, 8):
-                lasso = pump_witness(nwa, graph, witness, pumps=16 * m)
+                lasso = pump_witness(graph, witness, pumps=16 * m)
                 assert oracle.evaluate(lasso) is not PLUS_INFINITY
                 dips.append(oracle.min_partial_average(lasso, 8))
             assert all(b < a for a, b in zip(dips, dips[1:])), nwa.name

@@ -7,12 +7,14 @@ it alone takes cartesian products of moves. The pipeline's one step rule is
 width-1 reduction and the MCA translation read the pipeline's explored
 configuration graph, so neither imports the separate width check (`width`),
 the reduction does not import the oracle, and the translation does not
-import `StepTables`. The shared graph routines (`graphs`) import nothing
-from the package, and the mean-payoff solver only `core`. No module imports
-another's private (underscore) names or stores data in an object's
-`__dict__`. Only the four automaton classes, whose `cached_property` tables
-need an instance dict, are dataclasses: the value records are named tuples,
-which cost a fraction of a dataclass to define at import.
+import `StepTables`. Only the explorer raises the width error, so every
+configuration graph is complete. The shared graph routines (`graphs`)
+import nothing from the package, and the mean-payoff solver only `core`. No
+module imports another's private (underscore) names or stores data in an
+object's `__dict__`. Only the four automaton classes, whose
+`cached_property` tables need an instance dict, are dataclasses: the value
+records are named tuples, which cost a fraction of a dataclass to define at
+import.
 """
 
 import ast
@@ -158,6 +160,17 @@ def test_explorers_step_by_the_step_tables():
     tree = _tree("mca.py")
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "StepTables" not in imported, imported
+
+
+def test_only_the_explorer_raises_the_width_error():
+    # every configuration graph is complete: its readers have no width check
+    callers = {
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.FunctionDef) and "width_error" in _calls(node)
+    }
+    assert callers == {("determinize.py", "explore")}
 
 
 def test_decisions_build_no_automaton():

@@ -313,7 +313,7 @@ def test_cli_validates_infimum_and_empty_once(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "nwaq" and getattr(module, "validate_nwa", None) is original:
             monkeypatch.setattr(module, "validate_nwa", counting)
-    for command, *rest in (("infimum",), ("empty", "--le", "0"), ("empty", "--lt", "-1")):
+    for command, *rest in (("infimum",), ("empty", "--le", "0"), ("empty", "--lt", "-1"), ("universal", "--le", "0")):
         calls.clear()
         code, _ = run_cli(capsys, command, str(DATA / "cond_a1.nwa"), "--k", "2", *rest)
         assert code in (0, 1) and len(calls) == 1, (command, rest, len(calls))

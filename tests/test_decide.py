@@ -128,7 +128,7 @@ def test_negated_graph_is_the_mirrors_graph(all_corpus):
         keys, got = explore(nwa, k, sign=-1)
         want_keys, want = explore(mirror(nwa), k)
         assert keys == want_keys and got.keys == want.keys, (nwa.name, k)
-        for column in ("start", "initials", "overflow", "src", "dst", "letter", "slot_weights", "cost", "invoked",
+        for column in ("start", "initials", "src", "dst", "letter", "slot_weights", "cost", "invoked",
                        "returned", "master_accepting"):
             assert getattr(got, column) == getattr(want, column), (nwa.name, k, column)
         # the star test's quick exit: no stored weight is below the least one

@@ -1,13 +1,17 @@
 import random
 
+import pytest
+
 from helpers import edge_records, random_draw, random_nondet, reference_config_graph, twinned
 from nwaq.core import (
     Alphabet,
     LabeledAutomaton,
     Nwa,
+    PreconditionError,
     ValueFn,
     WeightedAutomaton,
     is_deterministic,
+    width_error,
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import StepTables, explore
@@ -73,7 +77,10 @@ def test_access_paths_are_shortest_from_the_initials(all_corpus):
 def test_configs_decode_the_keys(all_corpus):
     for nwa in all_corpus.values():
         for k in (1, 2, 3):
-            keys, graph = explore(nwa, k)
+            try:
+                keys, graph = explore(nwa, k)
+            except PreconditionError:
+                continue  # wider than k
             configs = decode_configurations(nwa, keys)
             assert keys == graph.keys, (nwa.name, k)
             # slot ids sort as the (slave, state) pairs they name
@@ -279,20 +286,17 @@ def test_explore_matches_reference_successors(all_corpus):
     overflows = 0
     for nwa, k in cases:
         keys, edges, overflow = reference_config_graph(nwa, k)
-        _, got = explore(nwa, k)
-        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned, got.master_accepting)
-        assert (got.overflow is not None) == overflow, nwa.name
         if overflow:
-            # exploration stops at the first step past the cap: what it
-            # explored so far is part of the reference graph
-            assert got.overflow_word(nwa.alphabet.letters) == has_width(nwa, k)[1], nwa.name
-            named = [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)]
-            assert set(named) <= set(keys), nwa.name
-            ids = {key: n for n, key in enumerate(keys)}
-            assert {(ids[named[u]], ids[named[v]], *rest) for u, v, *rest in zip(*columns)} <= set(edges), nwa.name
-            assert list(got.cost) == [sum(weights) for weights in got.slot_weights]
+            # exploration raises at the first step past the cap, with the
+            # witness the width check finds
+            with pytest.raises(PreconditionError) as err:
+                explore(nwa, k)
+            assert str(err.value) == str(width_error(k, has_width(nwa, k)[1])), nwa.name
             overflows += 1
             continue
+        _, got = explore(nwa, k)
+        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned, got.master_accepting)
+        assert (got.nwa, got.k) == (nwa, k)
         assert [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)] == keys, nwa.name
         assert list(zip(*columns)) == edges, nwa.name
         assert list(got.cost) == [sum(e[3]) for e in edges]
