@@ -164,6 +164,12 @@ class Nwa:
             return False
         return next(iter(s.initials)) in s.accepting
 
+    @staticmethod
+    def dummy_slave(alphabet: Alphabet) -> WeightedAutomaton:
+        """The dummy slave `d0`: one initial accepting state, no transitions."""
+        d0 = LabeledAutomaton(alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0}))
+        return WeightedAutomaton(d0, ValueFn.SUM)
+
     @cached_property
     def determinism(self) -> tuple[bool, Optional[str]]:
         """`is_deterministic(self)`, computed on first use."""

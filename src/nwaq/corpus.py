@@ -30,10 +30,6 @@ def _automaton(alphabet: Alphabet, states: list[str], initials, transitions, acc
     )
 
 
-def _dummy(alphabet: Alphabet) -> WeightedAutomaton:
-    return WeightedAutomaton(_automaton(alphabet, ["d0"], ["d0"], [], ["d0"]), ValueFn.SUM)
-
-
 def _response_time_slave(alphabet: Alphabet, grant: str = "g") -> WeightedAutomaton:
     """Sum+ slave counting letters from invocation up to, excluding, the grant."""
     trans = [("s0", a, "s0", 1) for a in alphabet.letters if a != grant]
@@ -97,7 +93,7 @@ def k_art(k: int) -> Nwa:
         if i >= 1:
             trans.append((f"p{i}", "g", "p0", 2))
     master = _automaton(sigma, states, ["p0"], trans, ["p0"])
-    return Nwa(master, (_response_time_slave(sigma), _dummy(sigma)), name=f"k_art_{k}")
+    return Nwa(master, (_response_time_slave(sigma), Nwa.dummy_slave(sigma)), name=f"k_art_{k}")
 
 
 def art_types(k: int) -> Nwa:
@@ -124,7 +120,7 @@ def art_types(k: int) -> Nwa:
             else:
                 trans.append((name_of[s], f"g{i}", name_of[s - {i}], dummy_index))
     master = _automaton(sigma, [name_of[s] for s in subsets], [name_of[frozenset()]], trans, [name_of[frozenset()]])
-    slaves = tuple(_response_time_slave(sigma, grant=f"g{i}") for i in range(1, k + 1)) + (_dummy(sigma),)
+    slaves = tuple(_response_time_slave(sigma, grant=f"g{i}") for i in range(1, k + 1)) + (Nwa.dummy_slave(sigma),)
     return Nwa(master, slaves, name=f"art_types_{k}")
 
 

@@ -4,14 +4,12 @@ universality.
 A `Pipeline` explores one configuration graph, whose edges are joint choices
 of master and slave moves, so nondeterministic input needs no
 determinization. A negative descent settles every threshold at minus
-infinity. Otherwise a lasso is accepted when its period passes a
-master-accepting edge and an edge that releases slot position 1 or leaves no
-slot, and its value is the period's slot weights over its invocations; the
-infimum is the least such cycle ratio (`meanpayoff.infimum_ratio`). The
-graph's components are computed once (`ConfigGraph.comp`); a component
-qualifies when its internal edges include a tick, a master-accepting and a
-releasing edge, and policy iteration receives the internal edges of each
-qualifying one.
+infinity. Otherwise a lasso is accepted when its period passes an ACCEPT
+edge and a RELEASE edge (`determinize` defines the edge kinds), and its
+value is the period's slot weights over its invocations; the infimum is the
+least such cycle ratio (`meanpayoff.infimum_ratio`). Policy iteration
+receives the internal edges of each qualifying component
+(`ConfigGraph.qualifying`), the same components the descent test searches.
 Certificates are lassos over the input alphabet read off the same graph, or,
 for minus infinity, the witness cycle and a pumped word. Universality runs
 the same stages on the same graph with every weight negated.
@@ -36,13 +34,10 @@ from .core import (
     is_deterministic,
     validate_nwa,
 )
-from .determinize import ConfigGraph, explore
+from .determinize import ACCEPT, RELEASE, TICK, explore, qualifying_parts
 from .graphs import sccs, shortest_path
 from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, check_star_condition, pump_witness
-
-# the edge kinds a certificate period must pass
-TICK, ACCEPT, RELEASE = 1, 2, 4
 
 
 class Certificate(NamedTuple):
@@ -84,8 +79,8 @@ class Pipeline:
         self.ratio: Optional[RatioGraph] = None
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
-            self._kinds = _kinds(graph)
-            self.ratio = _ratio_graph(graph, self._kinds)
+            ticks = [kind & TICK for kind in graph.kinds]
+            self.ratio = RatioGraph(graph.src, graph.dst, graph.cost, ticks, graph.qualifying)
             self.value, self._witness = infimum_ratio(self.ratio)
             if self._witness is not None:
                 assert check_ratio_bound(self.ratio, self._witness.ratio, self._witness.potentials)
@@ -159,7 +154,7 @@ class Pipeline:
         local = {u: i for i, u in enumerate(sorted(set(src).union(dst)))}  # the nodes they touch, relabelled
         src, dst = list(map(local.__getitem__, src)), list(map(local.__getitem__, dst))
         part = sccs([bisect_left(src, u) for u in range(len(local) + 1)], dst)  # src is sorted, as edges are
-        pieces = _qualifying(part, zip(tight, src, dst), self._kinds)
+        pieces = qualifying_parts(part, zip(tight, src, dst), self.graph.kinds)
         if not pieces:
             return None
         # a piece lies in one component, whose edges come sorted by source, and
@@ -171,7 +166,7 @@ class Pipeline:
     def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
         """Edge indexes of a shortest closed walk from configuration `root`
         over allowed edges that passes every edge kind in `need`."""
-        cg, kinds = self.graph, self._kinds
+        cg, kinds = self.graph, self.graph.kinds
 
         def moves(state):
             u, got = state
@@ -180,37 +175,6 @@ class Pipeline:
                     yield n, (cg.dst[n], got | kinds[n] & need)
 
         return shortest_path([(root, 0)], moves, (root, need).__eq__)
-
-
-def _kinds(cg: ConfigGraph) -> list[int]:
-    """The certificate kinds of each configuration edge; an edge releases
-    when it frees slot position 1 or leaves no slot."""
-    keys = cg.keys
-    return [
-        (invoked is not None) * TICK | accepting * ACCEPT | (1 in returned or not keys[v][1]) * RELEASE
-        for invoked, accepting, returned, v in zip(cg.invoked, cg.master_accepting, cg.returned, cg.dst)
-    ]
-
-
-def _ratio_graph(cg: ConfigGraph, kinds: list[int]) -> RatioGraph:
-    """The configuration graph's edge columns as a limit-average graph: cost
-    is the step's total slot weight, a tick is a non-silent invocation, and
-    the qualifying components are listed in ascending component id."""
-    components = _qualifying(cg.comp, zip(range(len(cg)), cg.src, cg.dst), kinds)
-    return RatioGraph(cg.src, cg.dst, cg.cost, [kind & TICK for kind in kinds], components)
-
-
-def _qualifying(part: list[int], edges, kinds: list[int]) -> list[list[int]]:
-    """The internal edges of each part, in ascending part id, that holds a
-    tick, a master-accepting and a releasing edge; `part` maps nodes to parts
-    and `edges` yields (index, source, target) triples, kept in their order."""
-    inner: dict[int, list[int]] = {}
-    held: dict[int, int] = {}
-    for n, u, v in edges:
-        if part[u] == part[v]:
-            inner.setdefault(part[u], []).append(n)
-            held[part[u]] = held.get(part[u], 0) | kinds[n]
-    return [inner[c] for c in sorted(inner) if held[c] == TICK | ACCEPT | RELEASE]
 
 
 def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:

@@ -6,7 +6,8 @@ integer tables and steps a configuration by them; it is the pipeline's one
 release, choose and invoke rule (the oracle has its own, written apart). The
 explorer enumerates every joint choice a nondeterministic automaton has on a
 letter, so each edge is one choice and the decisions run on this graph
-directly.
+directly. Each edge carries its kinds, the facts the acceptance rule reads,
+and `ConfigGraph.qualifying` applies that rule once for every stage.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from functools import cached_property
 from .core import LassoWord, Nwa, width_error
 from .graphs import sccs, shortest_path
 
+# the edge kinds: a non-silent invocation, an accepting master target, and a
+# release of slot position 1 or a target with no slot
+TICK, ACCEPT, RELEASE = 1, 2, 4
+
 
 class StepTables:
     """An automaton compiled into integer step tables.
@@ -26,14 +31,16 @@ class StepTables:
     of id g. `moves[a][g]` lists the moves of id g on letter a as (target id,
     effective weight), or is None when g is accepting and its slot
     terminates. `master[q]` pairs each letter a on which q moves with those
-    master moves, as (target, accepting, starts); starts are the choices for
-    the invoked slot, a move (target id, weight, slave) of the invoked slave
-    from an initial state, or None for a silent move (a dummy label, or a
-    slave accepting the empty word). Moves whose invoked slave dies at once
-    are left out. `payloads` keeps one object per distinct slot-weight and
-    released-position tuple `step` has returned, which all its edges share.
-    Weights are stored times `sign`, -1 for universality and +1 otherwise;
-    `least` is the least stored weight, 0 when none is.
+    master moves, as (target, its kinds for a silent move and for an
+    invocation, starts): ACCEPT when the target is accepting, and TICK for
+    an invocation. Starts are the choices for the invoked slot, a move
+    (target id, weight, slave) of the invoked slave from an initial state,
+    or None for a silent move (a dummy label, or a slave accepting the empty
+    word). Moves whose invoked slave dies at once are left out. `payloads` keeps one object per
+    distinct slot-weight and released-position tuple `step` has returned,
+    which all its edges share. Weights are stored times `sign`, -1 for
+    universality and +1 otherwise; `least` is the least stored weight, 0
+    when none is.
     """
 
     def __init__(self, nwa: Nwa, sign: int = 1):
@@ -67,13 +74,13 @@ class StepTables:
                 starts += (None,) * bool(aut.initials & aut.accepting)
                 if not starts:
                     continue
-            yield q2, q2 in nwa.master.accepting, starts
+            accept = ACCEPT * (q2 in nwa.master.accepting)
+            yield q2, accept, TICK | accept, starts
 
     def step(self, q: int, slots: tuple[int, ...]) -> list[tuple]:
         """Every joint choice from configuration (q, slots), slots given as
         ids, as (letter, (master target, target slots), slot weights, their
-        sum, invoked slave or None, released positions, master target
-        accepting), by letter.
+        sum, invoked slave or None, released positions, kinds), by letter.
 
         Accepting-state slots terminate first (forced), then a master move is
         chosen, each surviving slot picks a move independently, and a
@@ -82,6 +89,7 @@ class StepTables:
         moves in lexicographic order, then the invoked slot's.
         """
         out, share = [], self.payloads.setdefault
+        bare = 0 if slots else RELEASE  # a silent move from here leaves no slot
         for a, masters in self.master[q]:
             table = self.moves[a]
             returned: tuple[int, ...] = ()
@@ -101,16 +109,21 @@ class StepTables:
                     combos = [(ks + (t,), ws + (w,), c + w) for ks, ws, c in combos or [(kept, weights, cost)]
                               for t, w in moves]
             else:
-                returned = share(returned, returned)
-                for q2, accepting, starts in masters:
+                # the release bit of an invocation, and of a silent move
+                if returned:  # positions ascend, and () is shared already
+                    returned = share(returned, returned)
+                    freed = quiet = RELEASE if returned[0] == 1 else 0
+                else:
+                    freed, quiet = 0, bare
+                for q2, silent, tick, starts in masters:
                     for ks, ws, c in combos or [(kept, weights, cost)]:
                         for new in starts:
                             if new is None:
-                                out.append((a, (q2, ks), share(ws, ws), c, None, returned, accepting))
+                                out.append((a, (q2, ks), share(ws, ws), c, None, returned, silent | quiet))
                             else:
                                 t, w, i = new
                                 ws1 = ws + (w,)
-                                out.append((a, (q2, ks + (t,)), share(ws1, ws1), c + w, i, returned, accepting))
+                                out.append((a, (q2, ks + (t,)), share(ws1, ws1), c + w, i, returned, tick | freed))
         return out
 
 
@@ -130,20 +143,22 @@ class ConfigGraph:
     `returned[n]` lists the 1-based positions of the source's slots that
     terminate before the letter is consumed; their values live in run
     simulations, not in the finite graph. Edges share one tuple per distinct
-    `slot_weights` and `returned` value. `master_accepting[n]` tells whether
-    the master target is accepting.
+    `slot_weights` and `returned` value. `kinds[n]` holds the edge's kind
+    bits: TICK for a non-silent invocation, ACCEPT for an accepting master
+    target, RELEASE when the edge frees slot position 1 or leaves no slot.
     Edges are sorted by source, then letter, then the order `StepTables.step`
     emits them; the edges of configuration u are `start[u]` to
     `start[u + 1] - 1`, and `len` counts them. `nwa` and `k` are the
     automaton and width cap it was explored from. `comp` gives each
-    configuration's strongly connected component, computed on first use.
+    configuration's strongly connected component, and `qualifying` the
+    components an accepted run can repeat, both computed on first use.
     """
 
     def __init__(self, nwa: Nwa, k: int, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
                  start: list[int], initials: list[int], *columns: list):
         self.nwa, self.k, self.keys, self.tables, self.start, self.initials = nwa, k, keys, tables, start, initials
         (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
-         self.master_accepting) = columns
+         self.kinds) = columns
 
     def __len__(self) -> int:
         return len(self.src)
@@ -156,6 +171,31 @@ class ConfigGraph:
     def comp(self) -> list[int]:
         return sccs(self.start, self.dst)
 
+    @cached_property
+    def qualifying(self) -> list[list[int]]:
+        """The internal edges, in index order, of every component that holds
+        a TICK, an ACCEPT and a RELEASE edge, in ascending component id: the
+        components whose cycles an accepted run can repeat.
+
+        Where a descent cycle can sit, in a component with internal edges at
+        an anchor u with m >= 1 slots, this is the rule the negative-descent
+        test needs: the component holds a configuration with an accepting
+        master state, and a path inside it from u back to u passes one and
+        releases all m slots of u.
+        - Every node of a component with internal edges has an internal
+          in-edge, so it holds an accepting configuration iff one of its
+          internal edges has ACCEPT.
+        - The oldest slot of u still alive always sits at position 1, so a
+          way back that releases all m slots exists iff some internal edge
+          frees position 1: a walk that passes that edge m times, returning
+          to u in between, releases them all. An internal edge that leaves
+          no slot frees position 1 itself or, when its source has no slot,
+          ends a path from u that does.
+        - Such a way back must invoke again to return to m slots, so the
+          component also has a TICK edge.
+        """
+        return qualifying_parts(self.comp, zip(range(len(self)), self.src, self.dst), self.kinds)
+
     def access(self, u: int) -> list[int]:
         """Edge indexes of a shortest path from an initial configuration to
         configuration u, the first in edge order."""
@@ -167,6 +207,20 @@ class ConfigGraph:
         from `root` forever."""
         letters = self.nwa.alphabet.letters
         return LassoWord(*(tuple(letters[self.letter[n]] for n in walk) for walk in (self.access(root), period)))
+
+
+def qualifying_parts(part: list[int], edges, kinds: list[int]) -> list[list[int]]:
+    """The internal edges of each part, in ascending part id, that holds a
+    TICK, an ACCEPT and a RELEASE edge; `part` maps nodes to parts and
+    `edges` yields (index, source, target) triples, kept in their order."""
+    inner: list[list[int]] = [[] for _ in range(max(part, default=-1) + 1)]
+    held = [0] * len(inner)
+    for n, u, v in edges:
+        c = part[u]
+        if c == part[v]:
+            inner[c].append(n)
+            held[c] |= kinds[n]
+    return [ns for ns, got in zip(inner, held) if got == TICK | ACCEPT | RELEASE]
 
 
 def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
@@ -184,13 +238,13 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     keys = sorted((q, ()) for q in nwa.master.initials)
     found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
-    dst, letter, slot_weights, cost, invoked, returned, accepting = steps = tuple([] for _ in range(7))
+    dst, letter, slot_weights, cost, invoked, returned, kinds = steps = tuple([] for _ in range(7))
     ends = [0]  # per discovery number, the end of its steps
     collecting = gc.isenabled()
     gc.disable()
     try:
         while len(ends) <= len(keys):
-            for a, target, weights, total, slave, released, acc in tables.step(*keys[len(ends) - 1]):
+            for a, target, weights, total, slave, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
                     # discovery order is breadth-first order, so a search over
                     # the steps taken so far meets the source as has_width does
@@ -209,7 +263,7 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
                 cost.append(total)
                 invoked.append(slave)
                 returned.append(released)
-                accepting.append(acc)
+                kinds.append(kind)
             ends.append(len(dst))
     finally:
         if collecting:

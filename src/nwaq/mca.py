@@ -76,12 +76,18 @@ class Mca:
     @cached_property
     def by_source(self) -> dict[tuple[int, int], tuple[tuple[int, tuple[Instr, ...]], ...]]:
         table: dict[tuple[int, int], list] = {}
-        for q, a, q2, vec in self.transitions:
+        for q, a, q2, vec in sorted(self.transitions, key=transition_order):
             table.setdefault((q, a), []).append((q2, vec))
-        return {k: tuple(sorted(v, key=lambda t: (t[0], tuple(map(str, t[1]))))) for k, v in table.items()}
+        return {k: tuple(v) for k, v in table.items()}
 
     def is_deterministic(self) -> bool:
         return len(self.initials) == 1 and all(len(v) <= 1 for v in self.by_source.values())
+
+
+def transition_order(t: tuple[int, int, int, tuple[Instr, ...]]) -> tuple:
+    """Sort key of the canonical transition order: source, letter, target,
+    instruction text."""
+    return t[0], t[1], t[2], tuple(map(str, t[3]))
 
 
 def validate_mca(mca: Mca) -> list[str]:
@@ -238,11 +244,7 @@ def mca_to_nwa(mca: Mca) -> Nwa:
                 ValueFn.SUM,
             )
         )
-    dummy = WeightedAutomaton(
-        LabeledAutomaton(mca.alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0})),
-        ValueFn.SUM,
-    )
-    slaves.append(dummy)
+    slaves.append(Nwa.dummy_slave(mca.alphabet))
     return Nwa(master, tuple(slaves), name=(mca.name + "_as_nwa") if mca.name else "")
 
 
@@ -307,7 +309,7 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
             trans.append((index[st], graph.letter[n], intern(st2), tuple(vec)))
     used = max((j + 1 for *_, vec in trans for j, ins in enumerate(vec) if ins.kind is not InstrKind.SKIP),
                default=0)
-    trans = sorted(((q, a, q2, vec[:used]) for q, a, q2, vec in trans), key=lambda t: (*t[:3], tuple(map(str, t[3]))))
+    trans = sorted(((q, a, q2, vec[:used]) for q, a, q2, vec in trans), key=transition_order)
     return Mca(
         alphabet=nwa.alphabet,
         n_states=len(names),

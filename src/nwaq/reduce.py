@@ -31,7 +31,7 @@ from .core import (
     check64,
     is_deterministic,
 )
-from .determinize import ConfigGraph, explore
+from .determinize import ACCEPT, ConfigGraph, explore
 
 
 def reduce_width1(nwa: Nwa, k: int) -> Nwa:
@@ -83,7 +83,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
             v, invoked_real = graph.dst[n], graph.invoked[n] is not None
             instance_acc = invoked_real or not graph.keys[v][1]
             bit2 = 1 if (spawn or carry) and not instance_acc else 0
-            state2 = (v, check64(graph.cost[n]), invoked_real, bit2, graph.master_accepting[n] or (f1s and carry),
+            state2 = (v, check64(graph.cost[n]), invoked_real, bit2, bool(graph.kinds[n] & ACCEPT) or (f1s and carry),
                       turnover[v] or (f2s and carry), ph2)
             if state2 not in index:
                 index[state2] = len(states)
@@ -109,11 +109,7 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
     )
 
     slaves = tuple(_compound_slave(graph, site) for site in sites)
-    dummy = WeightedAutomaton(
-        LabeledAutomaton(nwa.alphabet, 1, ("d0",), frozenset({0}), (), frozenset({0})),
-        ValueFn.SUM,
-    )
-    return Nwa(master, slaves + (dummy,), name=(nwa.name + "_w1") if nwa.name else "w1")
+    return Nwa(master, slaves + (Nwa.dummy_slave(nwa.alphabet),), name=(nwa.name + "_w1") if nwa.name else "w1")
 
 
 def _config_name(graph: ConfigGraph, u: int) -> str:

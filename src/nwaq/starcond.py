@@ -2,22 +2,23 @@
 
 The decision works on the reachable configuration graph, explored once
 (`determinize.ConfigGraph`) and shared with the pumping witness. The infimum
-is unbounded below iff some strongly connected component that contains a
-configuration with an accepting master state contains a cycle along which,
-for some j, the j least recently invoked slaves never terminate and their
-summed step weights are negative, and from which a path inside the component
-can release every active slave and come back. Pumping such a cycle drives
-the partial averages of the returned-value sequence arbitrarily low.
+is unbounded below iff some qualifying component (`ConfigGraph.qualifying`,
+the components whose cycles an accepted run can repeat, which the ratio
+search reads too) contains a cycle along which, for some j, the j least
+recently invoked slaves never terminate and their summed step weights are
+negative. Pumping such a cycle drives the partial averages of the
+returned-value sequence arbitrarily low. Wherever such a cycle can sit, a
+component qualifies iff it holds a configuration with an accepting master
+state and a path inside it can release every active slave and come back;
+`ConfigGraph.qualifying` carries the proof.
 
-One pass groups each live component's internal edges; for each j, those
-that keep the j oldest slots alive are searched for a negative cycle by
-Bellman-Ford over integer (u, v, w_j) arrays, which stops at the first pass
-after which the parent graph has a cycle, always a negative one, instead of
-running all n passes. Whether the slots can be released depends only on the
-component: a path from any configuration can reach one that has such a way
-back, take it, and return. Nondeterministic input needs no determinization:
-each edge is one joint choice of master and slave moves, so each path is a
-run, and a word's value is the least over its runs.
+For each j, the internal edges of each qualifying component that keep the j
+oldest slots alive are searched for a negative cycle by Bellman-Ford over
+integer (u, v, w_j) arrays, which stops at the first pass after which the
+parent graph has a cycle, always a negative one, instead of running all n
+passes. Nondeterministic input needs no determinization: each edge is one
+joint choice of master and slave moves, so each path is a run, and a word's
+value is the least over its runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .core import LassoWord
-from .determinize import ConfigGraph
+from .determinize import ACCEPT, ConfigGraph
 from .graphs import shortest_path
 
 
@@ -36,10 +37,10 @@ class StarWitness(NamedTuple):
     in path order; its anchor is the source of its first edge. The cycle
     never terminates a slot at position <= j, so slot identity is stable
     along it; j_sum is the (negative) total of those slots' weights over one
-    turn. The anchor lies in a component containing a configuration whose
-    master state is accepting, and `closing` lists the edge indexes of a
-    shortest path inside it from the anchor back to it that passes such a
-    configuration and releases every slot alive at the anchor.
+    turn. The anchor lies in a qualifying component, and `closing` lists the
+    edge indexes of a shortest path inside it from the anchor back to it that
+    passes a configuration whose master state is accepting and releases
+    every slot alive at the anchor.
     """
 
     j: int
@@ -55,38 +56,21 @@ def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
     if graph.tables.least >= 0:
         return None
 
-    comp, g, keys, slot_weights = graph.comp, graph, graph.keys, graph.slot_weights
-    accepting = graph.nwa.master.accepting
-    live = sorted({comp[u] for u, (q, _) in enumerate(keys) if q in accepting})
-    # per live component, its internal edges that keep the oldest slot alive, in index
-    # order: (index, source, target, how many oldest slots it keeps)
-    inner: dict[int, list[tuple[int, int, int, int]]] = {ci: [] for ci in live}
-    for n, u, v, returned in zip(range(len(g)), g.src, g.dst, g.returned):
-        c = comp[u]
-        if c == comp[v] and c in inner:
-            keep = returned[0] - 1 if returned else len(keys[u][1])
-            if keep:
-                inner[c].append((n, u, v, keep))
+    keys, src, dst, returned, slot_weights = graph.keys, graph.src, graph.dst, graph.returned, graph.slot_weights
     for j in range(1, graph.k + 1):
-        for ci in list(live):
+        for edges in graph.qualifying:
             ns, arcs = [], []
             ids: dict[int, int] = {}
-            for n, u, v, keep in inner[ci]:
-                if keep >= j:
+            for n in edges:
+                u, v, gone = src[n], dst[n], returned[n]
+                if (gone[0] - 1 if gone else len(keys[u][1])) >= j:  # the edge keeps the j oldest slots alive
                     ns.append(n)
                     w = slot_weights[n]
                     arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(w[:j]) if j > 1 else w[0]))
             cycle = _negative_cycle(len(ids), arcs)
-            if cycle is None:
-                continue
-            # pumping needs a way back that releases the pumped slots; either
-            # every configuration of a component has one or none has
-            closing = _closing_path(g, g.src[ns[cycle[0]]])
-            if closing is None:
-                live.remove(ci)
-                continue
-            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
-                               closing=tuple(closing))
+            if cycle is not None:
+                return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
+                                   closing=tuple(_closing_path(graph, src[ns[cycle[0]]])))
     return None
 
 
@@ -160,7 +144,7 @@ def _closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
             v = graph.dst[n]
             if comp[v] == comp[anchor]:
                 left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
-                yield n, (v, left, seen or graph.master_accepting[n])
+                yield n, (v, left, seen or bool(graph.kinds[n] & ACCEPT))
 
     q, slots = graph.keys[anchor]
     start = (anchor, len(slots), q in graph.nwa.master.accepting)

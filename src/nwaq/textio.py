@@ -19,7 +19,7 @@ from .core import (
     ValueFn,
     WeightedAutomaton,
 )
-from .mca import Instr, Mca
+from .mca import Instr, Mca, transition_order
 
 
 class ParseError(NwaError):
@@ -226,12 +226,7 @@ def parse_mca(text: str) -> Mca:
                     raise ParseError(n, 0, f"bad instruction {item!r}") from None
         return state(n, head_toks[1]), alphabet.id_of(head_toks[2]), state(n, head_toks[3]), tuple(vec)
 
-    return Mca(alphabet=alphabet, n_counters=counters, **sec.fields(transition, key=_mca_order))
-
-
-def _mca_order(t) -> tuple:
-    """Canonical order of mca transitions: source, letter, target, instructions."""
-    return t[0], t[1], t[2], tuple(map(str, t[3]))
+    return Mca(alphabet=alphabet, n_counters=counters, **sec.fields(transition, key=transition_order))
 
 
 def render_mca(mca: Mca) -> str:
@@ -245,7 +240,7 @@ def render_mca(mca: Mca) -> str:
     ]
     if mca.accepting:
         out.append("accepting " + " ".join(names[q] for q in sorted(mca.accepting)))
-    for q, a, q2, vec in sorted(mca.transitions, key=_mca_order):
+    for q, a, q2, vec in sorted(mca.transitions, key=transition_order):
         body = ", ".join(str(ins) for ins in vec)
         out.append(f"trans {names[q]} {mca.alphabet.letters[a]} {names[q2]} [{body}]")
     return "\n".join(out) + "\n"

@@ -17,6 +17,7 @@ from nwaq.core import (
     WeightedAutomaton,
     is_deterministic,
 )
+from nwaq.determinize import ACCEPT, RELEASE, TICK
 from nwaq.meanpayoff import RatioGraph, infimum_ratio
 from nwaq.oracle import Oracle
 from nwaq.reduce import reduce_width1
@@ -55,6 +56,14 @@ def reference_config_graph(nwa: Nwa, k: int):
     ids = {key: n for n, key in enumerate(keys)}
     edges = [(ids[key], ids[dst], *rest) for key in keys for dst, *rest in out[key]]
     return keys, edges, overflow
+
+
+def reference_kinds(keys, edges) -> list[int]:
+    """The kind bits of each edge of `reference_config_graph`: TICK from the
+    invoked slave, ACCEPT from the master target, RELEASE from the returned
+    positions and the target's slots."""
+    return [TICK * (invoked is not None) | ACCEPT * accepting | RELEASE * (1 in returned or not keys[v][1])
+            for _, v, _, _, invoked, returned, accepting in edges]
 
 
 def slave_language(slave: WeightedAutomaton, max_len: int) -> dict[tuple[str, ...], int]:

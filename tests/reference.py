@@ -254,9 +254,10 @@ def sccs(n: int, edge_list) -> list[int]:
 
 def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
-    or None when every such cycle test is empty or no slave weight is negative."""
+    or None when every such cycle test is empty or no slot weight of the graph
+    is negative."""
     nwa = graph.nwa
-    if min_effective_weight(nwa) >= 0:
+    if min((w for ws in graph.slot_weights for w in ws), default=0) >= 0:
         return None
 
     comp, g, configs = graph.comp, graph, decode_configurations(nwa, graph.keys)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import edge_records, random_draw, random_nondet, reference_config_graph, twinned
+from helpers import edge_records, random_draw, random_nondet, reference_config_graph, reference_kinds, twinned
 from nwaq.core import (
     Alphabet,
     LabeledAutomaton,
@@ -295,10 +295,11 @@ def test_explore_matches_reference_successors(all_corpus):
             overflows += 1
             continue
         _, got = explore(nwa, k)
-        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned, got.master_accepting)
+        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned)
         assert (got.nwa, got.k) == (nwa, k)
         assert [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)] == keys, nwa.name
-        assert list(zip(*columns)) == edges, nwa.name
+        assert list(zip(*columns)) == [e[:-1] for e in edges], nwa.name
+        assert got.kinds == reference_kinds(keys, edges), nwa.name
         assert list(got.cost) == [sum(e[3]) for e in edges]
         assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]
     assert overflows >= 4

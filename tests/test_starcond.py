@@ -3,11 +3,20 @@ from fractions import Fraction
 
 import reference
 from helpers import edge_records, has_negative_cycle_fw, random_draw, random_nondet
-from nwaq.core import PLUS_INFINITY, Alphabet, LabeledAutomaton, Nwa, PreconditionError, ValueFn, WeightedAutomaton
+from nwaq.core import (
+    PLUS_INFINITY,
+    Alphabet,
+    LabeledAutomaton,
+    Nwa,
+    PreconditionError,
+    ValueFn,
+    WeightedAutomaton,
+    is_deterministic,
+)
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, k_art
 from nwaq.determinize import explore
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
-from nwaq.starcond import _negative_cycle, check_star_condition, pump_witness
+from nwaq.starcond import _closing_path, _negative_cycle, check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
 from nwaq.width import has_width
 
@@ -279,22 +288,52 @@ def test_descent_test_matches_floyd_warshall_on_random_automata():
 
 
 def test_components_and_descent_witness_match_the_reference(all_corpus):
-    # `ConfigGraph.comp` (Tarjan on the edge offsets) and the one-pass star
-    # test number components and find witnesses exactly as the dict-adjacency
-    # Kosaraju and the per-j edge filter they replaced
+    # `ConfigGraph.comp` (Tarjan on the edge offsets) and the star test on
+    # `ConfigGraph.qualifying` number components and find witnesses exactly
+    # as the dict-adjacency Kosaraju and the per-j edge filter over the
+    # components with an accepting configuration and a way back, on each
+    # graph and on the negated graph of each deterministic case
     cases = [(nwa, k) for nwa in all_corpus.values() for k in range(1, 6)]
     cases += [(art_types(k), k) for k in (2, 3, 4)] + [(k_art(k), k) for k in range(2, 7)]
     rng = random.Random(11)
     cases += [(random_draw(rng), rng.randint(1, 3)) for _ in range(150)]
     cases += [(nwa, 1 + seed % 2) for seed in range(40) if (nwa := random_nondet(8000 + seed)) is not None]
-    hits = 0
+    hits = {1: 0, -1: 0}
     for nwa, k in cases:
-        try:
-            _, graph = explore(nwa, k)
-        except PreconditionError:
-            continue  # wider than k
-        assert graph.comp == reference.sccs(len(graph.keys), zip(graph.src, graph.dst)), (nwa.name, k)
-        found = check_star_condition(graph)
-        assert found == reference.check_star_condition(graph), (nwa.name, k)
-        hits += found is not None
-    assert hits >= 8, hits
+        for sign in (1, -1) if is_deterministic(nwa)[0] else (1,):
+            try:
+                _, graph = explore(nwa, k, sign)
+            except PreconditionError:
+                break  # wider than k
+            assert graph.comp == reference.sccs(len(graph.keys), zip(graph.src, graph.dst)), (nwa.name, k)
+            found = check_star_condition(graph)
+            assert found == reference.check_star_condition(graph), (nwa.name, k, sign)
+            hits[sign] += found is not None
+    assert min(hits.values()) >= 8, hits
+
+
+def test_qualifying_components_are_the_descent_tests_rule(all_corpus):
+    # the lemma in `ConfigGraph.qualifying`: wherever a descent cycle can
+    # sit, a component qualifies iff it holds an accepting configuration and
+    # a way back from each of its configurations with a slot
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)]
+    rng = random.Random(13)
+    cases += [(random_draw(rng), rng.randint(1, 3)) for _ in range(150)]
+    cases += [(nwa, 1 + seed % 2) for seed in range(40) if (nwa := random_nondet(8000 + seed)) is not None]
+    verdicts = {True: 0, False: 0}
+    for nwa, k in cases:
+        for sign in (1, -1):
+            try:
+                _, graph = explore(nwa, k, sign)
+            except PreconditionError:
+                break  # wider than k
+            comp = graph.comp
+            qualifying = {comp[graph.src[ns[0]]] for ns in graph.qualifying}
+            internal = {comp[u] for u, v in zip(graph.src, graph.dst) if comp[u] == comp[v]}
+            accepting = {comp[u] for u, (q, _) in enumerate(graph.keys) if q in nwa.master.accepting}
+            for u, (_, slots) in enumerate(graph.keys):
+                if slots and comp[u] in internal:
+                    old = comp[u] in accepting and _closing_path(graph, u) is not None
+                    assert (comp[u] in qualifying) == old, (nwa.name, k, sign, u)
+                    verdicts[old] += 1
+    assert min(verdicts.values()) >= 40, verdicts
