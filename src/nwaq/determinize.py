@@ -230,9 +230,9 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
 
     One breadth-first worklist over the keys expands each configuration with
     one `StepTables.step` call, with the garbage collector paused. The first
-    step past the cap raises `width_error`, its witness the letters of a
-    shortest path to that step's source, the first in step order, then the
-    step's letter, as `has_width` finds it. No `Configuration` is built here.
+    step past the cap stops it and raises `width_error` with the witness of
+    `has_width`, the one width search, which runs only then. No
+    `Configuration` is built here.
     """
     tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
@@ -246,13 +246,8 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
         while len(ends) <= len(keys):
             for a, target, weights, total, slave, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    # discovery order is breadth-first order, so a search over
-                    # the steps taken so far meets the source as has_width does
-                    path = shortest_path(range(len(nwa.master.initials)),
-                                         lambda d: ((n, dst[n]) for n in range(ends[d], ends[d + 1])),
-                                         (len(ends) - 1).__eq__)
-                    letters = nwa.alphabet.letters
-                    raise width_error(k, [letters[letter[n]] for n in path] + [letters[a]])
+                    from .width import has_width  # width imports this module
+                    raise width_error(k, has_width(nwa, k)[1])
                 d = found.get(target)
                 if d is None:
                     d = found[target] = len(keys)

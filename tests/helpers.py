@@ -58,6 +58,28 @@ def reference_config_graph(nwa: Nwa, k: int):
     return keys, edges, overflow
 
 
+def reference_width_witness(nwa: Nwa, k: int) -> Optional[tuple[str, ...]]:
+    """The first shortest word on which some step needs a (k+1)-th slot, or
+    None: a breadth-first search over ordered (master state, slots) keys
+    with the oracle's own step rule, letter by letter, each new key keeping
+    the word that first reached it. It stops there, unlike
+    `reference_config_graph`, which explores the whole capped graph."""
+    step = Oracle(nwa, k).step
+    words = {(q, ()): () for q in sorted(nwa.master.initials)}
+    queue = deque(words)
+    while queue:
+        key = queue.popleft()
+        for a in range(len(nwa.alphabet)):
+            word = words[key] + (nwa.alphabet.letters[a],)
+            for target, *_ in step(*key, a)[1]:
+                if len(target[1]) > k:
+                    return word
+                if target not in words:
+                    words[target] = word
+                    queue.append(target)
+    return None
+
+
 def reference_kinds(keys, edges) -> list[int]:
     """The kind bits of each edge of `reference_config_graph`: TICK from the
     invoked slave, ACCEPT from the master target, RELEASE from the returned

@@ -8,10 +8,11 @@ width-1 reduction and the MCA translation read the pipeline's explored
 configuration graph, so neither imports the separate width check (`width`),
 the reduction does not import the oracle, and the translation does not
 import `StepTables`. Only the explorer raises the width error, so every
-configuration graph is complete. The shared graph routines (`graphs`)
-import nothing from the package, and the mean-payoff solver only `core`. No
-module imports another's private (underscore) names or stores data in an
-object's `__dict__`. Only the four automaton classes, whose
+configuration graph is complete; its witness comes from the width check,
+which keeps no edges and so does not explore. The shared graph routines
+(`graphs`) import nothing from the package, and the mean-payoff solver only
+`core`. No module imports another's private (underscore) names or stores
+data in an object's `__dict__`. Only the four automaton classes, whose
 `cached_property` tables need an instance dict, are dataclasses: the value
 records are named tuples, which cost a fraction of a dataclass to define at
 import.
@@ -171,6 +172,13 @@ def test_only_the_explorer_raises_the_width_error():
         if isinstance(node, ast.FunctionDef) and "width_error" in _calls(node)
     }
     assert callers == {("determinize.py", "explore")}
+
+
+def test_the_width_search_does_not_explore():
+    # it keeps no edges: `explore` calls it for its witness, not the other way
+    tree = _tree("width.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "explore" not in imported | _calls(tree), imported
 
 
 def test_decisions_build_no_automaton():

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import edge_records, random_draw, random_nondet, reference_config_graph, reference_kinds, twinned
+from helpers import (
+    edge_records,
+    random_draw,
+    random_nondet,
+    reference_config_graph,
+    reference_kinds,
+    reference_width_witness,
+    twinned,
+)
 from nwaq.core import (
     Alphabet,
     LabeledAutomaton,
@@ -288,10 +296,10 @@ def test_explore_matches_reference_successors(all_corpus):
         keys, edges, overflow = reference_config_graph(nwa, k)
         if overflow:
             # exploration raises at the first step past the cap, with the
-            # witness the width check finds
+            # first shortest overflow word of the oracle's own search
             with pytest.raises(PreconditionError) as err:
                 explore(nwa, k)
-            assert str(err.value) == str(width_error(k, has_width(nwa, k)[1])), nwa.name
+            assert str(err.value) == str(width_error(k, reference_width_witness(nwa, k))), nwa.name
             overflows += 1
             continue
         _, got = explore(nwa, k)

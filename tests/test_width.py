@@ -1,9 +1,11 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from helpers import random_draw, random_nondet
+import nwaq.width
+from helpers import random_draw, random_nondet, reference_width_witness
 from nwaq.core import LassoWord, WidthExceededError, validate_nwa
 from nwaq.corpus import KNOWN_WIDTH, corpus, k_art
 from nwaq.oracle import evaluate_lasso
@@ -66,7 +68,7 @@ def test_witness_replays_in_oracle(all_corpus):
 
 
 def test_minimal_width_is_the_least_width_that_holds():
-    # one exploration at the top cap answers as a search at every cap would
+    # a bisection below the top cap answers as a search at every cap would
     rng = random.Random(3)
     cases = [nwa for nwa in (random_draw(rng) for _ in range(200)) if not validate_nwa(nwa)]
     cases += [nwa for seed in range(9000, 9100) if (nwa := random_nondet(seed)) is not None]
@@ -77,3 +79,34 @@ def test_minimal_width_is_the_least_width_that_holds():
             assert minimal_width(nwa, m) == want, (nwa.name, m)
             answers[want] += 1
     assert min(answers[k] for k in (None, 1, 2)) >= 100 and answers[3], answers
+
+
+def test_has_width_matches_the_oracle_search(all_corpus):
+    # sorted slot keys give the first shortest overflow word of a search
+    # over ordered keys by the oracle's own step rule
+    rng = random.Random(11)
+    cases = list(all_corpus.values())
+    cases += [nwa for nwa in (random_draw(rng) for _ in range(150)) if not validate_nwa(nwa)]
+    cases += [nwa for seed in range(9200, 9500) if (nwa := random_nondet(seed)) is not None]
+    failing = 0
+    for nwa in cases:
+        for k in (1, 2, 3, 4):
+            witness = reference_width_witness(nwa, k)
+            assert has_width(nwa, k) == (witness is None, witness), (nwa.name, k)
+            failing += witness is not None
+    assert failing >= 900, failing
+
+
+def test_minimal_width_bisects(monkeypatch, a_art):
+    # a linear scan over the caps would make m searches
+    calls = []
+
+    def counted(nwa, k):
+        calls.append(k)
+        return has_width(nwa, k)
+
+    monkeypatch.setattr(nwaq.width, "has_width", counted)
+    for nwa, m, want in ((k_art(3), 4, 3), (k_art(3), 9, 3), (k_art(2), 2, 2), (a_art, 1, None), (a_art, 200, None)):
+        calls.clear()
+        assert minimal_width(nwa, m) == want
+        assert 1 <= len(calls) <= math.ceil(math.log2(m)) + 1, (m, calls)
