@@ -51,7 +51,7 @@ def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {path}: {err}") from None
     head = header(text)
     if head is None:
@@ -61,6 +61,14 @@ def _read(path: str):
     if head == "mca":
         return parse_mca(text)
     raise UsageError(f"{path}: unknown header {head!r}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err}") from None
 
 
 def _load(path: str):
@@ -233,9 +241,7 @@ def _cmd_empty(args) -> int:
             "witness": _witness_json(cert, pipe),
             "flags": list(cert.flags),
         }
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.certificate, json.dumps(payload, indent=2) + "\n")
     _emit("empty", answer, value=cert.value, witness=_witness_json(cert, pipe))
     return 0 if answer else 1
 
@@ -279,17 +285,14 @@ def _cmd_translate(args) -> int:
         if args.k is None:
             raise UsageError("translate --to mca needs --k")
         out = render_mca(nwa_to_mca(obj, args.k))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(out)
+    _write(args.output, out)
     _emit("translate", True, witness=args.output)
     return 0
 
 
 def _cmd_reduce(args) -> int:
     nwa = _require_nwa(_load(args.file))
-    out = reduce_width1(nwa, args.k)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(render_nwa(out))
+    _write(args.output, render_nwa(reduce_width1(nwa, args.k)))
     _emit("reduce", True, witness=args.output)
     return 0
 

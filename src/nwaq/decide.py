@@ -80,7 +80,7 @@ class Pipeline:
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
             ticks = [kind & TICK for kind in graph.kinds]
-            self.ratio = RatioGraph(graph.src, graph.dst, graph.cost, ticks, graph.qualifying)
+            self.ratio = RatioGraph(graph.src, graph.dst, list(map(sum, graph.slot_weights)), ticks, graph.qualifying)
             self.value, self._witness = infimum_ratio(self.ratio)
             if self._witness is not None:
                 assert check_ratio_bound(self.ratio, self._witness.ratio, self._witness.potentials)

@@ -34,13 +34,13 @@ class StepTables:
     master moves, as (target, its kinds for a silent move and for an
     invocation, starts): ACCEPT when the target is accepting, and TICK for
     an invocation. Starts are the choices for the invoked slot, a move
-    (target id, weight, slave) of the invoked slave from an initial state,
-    or None for a silent move (a dummy label, or a slave accepting the empty
-    word). Moves whose invoked slave dies at once are left out. `payloads` keeps one object per
-    distinct slot-weight and released-position tuple `step` has returned,
-    which all its edges share. Weights are stored times `sign`, -1 for
-    universality and +1 otherwise; `least` is the least stored weight, 0
-    when none is.
+    (target id, weight) of the invoked slave from an initial state, or None
+    for a silent move (a dummy label, or a slave accepting the empty word);
+    the target id names the slave. Moves whose invoked slave dies at once
+    are left out. `payloads` keeps one object per distinct slot-weight and
+    released-position tuple `step` has returned, which all its edges share.
+    Weights are stored times `sign`, -1 for universality and +1 otherwise;
+    `least` is the least stored weight, 0 when none is.
     """
 
     def __init__(self, nwa: Nwa, sign: int = 1):
@@ -69,8 +69,7 @@ class StepTables:
             starts: tuple = (None,)
             if not nwa.is_dummy(label):
                 aut = nwa.slave(label).base
-                firsts = [self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)]
-                starts = tuple((g, w, label) for moves in firsts for g, w in moves)
+                starts = sum((self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)), ())
                 starts += (None,) * bool(aut.initials & aut.accepting)
                 if not starts:
                     continue
@@ -79,23 +78,25 @@ class StepTables:
 
     def step(self, q: int, slots: tuple[int, ...]) -> list[tuple]:
         """Every joint choice from configuration (q, slots), slots given as
-        ids, as (letter, (master target, target slots), slot weights, their
-        sum, invoked slave or None, released positions, kinds), by letter.
+        ids, as (letter, (master target, target slots), slot weights,
+        released positions, kinds), by letter.
 
         Accepting-state slots terminate first (forced), then a master move is
         chosen, each surviving slot picks a move independently, and a
         non-silent invocation appends a fresh slot that also consumes the
         letter. Choices come in master move order, then the surviving slots'
-        moves in lexicographic order, then the invoked slot's.
+        moves in lexicographic order, then the invoked slot's. A choice is a
+        non-silent invocation exactly when its kinds hold TICK, and then its
+        last target slot is the invoked one.
         """
         out, share = [], self.payloads.setdefault
         bare = 0 if slots else RELEASE  # a silent move from here leaves no slot
         for a, masters in self.master[q]:
             table = self.moves[a]
             returned: tuple[int, ...] = ()
-            # kept slots, their weights and their sum: the one choice while
-            # each slot has one move, then `combos` lists every choice
-            kept, weights, cost, combos = (), (), 0, None
+            # kept slots and their weights: the one choice while each slot
+            # has one move, then `combos` lists every choice
+            kept, weights, combos = (), (), None
             for pos, g in enumerate(slots, start=1):
                 moves = table[g]
                 if moves is None:
@@ -104,10 +105,9 @@ class StepTables:
                     break  # the slot dies, and every choice with it
                 elif combos is None and len(moves) == 1:
                     (t, w), = moves
-                    kept, weights, cost = kept + (t,), weights + (w,), cost + w
+                    kept, weights = kept + (t,), weights + (w,)
                 else:
-                    combos = [(ks + (t,), ws + (w,), c + w) for ks, ws, c in combos or [(kept, weights, cost)]
-                              for t, w in moves]
+                    combos = [(ks + (t,), ws + (w,)) for ks, ws in combos or [(kept, weights)] for t, w in moves]
             else:
                 # the release bit of an invocation, and of a silent move
                 if returned:  # positions ascend, and () is shared already
@@ -116,14 +116,14 @@ class StepTables:
                 else:
                     freed, quiet = 0, bare
                 for q2, silent, tick, starts in masters:
-                    for ks, ws, c in combos or [(kept, weights, cost)]:
+                    for ks, ws in combos or [(kept, weights)]:
                         for new in starts:
                             if new is None:
-                                out.append((a, (q2, ks), share(ws, ws), c, None, returned, silent | quiet))
+                                out.append((a, (q2, ks), share(ws, ws), returned, silent | quiet))
                             else:
-                                t, w, i = new
+                                t, w = new
                                 ws1 = ws + (w,)
-                                out.append((a, (q2, ks + (t,)), share(ws1, ws1), c + w, i, returned, tick | freed))
+                                out.append((a, (q2, ks + (t,)), share(ws1, ws1), returned, tick | freed))
         return out
 
 
@@ -138,17 +138,16 @@ class ConfigGraph:
     `src[n]` to `dst[n]` on letter `letter[n]`. `slot_weights[n]` aligns with
     the source's surviving slots in order, the newly invoked slot last, and
     holds effective weights (absolute for Sum+ slaves) times the tables'
-    sign; `cost[n]` is their sum. `invoked[n]` is the invoked slave, or None
-    for a silent move.
-    `returned[n]` lists the 1-based positions of the source's slots that
-    terminate before the letter is consumed; their values live in run
-    simulations, not in the finite graph. Edges share one tuple per distinct
-    `slot_weights` and `returned` value. `kinds[n]` holds the edge's kind
-    bits: TICK for a non-silent invocation, ACCEPT for an accepting master
-    target, RELEASE when the edge frees slot position 1 or leaves no slot.
-    Edges are sorted by source, then letter, then the order `StepTables.step`
-    emits them; the edges of configuration u are `start[u]` to
-    `start[u + 1] - 1`, and `len` counts them. `nwa` and `k` are the
+    sign; their sum is the edge's cost, which readers derive. `returned[n]`
+    lists the 1-based positions of the source's slots that terminate before
+    the letter is consumed; their values live in run simulations, not in the
+    finite graph. Edges share one tuple per distinct `slot_weights` and
+    `returned` value. `kinds[n]` holds the edge's kind bits: TICK for a
+    non-silent invocation, whose slave is that of the target's last slot,
+    ACCEPT for an accepting master target, RELEASE when the edge frees slot
+    position 1 or leaves no slot. Edges are sorted by source, then letter,
+    then the order `StepTables.step` emits them; the edges of configuration
+    u are `start[u]` to `start[u + 1] - 1`, and `len` counts them. `nwa` and `k` are the
     automaton and width cap it was explored from. `comp` gives each
     configuration's strongly connected component, and `qualifying` the
     components an accepted run can repeat, both computed on first use.
@@ -157,8 +156,7 @@ class ConfigGraph:
     def __init__(self, nwa: Nwa, k: int, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
                  start: list[int], initials: list[int], *columns: list):
         self.nwa, self.k, self.keys, self.tables, self.start, self.initials = nwa, k, keys, tables, start, initials
-        (self.src, self.dst, self.letter, self.slot_weights, self.cost, self.invoked, self.returned,
-         self.kinds) = columns
+        self.src, self.dst, self.letter, self.slot_weights, self.returned, self.kinds = columns
 
     def __len__(self) -> int:
         return len(self.src)
@@ -238,13 +236,13 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     keys = sorted((q, ()) for q in nwa.master.initials)
     found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
-    dst, letter, slot_weights, cost, invoked, returned, kinds = steps = tuple([] for _ in range(7))
+    dst, letter, slot_weights, returned, kinds = steps = tuple([] for _ in range(5))
     ends = [0]  # per discovery number, the end of its steps
     collecting = gc.isenabled()
     gc.disable()
     try:
         while len(ends) <= len(keys):
-            for a, target, weights, total, slave, released, kind in tables.step(*keys[len(ends) - 1]):
+            for a, target, weights, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
                     from .width import has_width  # width imports this module
                     raise width_error(k, has_width(nwa, k)[1])
@@ -255,8 +253,6 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
                 dst.append(d)
                 letter.append(a)
                 slot_weights.append(weights)
-                cost.append(total)
-                invoked.append(slave)
                 returned.append(released)
                 kinds.append(kind)
             ends.append(len(dst))

@@ -26,7 +26,7 @@ from .core import (
     WeightedAutomaton,
     limavg_periodic,
 )
-from .determinize import explore
+from .determinize import TICK, explore
 
 
 class InstrKind(enum.Enum):
@@ -284,7 +284,7 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
         st, u, counters = todo.pop()
         slots = st[1]
         for n in graph.out(u):
-            weights, invoked = graph.slot_weights[n], graph.invoked[n]
+            weights = graph.slot_weights[n]
             q2, ids = graph.keys[graph.dst[n]]
             slots2, vec = list(slots), [Instr.skip()] * len(slots)
             released = [counters[pos - 1] for pos in graph.returned[n]]
@@ -293,10 +293,11 @@ def nwa_to_mca(nwa: Nwa, k: int) -> Mca:
             kept = [j for j in counters if j not in released]
             for j, g, w in zip(kept, ids, weights):
                 slots2[j], vec[j] = (g, 0), Instr.add(w + slots[j][1])
-            if invoked is not None:
+            if graph.kinds[n] & TICK:
                 # below width k a counter is always free
                 j = next(j for j, slot in enumerate(slots2) if slot is None and vec[j].kind is InstrKind.SKIP)
-                if slot_of[ids[-1]][1] in nwa.slave(invoked).base.accepting and weights[-1]:
+                invoked, s = slot_of[ids[-1]]
+                if s in nwa.slave(invoked).base.accepting and weights[-1]:
                     raise NwaError(
                         "one-letter slave run with nonzero weight cannot be expressed with monitor counters"
                     )

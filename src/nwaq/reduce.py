@@ -31,7 +31,7 @@ from .core import (
     check64,
     is_deterministic,
 )
-from .determinize import ACCEPT, ConfigGraph, explore
+from .determinize import ACCEPT, TICK, ConfigGraph, explore
 
 
 def reduce_width1(nwa: Nwa, k: int) -> Nwa:
@@ -80,11 +80,11 @@ def reduce_width1(nwa: Nwa, k: int) -> Nwa:
         spawn_site = (u, pending) if spawn else None
         carry = bit == 1  # the window spans one compound instance
         for n in graph.out(u):
-            v, invoked_real = graph.dst[n], graph.invoked[n] is not None
+            v, invoked_real = graph.dst[n], bool(graph.kinds[n] & TICK)
             instance_acc = invoked_real or not graph.keys[v][1]
             bit2 = 1 if (spawn or carry) and not instance_acc else 0
-            state2 = (v, check64(graph.cost[n]), invoked_real, bit2, bool(graph.kinds[n] & ACCEPT) or (f1s and carry),
-                      turnover[v] or (f2s and carry), ph2)
+            state2 = (v, check64(sum(graph.slot_weights[n])), invoked_real, bit2,
+                      bool(graph.kinds[n] & ACCEPT) or (f1s and carry), turnover[v] or (f2s and carry), ph2)
             if state2 not in index:
                 index[state2] = len(states)
                 states.append(state2)
@@ -142,7 +142,7 @@ def _compound_slave(graph: ConfigGraph, site: tuple[int, int]) -> WeightedAutoma
     while todo:
         source, u, pending = todo.pop()
         for n in graph.out(u):
-            state2 = (graph.dst[n], check64(graph.cost[n]), graph.invoked[n] is not None)
+            state2 = (graph.dst[n], check64(sum(graph.slot_weights[n])), bool(graph.kinds[n] & TICK))
             if state2 not in index:
                 index[state2] = len(states)
                 states.append(state2)

@@ -267,6 +267,13 @@ def _karp(nodes: list[int], edges) -> Optional[Fraction]:
     return best
 
 
+def derived_invoked(graph) -> list[Optional[int]]:
+    """Each edge's invoked slave as the package's readers derive it: the
+    slave of the target's last slot on a TICK edge, None on the others."""
+    slot_of, keys = graph.tables.slot_of, graph.keys
+    return [slot_of[keys[v][1][-1]][0] if kind & TICK else None for v, kind in zip(graph.dst, graph.kinds)]
+
+
 def edge_records(nwa: Nwa, graph) -> list[tuple]:
     """Each edge of the configuration graph of `nwa`, in edge order, as
     (from_config, letter, to_config, slot_weights, returned)."""

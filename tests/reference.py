@@ -32,7 +32,7 @@ from nwaq.core import (
     check64,
     is_deterministic,
 )
-from nwaq.determinize import ConfigGraph, StepTables, explore
+from nwaq.determinize import TICK, ConfigGraph, StepTables, explore
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
 from nwaq.oracle import Configuration
 from nwaq.starcond import StarWitness, _closing_path, _negative_cycle
@@ -84,9 +84,11 @@ def materialize_deterministic(nwa: Nwa, k: int, cap: int = 10_000) -> Nwa:
 
     def successors(dc: DConfig):
         q, slots = dc
-        for a, (q2, kept), weights, _, invoked, returned, _ in tables.step(q, tuple(ids[i, s] for i, _, s in slots)):
+        for a, (q2, kept), weights, returned, kinds in tables.step(q, tuple(ids[i, s] for i, _, s in slots)):
             if len(kept) > k:
                 continue
+            # a non-silent invocation appends its slot last
+            invoked = tables.slot_of[kept[-1]][0] if kinds & TICK else None
             slots2 = [tables.slot_of[g] for g in kept]
             survivors = [slot for pos, slot in enumerate(slots, start=1) if pos not in returned]
             to_slots = [(i, cp, s2) for (i, cp, _), (_, s2) in zip(survivors, slots2)]

@@ -257,6 +257,27 @@ def test_width_overflow_message_is_the_same_for_every_command(capsys, tmp_path, 
     assert (captured.out, captured.err) == ("", "error: automaton exceeds width 1 (witness r r)\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("empty", "cond_a1.nwa", "--k", "2", "--le", "0", "--certificate", "{tmp}/missing/c.json"),
+        ("translate", "k_art_2.nwa", "--to", "mca", "--k", "2", "-o", "{tmp}/missing/x.mca"),
+        ("reduce", "cond_a1.nwa", "--k", "2", "-o", "{tmp}/missing/r.nwa"),
+        ("check", "{tmp}/bom.nwa"),
+    ],
+    ids=["certificate", "translate", "reduce", "undecodable"],
+)
+def test_cli_file_errors_exit_2(capsys, tmp_path, argv):
+    # an unwritable output or an undecodable input is a usage error, exit 2,
+    # never the "no" of exit 1
+    (tmp_path / "bom.nwa").write_bytes(b"\xff\xfe")  # a UTF-16 byte order mark, not UTF-8
+    command, file, *rest = (arg.format(tmp=tmp_path) for arg in argv)
+    code = main([command, str(DATA / file), *rest])  # DATA / an absolute path is that path
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot") and "Traceback" not in captured.err
+
+
 def test_cli_usage_errors(capsys):
     code, _ = run_cli(capsys, "width", str(DATA / "art1.nwa"))
     assert code == 2

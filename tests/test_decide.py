@@ -16,7 +16,7 @@ from nwaq.core import (
     is_deterministic,
     validate_nwa,
 )
-from helpers import random_draw, random_nondet, reference_config_graph, reference_infimum, reference_kinds, twinned
+from helpers import derived_invoked, random_draw, random_nondet, reference_config_graph, reference_infimum, reference_kinds, twinned
 from reference import materialize_deterministic, mirror
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, universality_deterministic
@@ -128,11 +128,12 @@ def test_negated_graph_is_the_mirrors_graph(all_corpus):
         keys, got = explore(nwa, k, sign=-1)
         want_keys, want = explore(mirror(nwa), k)
         assert keys == want_keys and got.keys == want.keys, (nwa.name, k)
-        for column in ("start", "initials", "src", "dst", "letter", "slot_weights", "cost", "invoked",
-                       "returned", "kinds"):
+        for column in ("start", "initials", "src", "dst", "letter", "slot_weights", "returned", "kinds"):
             assert getattr(got, column) == getattr(want, column), (nwa.name, k, column)
         ref_keys, ref_edges, _ = reference_config_graph(nwa, k)
         assert got.kinds == reference_kinds(ref_keys, ref_edges), (nwa.name, k)
+        assert list(map(sum, got.slot_weights)) == [-sum(e[3]) for e in ref_edges], (nwa.name, k)
+        assert derived_invoked(got) == derived_invoked(want) == [e[4] for e in ref_edges], (nwa.name, k)
         # the star test's quick exit: no stored weight is below the least one
         assert got.tables.least <= min((w for ws in got.slot_weights for w in ws), default=0), (nwa.name, k)
     assert len(cases) >= 15

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from helpers import (
+    derived_invoked,
     edge_records,
     random_draw,
     random_nondet,
@@ -22,7 +24,7 @@ from nwaq.core import (
     width_error,
 )
 from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
-from nwaq.determinize import StepTables, explore
+from nwaq.determinize import TICK, StepTables, explore
 from nwaq.oracle import Configuration, enumerate_lasso_infimum
 from nwaq.width import has_width
 from reference import config_bound, count_configurations, decode_configurations, materialize_deterministic, normalize_slaves
@@ -303,11 +305,29 @@ def test_explore_matches_reference_successors(all_corpus):
             overflows += 1
             continue
         _, got = explore(nwa, k)
-        columns = (got.src, got.dst, got.letter, got.slot_weights, got.invoked, got.returned)
+        columns = (got.src, got.dst, got.letter, got.slot_weights, derived_invoked(got), got.returned)
         assert (got.nwa, got.k) == (nwa, k)
         assert [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)] == keys, nwa.name
         assert list(zip(*columns)) == [e[:-1] for e in edges], nwa.name
         assert got.kinds == reference_kinds(keys, edges), nwa.name
-        assert list(got.cost) == [sum(e[3]) for e in edges]
+        assert list(map(sum, got.slot_weights)) == [sum(e[3]) for e in edges]
         assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]
     assert overflows >= 4
+
+
+def test_tick_edges_append_the_invoked_slot(all_corpus):
+    # readers take an edge's invoked slave from its target's last slot and
+    # its cost from its slot weights; the graph stores neither
+    draws = [nwa for seed in range(40) if (nwa := random_nondet(8200 + seed)) is not None]
+    edges_checked = 0
+    for nwa, k in itertools.product([*all_corpus.values(), *draws], (1, 2, 3)):
+        if not has_width(nwa, k)[0]:
+            continue
+        _, graph = explore(nwa, k)
+        _, edges, _ = reference_config_graph(nwa, k)
+        for n, (u, v) in enumerate(zip(graph.src, graph.dst)):
+            survivors = len(graph.keys[u][1]) - len(graph.returned[n])
+            assert len(graph.keys[v][1]) - survivors == bool(graph.kinds[n] & TICK), (nwa.name, k, n)
+        assert derived_invoked(graph) == [e[4] for e in edges], (nwa.name, k)
+        edges_checked += len(graph)
+    assert edges_checked >= 700
