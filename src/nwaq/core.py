@@ -140,9 +140,9 @@ class WeightedAutomaton(NamedTuple):
 class Nwa:
     """Nested weighted automaton: a master whose labels index slave automata.
 
-    Master labels are 1-based slave indexes. A slave is a dummy iff its unique
-    initial state is accepting and it has no transitions; invoking a dummy is a
-    silent move.
+    Master labels are 1-based slave indexes. Invoking a slave that may start
+    in an accepting state may be silent: no value, no slot. `dummy_slave`
+    builds the usual such slave, whose every invocation is silent.
     """
 
     master: LabeledAutomaton
@@ -157,12 +157,6 @@ class Nwa:
     def slave(self, index: int) -> WeightedAutomaton:
         """Slave by 1-based index."""
         return self.slaves[index - 1]
-
-    def is_dummy(self, index: int) -> bool:
-        s = self.slave(index).base
-        if s.transitions or len(s.initials) != 1:
-            return False
-        return next(iter(s.initials)) in s.accepting
 
     @staticmethod
     def dummy_slave(alphabet: Alphabet) -> WeightedAutomaton:
@@ -267,13 +261,13 @@ class LassoWord(namedtuple("LassoWord", "prefix period")):
 MaybeInt = Optional[int]  # None is the silent (bottom) entry in value sequences
 
 
-def limavg_periodic(prefix_vals: Sequence[MaybeInt], period_vals: Sequence[MaybeInt]) -> ValueResult:
-    """Limit average of an ultimately periodic value sequence with silent entries.
+def limavg_periodic(period_vals: Sequence[MaybeInt]) -> ValueResult:
+    """Limit average of the ultimately periodic value sequence with silent
+    entries whose period is `period_vals`; no finite prefix affects it.
 
     Silent (None) entries are removed first. A period with no non-silent entry
     means only finitely many values occur, which fails acceptance, hence +inf.
-    Otherwise the liminf of partial averages equals the period mean and the
-    prefix does not affect it.
+    Otherwise the liminf of partial averages equals the period mean.
     """
     if not period_vals:
         raise ValueError("period must be nonempty")
@@ -289,14 +283,13 @@ def limavg_periodic(prefix_vals: Sequence[MaybeInt], period_vals: Sequence[Maybe
 
 def validate_nwa(nwa: Nwa) -> list[str]:
     """Structural diagnostics; empty list iff all type invariants hold."""
-    out: list[str] = []
-    out.extend(_validate_labeled(nwa.master, "master"))
+    out = validate_automaton(nwa.master, "master")
     n = len(nwa.slaves)
     for q, a, q2, lab in nwa.master.transitions:
         if not (1 <= lab <= n):
             out.append(f"bad-slave-index: master transition ({q},{a},{q2}) invokes slave {lab} of {n}")
     for i, sl in enumerate(nwa.slaves, start=1):
-        out.extend(_validate_labeled(sl.base, f"slave {i}"))
+        out.extend(validate_automaton(sl.base, f"slave {i}"))
         if sl.value_fn not in (ValueFn.SUM, ValueFn.SUM_PLUS):
             out.append(f"bad-slave-valuefn: slave {i} has {sl.value_fn.value}")
         for q, a, q2, lab in sl.base.transitions:
@@ -309,19 +302,21 @@ def validate_nwa(nwa: Nwa) -> list[str]:
     return out
 
 
-def _validate_labeled(aut: LabeledAutomaton, where: str) -> list[str]:
+def validate_automaton(aut, where: str) -> list[str]:
+    """Diagnostics of `aut`'s states and transitions, prefixed with `where`; `aut`
+    is a `LabeledAutomaton` or an `Mca`, and only the fields they share are read."""
     out = []
     if aut.n_states <= 0:
         out.append(f"{where}: no states")
     if len(aut.state_names) != aut.n_states:
         out.append(f"{where}: {len(aut.state_names)} names for {aut.n_states} states")
     ok = range(aut.n_states)
-    for q in aut.initials:
+    for q in sorted(aut.initials):
         if q not in ok:
             out.append(f"{where}: initial state {q} out of range")
     if not aut.initials:
         out.append(f"{where}: no initial state")
-    for q in aut.accepting:
+    for q in sorted(aut.accepting):
         if q not in ok:
             out.append(f"{where}: accepting state {q} out of range")
     for q, a, q2, _ in aut.transitions:

@@ -35,9 +35,9 @@ class StepTables:
     invocation, starts): ACCEPT when the target is accepting, and TICK for
     an invocation. Starts are the choices for the invoked slot, a move
     (target id, weight) of the invoked slave from an initial state, or None
-    for a silent move (a dummy label, or a slave accepting the empty word);
-    the target id names the slave. Moves whose invoked slave dies at once
-    are left out. `payloads` keeps one object per distinct slot-weight and
+    for the silent move an accepting initial state gives (the one start of
+    `Nwa.dummy_slave`); the target id names the slave. Moves whose invoked
+    slave dies at once are left out. `payloads` keeps one object per distinct slot-weight and
     released-position tuple `step` has returned, which all its edges share.
     Weights are stored times `sign`, -1 for universality and +1 otherwise;
     `least` is the least stored weight, 0 when none is.
@@ -66,13 +66,11 @@ class StepTables:
 
     def _master_moves(self, nwa: Nwa, ids: dict, q: int, a: int):
         for q2, label in nwa.master.succ(q, a):
-            starts: tuple = (None,)
-            if not nwa.is_dummy(label):
-                aut = nwa.slave(label).base
-                starts = sum((self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)), ())
-                starts += (None,) * bool(aut.initials & aut.accepting)
-                if not starts:
-                    continue
+            aut = nwa.slave(label).base
+            starts = sum((self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)), ())
+            starts += (None,) * bool(aut.initials & aut.accepting)
+            if not starts:
+                continue
             accept = ACCEPT * (q2 in nwa.master.accepting)
             yield q2, accept, TICK | accept, starts
 

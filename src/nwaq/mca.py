@@ -25,6 +25,7 @@ from .core import (
     ValueResult,
     WeightedAutomaton,
     limavg_periodic,
+    validate_automaton,
 )
 from .determinize import TICK, explore
 
@@ -91,21 +92,11 @@ def transition_order(t: tuple[int, int, int, tuple[Instr, ...]]) -> tuple:
 
 
 def validate_mca(mca: Mca) -> list[str]:
-    """Diagnostics; empty iff the structural invariants hold."""
-    out: list[str] = []
-    ok = range(mca.n_states)
+    """Diagnostics: `validate_automaton`'s, then the counter checks'; empty iff all pass."""
+    out = validate_automaton(mca, "mca")
     if mca.n_counters < 0:
         out.append("bad-counter-count")
-    if not mca.initials:
-        out.append("mca: no initial state")
-    for q in sorted(mca.initials | mca.accepting):
-        if q not in ok:
-            out.append(f"mca: state {q} out of range")
     for q, a, q2, vec in mca.transitions:
-        if q not in ok or q2 not in ok:
-            out.append(f"mca: transition ({q},{a},{q2}) endpoint out of range")
-        if not (0 <= a < len(mca.alphabet)):
-            out.append(f"mca: transition ({q},{a},{q2}) letter id out of range")
         if len(vec) != mca.n_counters:
             out.append(f"mca: transition ({q},{a},{q2}) vector length {len(vec)} != {mca.n_counters}")
         if sum(1 for ins in vec if ins.kind is InstrKind.START) > 1:
@@ -146,7 +137,7 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
                 if key == recorded_key:
                     if not window_accept or not window_start:
                         return PLUS_INFINITY
-                    return limavg_periodic([], window_values)
+                    return limavg_periodic(window_values)
             elif key in seen:
                 recorded_key = key
                 window_values = []

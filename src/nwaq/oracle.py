@@ -97,11 +97,11 @@ class Oracle:
 
         Accepting-state slots terminate first (forced), then a master
         transition is chosen, each surviving slot picks a transition
-        independently, and a non-dummy invocation appends a fresh slot that
-        also consumes the letter; a slave accepting the empty word, a dummy
-        among them, is a silent move instead. Choices come in master
-        transition order, then the surviving slots' moves in lexicographic
-        order, then the invoked slot's.
+        independently, and the invoked slave starts: each first move from an
+        initial state that is not accepting appends a fresh slot, and an
+        accepting initial state gives the silent choice instead. Choices come
+        in master transition order, then the surviving slots' moves in
+        lexicographic order, then the invoked slot's.
         """
         key = (q, slots, a)
         got = self._memo.get(key)
@@ -183,7 +183,7 @@ class Oracle:
                 if snap == recorded:
                     if not window_accept or not window_values:
                         return PLUS_INFINITY
-                    return limavg_periodic([], window_values)
+                    return limavg_periodic(window_values)
             elif snap in seen:
                 recorded = snap
                 window_values = []

@@ -2,10 +2,11 @@
 explorer's width error all read `has_width`.
 
 A violation is a step on which k slaves are active after the forced releases
-and another non-dummy slave is invoked; dummy invocations never occupy a
-slot. Each slot steps on its own and an invocation only appends one, so
-width does not depend on slot order: the search runs over (master state,
-sorted slot ids) keys, far fewer than the ordered ones, and keeps no edges.
+and one more slave starts in a slot; a silent invocation, such as any of
+`Nwa.dummy_slave`, takes none. Each slot steps on its own and an invocation
+only appends one, so width does not depend on slot order: the search runs
+over (master state, sorted slot ids) keys, far fewer than the ordered ones,
+and keeps no edges.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from nwaq.core import (
     Alphabet,
@@ -207,6 +210,26 @@ def test_universality_art1(a_art1):
 
 def test_universality_ae_unbounded_above(a_ae):
     assert not universality_deterministic(a_ae, 1, Threshold(Fraction(10**6)))
+
+
+# ROADMAP item 9's automaton: slave 1 lands n at each s of a block s a^n e,
+# slave 2 lands 0 at each a, and e invokes a dummy slave, a silent move
+SPIKE = parse_nwa((Path(__file__).resolve().parent / "data" / "spike.nwa").read_text())
+
+
+def test_spike_values_stay_below_one():
+    for n in (1, 2, 3, 6):
+        word = LassoWord((), ("s",) + ("a",) * n + ("e",))
+        assert evaluate_lasso(SPIKE, word, 2) == ValueResult.finite(Fraction(n, n + 1)), n
+    # lasso values approach 1, so not every value is below 1
+    assert not universality_deterministic(SPIKE, 2, Threshold(Fraction(1), strict=True))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+@pytest.mark.parametrize("t", [1, 10**6])
+def test_spike_universal_at_most(t):
+    # no word's liminf passes 1, but the descent in the negated graph answers no
+    assert universality_deterministic(SPIKE, 2, Threshold(Fraction(t)))
 
 
 def test_universality_at_the_largest_threshold(a_art1, a_ae):

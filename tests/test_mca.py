@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import random_draw
-from nwaq.core import Alphabet, LassoWord, NwaError, PLUS_INFINITY, ValueResult
+from nwaq.core import Alphabet, LassoWord, Nwa, NwaError, PLUS_INFINITY, ValueResult
 from nwaq.corpus import art1, average_excess
 from nwaq.mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from nwaq.oracle import Oracle, evaluate_lasso
@@ -37,6 +38,33 @@ def test_validate_two_starts():
         transitions=((0, 0, 0, (Instr.start(), Instr.start())),),
     )
     assert any("starts more than one" in d for d in validate_mca(bad))
+
+
+ONE_COUNTER = Mca(
+    alphabet=Alphabet(("a",)),
+    n_states=1,
+    state_names=("q",),
+    initials=frozenset({0}),
+    accepting=frozenset({0}),
+    n_counters=1,
+    transitions=((0, 0, 0, (Instr.skip(),)),),
+)
+
+
+def test_validate_shares_the_automaton_checks():
+    # the checks of validate_automaton, with the counter checks after them
+    assert validate_mca(ONE_COUNTER) == []
+    assert validate_mca(replace(ONE_COUNTER, n_states=2)) == ["mca: 1 names for 2 states"]
+    assert validate_mca(replace(ONE_COUNTER, n_states=0, state_names=(), initials=frozenset(),
+                                accepting=frozenset(), transitions=())) == ["mca: no states", "mca: no initial state"]
+    assert validate_mca(replace(ONE_COUNTER, initials=frozenset({5}))) == ["mca: initial state 5 out of range"]
+    assert validate_mca(replace(ONE_COUNTER, accepting=frozenset({0, 7}))) == ["mca: accepting state 7 out of range"]
+    assert validate_mca(replace(ONE_COUNTER, n_counters=-1, transitions=((0, 3, 2, ()),))) == [
+        "mca: transition (0,3,2) endpoint out of range",
+        "mca: transition (0,3,2) letter id out of range",
+        "bad-counter-count",
+        "mca: transition (0,3,2) vector length 0 != -1",
+    ]
 
 
 def test_terminate_inactive_is_runtime_not_static():
@@ -118,7 +146,7 @@ def test_one_step_terminates_two_counters():
 def test_mca_to_nwa_structure(m_counter):
     nwa = mca_to_nwa(m_counter)
     assert len(nwa.slaves) == m_counter.n_counters + 1
-    assert nwa.is_dummy(len(nwa.slaves))
+    assert nwa.slaves[-1] == Nwa.dummy_slave(nwa.alphabet)
     labels = {lab for _, _, _, lab in nwa.master.transitions}
     assert labels <= set(range(1, len(nwa.slaves) + 1))
 
@@ -141,7 +169,7 @@ def test_zero_counter_mca():
         transitions=((0, 0, 0, ()),),
     )
     nwa = mca_to_nwa(m)
-    assert len(nwa.slaves) == 1 and nwa.is_dummy(1)
+    assert nwa.slaves == (Nwa.dummy_slave(nwa.alphabet),)
     word = LassoWord((), ("a",))
     assert evaluate_lasso_mca(m, word) is PLUS_INFINITY
     assert evaluate_lasso(nwa, word, 1) is PLUS_INFINITY
