@@ -18,6 +18,7 @@ from .core import (
     Nwa,
     NwaError,
     PreconditionError,
+    Threshold,
     ValueResult,
     ValueTag,
     validate_nwa,
@@ -117,7 +118,7 @@ def _threshold_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--lt", metavar="T", help="strict threshold p/q")
 
 
-def _get_threshold(args) -> "Threshold":
+def _get_threshold(args) -> Threshold:
     if args.le is not None:
         return parse_threshold(args.le, strict=False)
     return parse_threshold(args.lt, strict=True)
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a lasso word")
     p.add_argument("file")
     p.add_argument("--word", required=True)
-    p.add_argument("--cap", type=_positive, default=64)
+    p.add_argument("--cap", type=_positive, default=64, help="width cap for nwa files; an mca's counters bound its width")
 
     p = sub.add_parser("empty", help="threshold emptiness")
     p.add_argument("file")

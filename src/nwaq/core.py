@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Optional, Sequence
 
 from .graphs import reachable
 
@@ -279,6 +279,53 @@ def limavg_periodic(period_vals: Sequence[MaybeInt]) -> ValueResult:
         total += v
         check64(total)
     return ValueResult.finite(Fraction(total, len(period)))
+
+
+def lasso_run_value(advance: Callable[[Any], Optional[tuple[Sequence[int], bool, int]]],
+                    snapshot: Callable[[], Hashable], n_states: int, prefix: Sequence, period: Sequence) -> ValueResult:
+    """Exact value of the run that takes the moves of prefix . period^omega.
+
+    `advance(move)` takes one move and returns the values released on it,
+    whether the state after it accepts, and the age of the oldest value held
+    (0 when none is); it returns None when the run dies. `snapshot()` is the
+    run's state with every held value and its age. Once a snapshot taken at a
+    period boundary repeats, the window up to its next occurrence recurs
+    forever: the value is the window's limit average, or +inf unless the
+    window visits an accepting state and releases a value.
+
+    A value held longer than (`n_states` + 2) periods past the prefix is
+    never released: what holds it, a slave or a counter, moves through at
+    most `n_states` states that the value does not steer, so its (state,
+    phase) pairs repeat. The run is rejected there.
+    """
+    age_cap = len(prefix) + (n_states + 2) * len(period) + 2
+    seen: set = set()
+    recorded = None
+    window: list[int] = []
+    accepts = accepting = False
+    moves = prefix
+    for _ in range(10_000_000):
+        for move in moves:
+            got = advance(move)
+            if got is None:
+                return PLUS_INFINITY
+            released, accepting, age = got
+            if age > age_cap:
+                return PLUS_INFINITY  # the oldest held value is never released
+            if recorded is not None:
+                window += released
+                accepts = accepts or accepting
+        moves = period
+        snap = snapshot()  # a period boundary
+        if recorded is not None:
+            if snap == recorded:
+                return limavg_periodic(window) if accepts and window else PLUS_INFINITY
+        elif snap in seen:
+            # the window opens in the state the last move reached
+            recorded, window, accepts = snap, [], accepting
+        else:
+            seen.add(snap)
+    raise NwaError("periodicity not detected (internal bound exceeded)")
 
 
 def validate_nwa(nwa: Nwa) -> list[str]:

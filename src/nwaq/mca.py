@@ -20,11 +20,10 @@ from .core import (
     Nwa,
     NwaError,
     NondeterministicInputError,
-    PLUS_INFINITY,
     ValueFn,
     ValueResult,
     WeightedAutomaton,
-    limavg_periodic,
+    lasso_run_value,
     validate_automaton,
 )
 from .determinize import TICK, explore
@@ -108,76 +107,46 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
     """Exact value of a deterministic monitor-counter automaton on a lasso word.
 
     The run dies (+inf) on a missing transition or a violated instruction
-    requirement. Acceptance needs accepting states and counter activations
-    infinitely often, and every activated counter eventually terminated.
-    The run is simulated until the (state, active counters with values and
-    ages) snapshot repeats at a period boundary, which pins the recurring
-    window exactly.
+    requirement. Each letter applies one instruction vector; `lasso_run_value`
+    values the run from the values that terminations return, with the state
+    and the active counters' values and ages as its snapshot.
     """
     if not mca.is_deterministic():
         raise NondeterministicInputError("evaluate_lasso_mca needs a deterministic automaton")
-    plen = len(w.period)
-    # an active counter's fate is pinned by (state, phase); longer survival loops forever
-    age_cap = len(w.prefix) + (mca.n_states + 2) * plen + 2
-
     state = next(iter(mca.initials))
-    counters: dict[int, tuple[int, int]] = {}  # counter -> (value, age)
-    seen: set[tuple] = set()
-    recorded_key = None
-    window_values: list[Optional[int]] = []
-    window_accept = False
-    window_start = False
-    consumed = 0
+    counters: dict[int, list[int]] = {}  # counter -> [value, age]
 
-    while True:
-        at_boundary = consumed >= len(w.prefix) and (consumed - len(w.prefix)) % plen == 0
-        if at_boundary:
-            key = (state, tuple(sorted((j, v, g) for j, (v, g) in counters.items())))
-            if recorded_key is not None:
-                if key == recorded_key:
-                    if not window_accept or not window_start:
-                        return PLUS_INFINITY
-                    return limavg_periodic(window_values)
-            elif key in seen:
-                recorded_key = key
-                window_values = []
-                window_accept = state in mca.accepting
-                window_start = False
-            else:
-                seen.add(key)
-        consumed += 1
-        a = mca.alphabet.id_of(w.letter_at(consumed))
-        step = mca.by_source.get((state, a), ())
-        if not step:
-            return PLUS_INFINITY
-        state, vec = step[0]
-        ended: list[int] = []  # the values of the counters this step terminates
+    def advance(a: int) -> Optional[tuple[list[int], bool, int]]:
+        nonlocal state
+        targets = mca.by_source.get((state, a), ())
+        if not targets:
+            return None
+        state, vec = targets[0]
+        ended: list[int] = []  # the values of the counters this letter terminates
         for j, ins in enumerate(vec):
             if ins.kind is InstrKind.START:
                 if j in counters:
-                    return PLUS_INFINITY
-                counters[j] = (0, 0)
-                if recorded_key is not None:
-                    window_start = True
+                    return None
+                counters[j] = [0, 0]
             elif ins.kind is InstrKind.TERMINATE:
                 if j not in counters:
-                    return PLUS_INFINITY
+                    return None
                 ended.append(counters.pop(j)[0])
             elif ins.kind is InstrKind.ADD:
                 if j not in counters:
-                    return PLUS_INFINITY
-                counters[j] = (counters[j][0] + ins.amount, counters[j][1])
-            else:  # SKIP asserts the counter is inactive
-                if j in counters:
-                    return PLUS_INFINITY
-        for j, (v, g) in list(counters.items()):
-            if g + 1 > age_cap:
-                return PLUS_INFINITY  # counter never terminated
-            counters[j] = (v, g + 1)
-        if recorded_key is not None:
-            window_values += ended or [None]  # a silent entry keeps the window nonempty
-            if state in mca.accepting:
-                window_accept = True
+                    return None
+                counters[j][0] += ins.amount
+            elif j in counters:  # SKIP asserts the counter is inactive
+                return None
+        for c in counters.values():
+            c[1] += 1
+        return ended, state in mca.accepting, next(iter(counters.values()))[1] if counters else 0  # oldest first
+
+    def snapshot() -> tuple:
+        return state, tuple(sorted((j, v, g) for j, (v, g) in counters.items()))
+
+    ids = mca.alphabet.id_of
+    return lasso_run_value(advance, snapshot, mca.n_states, [ids(a) for a in w.prefix], [ids(a) for a in w.period])
 
 
 def mca_to_nwa(mca: Mca) -> Nwa:

@@ -19,14 +19,11 @@ choices on nondeterministic input.
 
 The simulator is exact: a slave is released the moment its state is
 accepting (checked before the next letter is consumed), and an invoked slave
-starts at its invocation position. Periodicity is detected on snapshots taken
-at period boundaries that carry the configuration and, per active slave, its
-accumulated value and age; a repeated snapshot pins the recurring window
-exactly, so the returned limit average is exact.
-
-A slave that survives longer than (number of its states + 2) periods past the
-prefix can never terminate (its (state, phase) pairs must repeat), so the run
-is rejected at that point.
+starts at its invocation position. `core.lasso_run_value` values the run: it
+detects periodicity on snapshots taken at period boundaries that carry the
+configuration and, per active slave, its accumulated value and age, and
+rejects a run whose oldest slave outlives the bound past which it can never
+terminate.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .core import (
     ValueResult,
     WidthExceededError,
     check64,
-    limavg_periodic,
+    lasso_run_value,
 )
 
 
@@ -84,6 +81,8 @@ class Oracle:
     that need it."""
 
     def __init__(self, nwa: Nwa, width_cap: int):
+        if width_cap < 1:
+            raise ValueError("width_cap must be positive")
         self.nwa = nwa
         self.width_cap = width_cap
         self.initials = sorted(nwa.master.initials)
@@ -141,10 +140,7 @@ class Oracle:
         return got
 
     def _deterministic(self) -> None:
-        """Reject a width cap below 1 and nondeterministic input, where a
-        word has no one run."""
-        if self.width_cap < 1:
-            raise ValueError("width_cap must be positive")
+        """Reject nondeterministic input, where a word has no one run."""
         ok, site = self.nwa.determinism
         if not ok:
             raise NondeterministicInputError(site or "input is not deterministic")
@@ -160,37 +156,13 @@ class Oracle:
         """Exact value of the run from master state `start` that takes the
         (letter id, choice index) moves of prefix . period^omega."""
         run = _Run(self, start)
-        age_cap = len(prefix) + (self.max_states + 2) * len(period) + 2
-        seen: set[tuple] = set()
-        recorded = None
-        window_values: list[int] = []
-        window_accept = False
-        moves = prefix
-        for _ in range(10_000_000):
-            for a, choice in moves:
-                released, _, acc_now = run.step(a, choice)
-                if not run.alive:
-                    return PLUS_INFINITY
-                if run.decor and run.decor[0][1] > age_cap:
-                    return PLUS_INFINITY  # the oldest slave can never terminate
-                if recorded is not None:
-                    window_values.extend(v for _, v in released)
-                    window_accept = window_accept or acc_now
-            moves = period
-            # a period boundary
-            snap = run.snapshot()
-            if recorded is not None:
-                if snap == recorded:
-                    if not window_accept or not window_values:
-                        return PLUS_INFINITY
-                    return limavg_periodic(window_values)
-            elif snap in seen:
-                recorded = snap
-                window_values = []
-                window_accept = run.q in self.nwa.master.accepting
-            else:
-                seen.add(snap)
-        raise NwaError("periodicity not detected (internal bound exceeded)")
+
+        def advance(move: tuple[int, int]) -> Optional[tuple[list[int], bool, int]]:
+            released, _, accepting = run.step(*move)
+            if run.alive:
+                return [v for _, v in released] if released else (), accepting, run.decor[0][1] if run.decor else 0
+
+        return lasso_run_value(advance, run.snapshot, self.max_states, prefix, period)
 
     def evaluate(self, w: LassoWord) -> ValueResult:
         """Exact value of the unique run of a deterministic NWA on prefix.period^omega."""

@@ -163,15 +163,25 @@ def test_explorers_step_by_the_step_tables():
     assert "StepTables" not in imported, imported
 
 
-def test_only_the_explorer_raises_the_width_error():
-    # every configuration graph is complete: its readers have no width check
-    callers = {
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, function) of every function in the package that calls `name`."""
+    return {
         (path.name, node.name)
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(_tree(path.name))
-        if isinstance(node, ast.FunctionDef) and "width_error" in _calls(node)
+        if isinstance(node, ast.FunctionDef) and name in _calls(node)
     }
-    assert callers == {("determinize.py", "explore")}
+
+
+def test_only_the_explorer_raises_the_width_error():
+    # every configuration graph is complete: its readers have no width check
+    assert _callers("width_error") == {("determinize.py", "explore")}
+
+
+def test_one_loop_values_lasso_runs():
+    # the oracle and the MCA evaluator keep their own step rules and share the periodic window
+    assert _callers("limavg_periodic") == {("core.py", "lasso_run_value")}
+    assert _callers("lasso_run_value") == {("oracle.py", "run_value"), ("mca.py", "evaluate_lasso_mca")}
 
 
 def test_the_width_search_does_not_explore():

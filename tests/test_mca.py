@@ -105,7 +105,9 @@ def test_add_zero_only():
     assert evaluate_lasso_mca(m, LassoWord((), ("s", "s", "e"))) == ValueResult.finite(0)
 
 
-def test_unterminated_counter_rejects():
+@pytest.mark.parametrize("amount", [1, 0])
+def test_unterminated_counter_rejects(amount):
+    # with add(0) the snapshot differs only in the counter's age, so the age bound rejects
     sigma = Alphabet(("s", "a"))
     m = Mca(
         alphabet=sigma,
@@ -116,7 +118,7 @@ def test_unterminated_counter_rejects():
         n_counters=1,
         transitions=(
             (0, 0, 1, (Instr.start(),)),
-            (1, 1, 1, (Instr.add(1),)),
+            (1, 1, 1, (Instr.add(amount),)),
         ),
     )
     assert evaluate_lasso_mca(m, LassoWord(("s",), ("a",))) is PLUS_INFINITY

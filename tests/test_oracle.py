@@ -2,7 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from nwaq.core import LassoWord, PLUS_INFINITY, ValueResult, WidthExceededError
+from helpers import random_nondet
+from nwaq.core import (
+    Alphabet,
+    LabeledAutomaton,
+    LassoWord,
+    Nwa,
+    PLUS_INFINITY,
+    ValueFn,
+    ValueResult,
+    WeightedAutomaton,
+    WidthExceededError,
+)
 from nwaq.corpus import KNOWN_WIDTH
 from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average, run_values
 
@@ -13,6 +24,12 @@ def test_art_request_grant_cycle(a_art):
 
 def test_art_only_nulls_is_silent(a_art):
     assert evaluate_lasso(a_art, LassoWord((), ("hash",)), 1) is PLUS_INFINITY
+    # a slave held forever returns no value either: only its age changes, so the age bound rejects
+    sigma = Alphabet(("s", "a"))
+    held = LabeledAutomaton(sigma, 2, ("z0", "z1"), frozenset({0}), ((0, 0, 1, 0), (1, 1, 1, 0)), frozenset())
+    master = LabeledAutomaton(sigma, 2, ("m0", "m1"), frozenset({0}), ((0, 0, 1, 1), (1, 1, 1, 2)), frozenset({1}))
+    nwa = Nwa(master, (WeightedAutomaton(held, ValueFn.SUM), Nwa.dummy_slave(sigma)))
+    assert evaluate_lasso(nwa, LassoWord(("s",), ("a",)), 1) is PLUS_INFINITY
 
 
 def test_master_death_in_prefix(a_art1):
@@ -104,6 +121,13 @@ def test_width_cap_respected_on_corpus(all_corpus):
             evaluate_lasso(nwa, LassoWord(prefix, period), cap)
 
 
+def test_width_cap_must_be_positive(a_art1):
+    # checked on construction, so the nondeterministic infimum rejects it too
+    for nwa in (a_art1, random_nondet(9000)):
+        with pytest.raises(ValueError, match="width_cap must be positive"):
+            Oracle(nwa, 0)
+
+
 def test_width_exceeded_raises_with_position(a_art):
     with pytest.raises(WidthExceededError) as err:
         evaluate_lasso(a_art, LassoWord((), ("r",)), 1)
@@ -135,8 +159,6 @@ def test_enumerate_monotone_in_period_bound(a_ae):
 
 
 def test_enumerate_dummy_only():
-    from nwaq.core import Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
-
     sigma = Alphabet(("a",))
     dummy = WeightedAutomaton(
         LabeledAutomaton(sigma, 1, ("d",), frozenset({0}), (), frozenset({0})), ValueFn.SUM
@@ -211,8 +233,6 @@ def test_min_partial_average_dips(a_cond2):
 
 def _random_det_nwa(seed):
     import random
-
-    from nwaq.core import Alphabet, LabeledAutomaton, Nwa, ValueFn, WeightedAutomaton
 
     rng = random.Random(seed)
     sigma = Alphabet(("a", "b", "c"))
