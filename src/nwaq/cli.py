@@ -265,7 +265,7 @@ def _cmd_universal(args) -> int:
 
 def _cmd_star(args) -> int:
     nwa = _require_nwa(_load(args.file))
-    _, graph = explore(nwa, args.k)
+    _, graph = explore(nwa, args.k, stop=check_star_condition)
     witness = check_star_condition(graph)
     if witness is None:
         _emit("star", False)

@@ -73,7 +73,8 @@ class Pipeline:
             ok, site = is_deterministic(nwa)
             if not ok:
                 raise NondeterministicInputError(site or "universality needs a deterministic automaton")
-        _, graph = explore(nwa, k, sign)
+        # stops at the first descent the star test finds, which it finds again here
+        _, graph = explore(nwa, k, sign, stop=check_star_condition)
         self.graph = graph
         self.star: Optional[StarWitness] = check_star_condition(graph)
         self.ratio: Optional[RatioGraph] = None

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import gc
 from functools import cached_property
+from typing import Callable, Optional
 
 from .core import LassoWord, Nwa, width_error
-from .graphs import sccs, shortest_path
+from .graphs import negative_cycle, sccs, shortest_path
 
 # the edge kinds: a non-silent invocation, an accepting master target, and a
 # release of slot position 1 or a target with no slot
@@ -39,8 +40,16 @@ class StepTables:
     `Nwa.dummy_slave`); the target id names the slave. Moves whose invoked
     slave dies at once are left out. `payloads` keeps one object per distinct slot-weight and
     released-position tuple `step` has returned, which all its edges share.
-    Weights are stored times `sign`, -1 for universality and +1 otherwise;
-    `least` is the least stored weight, 0 when none is.
+    Weights are stored times `sign`, -1 for universality and +1 otherwise.
+
+    `may_descend` holds iff some slave has a negative cycle through
+    non-accepting states under the stored weights. Without one no
+    configuration graph of these tables has a descent: a descent cycle keeps
+    its j oldest slots alive, and a live slot is never in an accepting state
+    (an accepting slot terminates at its next step), so each of those slots
+    walks a closed walk through its own slave's non-accepting states, and as
+    their summed weights are negative, one of these walks is negative and
+    holds a negative simple cycle.
     """
 
     def __init__(self, nwa: Nwa, sign: int = 1):
@@ -57,7 +66,10 @@ class StepTables:
             )
             for a in letters
         )
-        self.least = min((w for table in self.moves for moves in table if moves for _, w in moves), default=0)
+        # ids of different slaves never meet, and accepting ids have no moves, so no cycle passes one
+        self.may_descend = negative_cycle(len(self.slot_of), [
+            (g, t, w) for table in self.moves for g, moves in enumerate(table) if moves for t, w in moves
+        ]) is not None
         self.master = tuple(
             tuple((a, ms) for a in letters if (ms := tuple(self._master_moves(nwa, ids, q, a))))
             for q in range(nwa.master.n_states)
@@ -126,7 +138,8 @@ class StepTables:
 
 
 class ConfigGraph:
-    """The reachable configuration graph of one exploration, on integer ids.
+    """The reachable configuration graph of one exploration, on integer ids:
+    complete unless stopped at a descent after the width search (`explore`).
 
     Configurations are numbered in canonical (master state, slots) order;
     `keys[u]`, (master state, slot ids), is configuration u, and
@@ -219,7 +232,9 @@ def qualifying_parts(part: list[int], edges, kinds: list[int]) -> list[list[int]
     return [ns for ns, got in zip(inner, held) if got == TICK | ACCEPT | RELEASE]
 
 
-def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
+def explore(
+    nwa: Nwa, k: int, sign: int = 1, stop: Optional[Callable[[ConfigGraph], object]] = None
+) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
     """The keys (master state, slot ids) of the reachable configurations
     under width cap k in canonical order, and the graph over them, its
     weights times `sign` (see `StepTables`).
@@ -227,8 +242,20 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     One breadth-first worklist over the keys expands each configuration with
     one `StepTables.step` call, with the garbage collector paused. The first
     step past the cap stops it and raises `width_error` with the witness of
-    `has_width`, the one width search, which runs only then. No
-    `Configuration` is built here.
+    `has_width`, the one width search, which runs only then and at a stop
+    (below). No `Configuration` is built here.
+
+    The graph is complete unless stopped at a descent after the width search.
+    When `stop` is given and the tables allow a descent (`may_descend`),
+    `stop` is called on the graph induced by the configurations expanded so
+    far at checkpoints: at 16 expanded, then at 4 times as many each time,
+    so the partial graphs stay a bounded share of the work, while at least
+    as many discovered configurations wait as have been expanded, since a
+    short queue suggests little is left. The first call that returns
+    something other than None ends the exploration: the rest might still
+    pass the cap, so `has_width` runs and raises the width error as above,
+    and otherwise that partial graph is returned (`starcond` proves its
+    descent witnesses are the complete graph's).
     """
     tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
@@ -236,13 +263,24 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
     dst, letter, slot_weights, returned, kinds = steps = tuple([] for _ in range(5))
     ends = [0]  # per discovery number, the end of its steps
+    check = 16 if stop is not None and tables.may_descend else -1  # the expanded count of the next checkpoint
     collecting = gc.isenabled()
     gc.disable()
     try:
         while len(ends) <= len(keys):
+            if len(ends) - 1 == check:
+                check *= 4
+                if len(keys) >= 2 * (len(ends) - 1):
+                    graph = _induced(nwa, k, tables, keys, ends, steps)
+                    if stop(graph) is not None:
+                        from .width import has_width  # width imports this module
+                        fits, witness = has_width(nwa, k)
+                        if not fits:
+                            raise width_error(k, witness)
+                        return graph.keys, graph
             for a, target, weights, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    from .width import has_width  # width imports this module
+                    from .width import has_width
                     raise width_error(k, has_width(nwa, k)[1])
                 d = found.get(target)
                 if d is None:
@@ -257,15 +295,27 @@ def explore(nwa: Nwa, k: int, sign: int = 1) -> tuple[list[tuple[int, tuple[int,
     finally:
         if collecting:
             gc.enable()
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(keys)
+    graph = _induced(nwa, k, tables, keys, ends, steps)
+    return graph.keys, graph
+
+
+def _induced(nwa: Nwa, k: int, tables: StepTables, keys: list, ends: list[int], steps: tuple[list, ...]) -> ConfigGraph:
+    """The graph over the expanded keys, the first `len(ends) - 1` in
+    discovery order, and the steps among them, numbered in canonical order;
+    `steps` holds `explore`'s columns, by source in discovery order."""
+    expanded, dst = len(ends) - 1, steps[0]
+    partial = expanded < len(keys)
+    order = sorted(range(expanded), key=keys.__getitem__)
+    rank = [0] * expanded
     start, perm, src = [0], [], []  # perm: the step numbers in edge order
     for u, d in enumerate(order):
         rank[d] = u
-        perm += range(ends[d], ends[d + 1])
-        src += [u] * (ends[d + 1] - ends[d])
+        ns = range(ends[d], ends[d + 1])
+        if partial:
+            ns = [n for n in ns if dst[n] < expanded]
+        perm += ns
+        src += [u] * len(ns)
         start.append(len(perm))
-    keys = [keys[d] for d in order]
     columns = [src, [rank[dst[n]] for n in perm]] + [[column[n] for n in perm] for column in steps[1:]]
     initials = sorted(rank[: len(nwa.master.initials)])
-    return keys, ConfigGraph(nwa, k, keys, tables, start, initials, *columns)
+    return ConfigGraph(nwa, k, [keys[d] for d in order], tables, start, initials, *columns)

@@ -1,6 +1,6 @@
 """Graph routines shared by the package: reachability, strongly connected
-components and breadth-first shortest paths. This module imports nothing
-from the package."""
+components, breadth-first shortest paths and the negative-cycle search. This
+module imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -90,3 +90,43 @@ def shortest_path(starts, moves, goal) -> Optional[list[int]]:
                     return path
                 queue.append(nxt)
     return None
+
+
+def negative_cycle(n: int, arcs: Sequence[tuple[int, int, int]]) -> Optional[list[int]]:
+    """A negative cycle on nodes 0..n-1 with arcs (u, v, w), as arc indexes
+    in path order, or None when there is none.
+
+    Bellman-Ford from a virtual source at distance 0 to every node. After
+    each pass the parent graph (the last improving arc into each node) is
+    checked for a cycle, and the first one found is returned: every parent
+    cycle is negative (Cherkassky and Goldberg, 1999). While the parent
+    graph stays a forest each distance is at least the weight of a simple
+    path, so with integer weights and a negative cycle present a parent
+    cycle must form; without one a pass eventually changes nothing.
+    """
+    dist = [0] * n
+    parent = [-1] * n
+    while True:
+        changed = False
+        for i, (u, v, w) in enumerate(arcs):
+            d = dist[u] + w
+            if d < dist[v]:
+                dist[v] = d
+                parent[v] = i
+                changed = True
+        if not changed:
+            return None
+        walked = [-1] * n  # the start of the walk that first reached each node
+        for s in range(n):
+            v = s
+            while v >= 0 and walked[v] < 0:
+                walked[v] = s
+                v = arcs[parent[v]][0] if parent[v] >= 0 else -1
+            if v >= 0 and walked[v] == s:
+                # this walk closed a parent cycle through v
+                cycle = [parent[v]]
+                while arcs[cycle[-1]][0] != v:
+                    cycle.append(parent[arcs[cycle[-1]][0]])
+                cycle.reverse()
+                assert sum(arcs[i][2] for i in cycle) < 0
+                return cycle

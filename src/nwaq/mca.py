@@ -80,8 +80,14 @@ class Mca:
             table.setdefault((q, a), []).append((q2, vec))
         return {k: tuple(v) for k, v in table.items()}
 
-    def is_deterministic(self) -> bool:
+    @cached_property
+    def determinism(self) -> bool:
+        """One initial state and at most one move per (state, letter),
+        computed on first use."""
         return len(self.initials) == 1 and all(len(v) <= 1 for v in self.by_source.values())
+
+    def is_deterministic(self) -> bool:
+        return self.determinism
 
 
 def transition_order(t: tuple[int, int, int, tuple[Instr, ...]]) -> tuple:

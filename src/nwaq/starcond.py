@@ -19,15 +19,26 @@ parent graph has a cycle, always a negative one, instead of running all n
 passes. Nondeterministic input needs no determinization: each edge is one
 joint choice of master and slave moves, so each path is a run, and a word's
 value is the least over its runs.
+
+The graph is complete unless stopped at a descent after the width search:
+`explore` calls this test on the graph induced by the configurations it has
+expanded so far, and stops at the first witness. A witness on such a partial
+graph is a witness of the complete graph. Every edge of the partial graph is
+an edge of the complete one, with the same letter, slot weights, releases
+and kinds, so each of its components lies inside a component of the
+complete graph, and each of its internal edges is internal there too. A
+qualifying partial component therefore lies in a qualifying complete one,
+and the witness's cycle, its closing path and the access path to its anchor
+are paths of the complete graph.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .core import LassoWord
 from .determinize import ACCEPT, ConfigGraph
-from .graphs import shortest_path
+from .graphs import negative_cycle, shortest_path
 
 
 class StarWitness(NamedTuple):
@@ -52,8 +63,8 @@ class StarWitness(NamedTuple):
 def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
     """First witness in deterministic order (ascending j, then component order),
     or None when every such cycle test is empty or the graph's step tables
-    hold no negative weight."""
-    if graph.tables.least >= 0:
+    allow no descent (`StepTables.may_descend`)."""
+    if not graph.tables.may_descend:
         return None
 
     keys, src, dst, returned, slot_weights = graph.keys, graph.src, graph.dst, graph.returned, graph.slot_weights
@@ -67,51 +78,11 @@ def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
                     ns.append(n)
                     w = slot_weights[n]
                     arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(w[:j]) if j > 1 else w[0]))
-            cycle = _negative_cycle(len(ids), arcs)
+            cycle = negative_cycle(len(ids), arcs)
             if cycle is not None:
                 return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
                                    closing=tuple(_closing_path(graph, src[ns[cycle[0]]])))
     return None
-
-
-def _negative_cycle(n: int, arcs: Sequence[tuple[int, int, int]]) -> Optional[list[int]]:
-    """A negative cycle on nodes 0..n-1 with arcs (u, v, w), as arc indexes
-    in path order, or None when there is none.
-
-    Bellman-Ford from a virtual source at distance 0 to every node. After
-    each pass the parent graph (the last improving arc into each node) is
-    checked for a cycle, and the first one found is returned: every parent
-    cycle is negative (Cherkassky and Goldberg, 1999). While the parent
-    graph stays a forest each distance is at least the weight of a simple
-    path, so with integer weights and a negative cycle present a parent
-    cycle must form; without one a pass eventually changes nothing.
-    """
-    dist = [0] * n
-    parent = [-1] * n
-    while True:
-        changed = False
-        for i, (u, v, w) in enumerate(arcs):
-            d = dist[u] + w
-            if d < dist[v]:
-                dist[v] = d
-                parent[v] = i
-                changed = True
-        if not changed:
-            return None
-        walked = [-1] * n  # the start of the walk that first reached each node
-        for s in range(n):
-            v = s
-            while v >= 0 and walked[v] < 0:
-                walked[v] = s
-                v = arcs[parent[v]][0] if parent[v] >= 0 else -1
-            if v >= 0 and walked[v] == s:
-                # this walk closed a parent cycle through v
-                cycle = [parent[v]]
-                while arcs[cycle[-1]][0] != v:
-                    cycle.append(parent[arcs[cycle[-1]][0]])
-                cycle.reverse()
-                assert sum(arcs[i][2] for i in cycle) < 0
-                return cycle
 
 
 def pump_witness(graph: ConfigGraph, witness: StarWitness, pumps: int) -> LassoWord:

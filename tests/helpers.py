@@ -373,6 +373,19 @@ def twinned(nwa: Nwa, weight: int, slave: Optional[int] = None, letter: Optional
     return Nwa(nwa.master, tuple(slaves), nwa.master_value_fn, nwa.name + ".twins")
 
 
+def sign_masked(nwa, negative):
+    """Negate the weights of the listed (1-based) slaves, which become Sum slaves."""
+    slaves = tuple(
+        WeightedAutomaton(
+            replace(sl.base, transitions=tuple((q, a, q2, -w) for q, a, q2, w in sl.base.transitions)), ValueFn.SUM
+        )
+        if n in negative
+        else sl
+        for n, sl in enumerate(nwa.slaves, start=1)
+    )
+    return Nwa(nwa.master, slaves, name=nwa.name + ".masked")
+
+
 def random_nondet(seed):
     """A small nondeterministic automaton over a b, or None when the seeded
     draw happens to be deterministic."""

@@ -33,9 +33,10 @@ from nwaq.core import (
     is_deterministic,
 )
 from nwaq.determinize import TICK, ConfigGraph, StepTables, explore
+from nwaq.graphs import negative_cycle
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
 from nwaq.oracle import Configuration
-from nwaq.starcond import StarWitness, _closing_path, _negative_cycle
+from nwaq.starcond import StarWitness, _closing_path
 from nwaq.width import has_width
 
 
@@ -282,7 +283,7 @@ def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
                 (ids.setdefault(g.src[n], len(ids)), ids.setdefault(g.dst[n], len(ids)), sum(g.slot_weights[n][:j]))
                 for n in ns
             ]
-            cycle = _negative_cycle(len(ids), arcs)
+            cycle = negative_cycle(len(ids), arcs)
             if cycle is None:
                 continue
             # pumping needs a way back that releases the pumped slots; either

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import twinned
+from helpers import sign_masked, twinned
 from nwaq.cli import main
 from nwaq.corpus import art_types, cond_a2, k_art
 from nwaq.oracle import min_partial_average
@@ -255,6 +255,28 @@ def test_width_overflow_message_is_the_same_for_every_command(capsys, tmp_path, 
     captured = capsys.readouterr()
     assert code == 2 and not out.exists()
     assert (captured.out, captured.err) == ("", "error: automaton exceeds width 1 (witness r r)\n")
+
+
+@pytest.mark.parametrize("k, witness", [(2, "r1 r2 r3"), (3, "r1 r2 r3 r4")])
+def test_a_descent_found_early_keeps_the_width_error(capsys, tmp_path, k, witness):
+    # at k = 3 the star test finds the descent before the exploration passes
+    # the cap; the width search then still raises the width error
+    path = tmp_path / "neg1.nwa"
+    path.write_text(render_nwa(sign_masked(art_types(4), {1})))
+    code = main(["infimum", str(path), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: automaton exceeds width {k} (witness {witness})\n")
+
+
+def test_star_and_infimum_report_the_same_early_witness(capsys, tmp_path):
+    path = tmp_path / "neg13.nwa"
+    path.write_text(render_nwa(sign_masked(art_types(4), {1, 3})))
+    code, star = run_cli(capsys, "star", str(path), "--k", "4")
+    assert code == 0
+    code, inf = run_cli(capsys, "infimum", str(path), "--k", "4")
+    assert code == 0 and inf["value"]["tag"] == "neg-infinity"
+    assert {key: inf["witness"][key] for key in star["witness"]} == star["witness"]
 
 
 @pytest.mark.parametrize(

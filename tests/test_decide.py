@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from nwaq.core import (
     NEG_INFINITY,
     Nwa,
     PLUS_INFINITY,
+    PreconditionError,
     Threshold,
     ValueFn,
     ValueResult,
@@ -19,12 +19,23 @@ from nwaq.core import (
     is_deterministic,
     validate_nwa,
 )
-from helpers import derived_invoked, random_draw, random_nondet, reference_config_graph, reference_infimum, reference_kinds, twinned
+from helpers import (
+    derived_invoked,
+    has_negative_cycle_fw,
+    random_draw,
+    random_nondet,
+    reference_config_graph,
+    reference_infimum,
+    reference_kinds,
+    sign_masked,
+    twinned,
+)
 from reference import materialize_deterministic, mirror
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.decide import Pipeline, emptiness, infimum, universality_deterministic
-from nwaq.determinize import explore
+from nwaq.determinize import StepTables, explore
 from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average
+from nwaq.starcond import check_star_condition
 from nwaq.textio import parse_nwa, parse_word
 from nwaq.width import has_width
 
@@ -121,7 +132,7 @@ def test_mirror_negates_lasso_values(all_corpus):
 def _universality_cases(all_corpus):
     """Every corpus automaton at k = 1..3 within its width, and the
     sign-masked art_types(3), whose Sum+ slaves the negation turns to Sum."""
-    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(_sign_masked(art_types(3), {2}), 3)]
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(sign_masked(art_types(3), {2}), 3)]
     return [(nwa, k) for nwa, k in cases if has_width(nwa, k)[0]]
 
 
@@ -137,9 +148,22 @@ def test_negated_graph_is_the_mirrors_graph(all_corpus):
         assert got.kinds == reference_kinds(ref_keys, ref_edges), (nwa.name, k)
         assert list(map(sum, got.slot_weights)) == [-sum(e[3]) for e in ref_edges], (nwa.name, k)
         assert derived_invoked(got) == derived_invoked(want) == [e[4] for e in ref_edges], (nwa.name, k)
-        # the star test's quick exit: no stored weight is below the least one
-        assert got.tables.least <= min((w for ws in got.slot_weights for w in ws), default=0), (nwa.name, k)
+        # the star test's quick exit, on both signs
+        assert got.tables.may_descend == _slave_has_negative_cycle(nwa, -1), (nwa.name, k)
+        assert StepTables(nwa).may_descend == _slave_has_negative_cycle(nwa, 1), (nwa.name, k)
     assert len(cases) >= 15
+
+
+def _slave_has_negative_cycle(nwa, sign):
+    """Does some slave have a negative cycle through non-accepting states,
+    its effective weights times `sign`? Floyd-Warshall per slave."""
+    found = False
+    for sl in nwa.slaves:
+        base = sl.base
+        arcs = [(q, q2, sign * sl.effective_weight(w)) for q, _, q2, w in base.transitions
+                if q not in base.accepting and q2 not in base.accepting]
+        found |= has_negative_cycle_fw(base.n_states, arcs)
+    return found
 
 
 def test_universality_matches_emptiness_of_the_mirror(all_corpus):
@@ -294,46 +318,96 @@ def test_emptiness_answers_from_infimum():
                 assert replay.is_finite() and t.admits(replay.value), (nwa.name, str(t))
 
 
-def _sign_masked(nwa, negative):
-    """Negate the weights of the listed (1-based) slaves, which become Sum slaves."""
-    slaves = tuple(
-        WeightedAutomaton(
-            replace(sl.base, transitions=tuple((q, a, q2, -w) for q, a, q2, w in sl.base.transitions)), ValueFn.SUM
-        )
-        if n in negative
-        else sl
-        for n, sl in enumerate(nwa.slaves, start=1)
-    )
-    return Nwa(nwa.master, slaves, name=nwa.name + ".masked")
-
-
 def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
+    """One step table steps each configuration once, and only the width
+    search, which compiles its own table and steps sorted keys, adds another:
+    it runs at most once per `Pipeline`, and only when the exploration stops
+    at a descent. Re-exploring, with the same table or a fresh one, fails."""
     import nwaq.determinize
+    import nwaq.width
 
-    original = nwaq.determinize.StepTables.step
-    for nwa, k, queries, lowest in (
-        (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY),
-        (_sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY),
-        (twinned(k_art(3), 2), 3, ("infimum", "emptiness"), ValueResult.finite(1)),
+    original, width = nwaq.determinize.StepTables.step, nwaq.width.has_width
+    for nwa, k, queries, lowest, searches in (
+        (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY, 0),
+        (sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY, 1),
+        (twinned(k_art(3), 2), 3, ("infimum", "emptiness"), ValueResult.finite(1), 0),
     ):
         for query in queries:
             calls: dict = {}
+            widths: list = []
 
             def counting(tables, q, slots):
-                calls[(q, slots)] = calls.get((q, slots), 0) + 1
+                calls[tables, q, slots] = calls.get((tables, q, slots), 0) + 1
                 return original(tables, q, slots)
 
+            def searching(*args):
+                widths.append(args)
+                return width(*args)
+
             monkeypatch.setattr(nwaq.determinize.StepTables, "step", counting)
+            monkeypatch.setattr(nwaq.width, "has_width", searching)
             pipe = Pipeline(nwa, k)
             if query == "infimum":
                 assert pipe.infimum()[0] == lowest, nwa.name
             else:
                 assert pipe.emptiness(Threshold(Fraction(-5)))[0] == (lowest is NEG_INFINITY), nwa.name
             assert calls and max(calls.values()) == 1, (nwa.name, query)
+            assert len(widths) == searches, (nwa.name, query)
+            assert len({tables for tables, _, _ in calls}) == 1 + searches, (nwa.name, query)
+
+
+def test_a_stopped_exploration_decides_as_the_complete_graph():
+    """The star test stops `Pipeline`'s exploration at its first witness, and
+    it finds one exactly when the complete graph has one. The pumped word of
+    every witness found on a partial graph is a run of the complete graph
+    whose partial averages dip below 0, and a stopped exploration still
+    raises the width error."""
+    rng = random.Random(25)
+    cases = [(random_draw(rng), rng.randint(1, 3)) for _ in range(400)]
+    for k in (3, 4):
+        for mask in range(1, 1 << k):
+            nwa = sign_masked(art_types(k), {i + 1 for i in range(k) if mask >> i & 1})
+            cases += [(nwa, k), (nwa, k - 1)]  # below its width, some descend before they overflow
+    early = decided = 0
+    for nwa, k in cases:
+        if not has_width(nwa, k)[0]:
+            with pytest.raises(PreconditionError):
+                Pipeline(nwa, k)
+            continue
+        pipe = Pipeline(nwa, k)
+        keys, graph = explore(nwa, k)
+        assert (pipe.star is None) == (check_star_condition(graph) is None), (nwa.name, k)
+        decided += 1
+        if len(pipe.graph.keys) < len(keys):
+            assert pipe.star is not None, (nwa.name, k)
+            assert set(pipe.graph.keys) < set(keys), (nwa.name, k)
+            pumped = pipe.infimum()[1].pumped
+            assert evaluate_lasso(nwa, pumped, k).is_finite(), (nwa.name, k)
+            assert min_partial_average(nwa, pumped, k, 8) < 0, (nwa.name, k)
+            early += 1
+    assert decided >= 300 + 22 and early >= 22, (decided, early)
+
+
+def test_a_descent_stops_before_most_configurations_are_stepped(monkeypatch):
+    import nwaq.determinize
+
+    nwa = sign_masked(art_types(4), {1, 3})
+    assert len(explore(nwa, 4)[0]) == 261
+    original = nwaq.determinize.StepTables.step
+    stepped: dict = {}
+
+    def counting(tables, q, slots):
+        stepped.setdefault(tables, set()).add((q, slots))
+        return original(tables, q, slots)
+
+    monkeypatch.setattr(nwaq.determinize.StepTables, "step", counting)
+    pipe = Pipeline(nwa, 4)
+    assert pipe.infimum()[0] == NEG_INFINITY
+    assert len(stepped[pipe.graph.tables]) < 64
 
 
 def test_decisions_read_keys_not_configurations(all_corpus):
-    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(_sign_masked(art_types(3), {2}), 3)]
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(sign_masked(art_types(3), {2}), 3)]
     decided = 0
     for nwa, k in cases:
         if not has_width(nwa, k)[0]:

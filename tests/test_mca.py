@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_draw
 from nwaq.core import Alphabet, LassoWord, Nwa, NwaError, PLUS_INFINITY, ValueResult
-from nwaq.corpus import art1, average_excess
+from nwaq.corpus import art1, average_excess, mca_counter
 from nwaq.mca import Instr, Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from nwaq.oracle import Oracle, evaluate_lasso
 
@@ -85,6 +85,24 @@ def test_terminate_inactive_is_runtime_not_static():
 def test_counter_example_value(m_counter):
     word = LassoWord((), ("hash", "a", "a", "a", "hash", "a"))
     assert evaluate_lasso_mca(m_counter, word) == ValueResult.finite(3)
+
+
+def test_determinism_is_checked_once():
+    # the first evaluation computes `determinism`; later ones read it and
+    # look up moves one (state, letter) at a time, with no scan of the table
+    m = mca_counter()  # a fresh one: this test swaps its move table
+    word = LassoWord((), ("hash", "a", "a", "a", "hash", "a"))
+    assert evaluate_lasso_mca(m, word) == ValueResult.finite(3)
+    scans = []
+
+    class Watched(dict):
+        def values(self):
+            scans.append(1)
+            return super().values()
+
+    vars(m)["by_source"] = Watched(m.by_source)
+    assert evaluate_lasso_mca(m, word) == ValueResult.finite(3)
+    assert m.is_deterministic() and not scans
 
 
 def test_add_zero_only():

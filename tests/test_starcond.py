@@ -15,8 +15,9 @@ from nwaq.core import (
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, k_art
 from nwaq.determinize import explore
+from nwaq.graphs import negative_cycle
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
-from nwaq.starcond import _closing_path, _negative_cycle, check_star_condition, pump_witness
+from nwaq.starcond import _closing_path, check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
 from nwaq.width import has_width
 
@@ -159,7 +160,7 @@ def test_negative_cycle_search_matches_floyd_warshall():
             (rng.randrange(n), rng.randrange(n), rng.randint(-4, 9))
             for _ in range(rng.randint(1, 3 * n))
         ]
-        cycle = _negative_cycle(n, arcs)
+        cycle = negative_cycle(n, arcs)
         assert (cycle is not None) == has_negative_cycle_fw(n, arcs)
         found[cycle is not None] += 1
         if cycle is not None:
