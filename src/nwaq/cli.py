@@ -29,7 +29,7 @@ from .determinize import ConfigGraph, explore
 from .mca import Mca, evaluate_lasso_mca, mca_to_nwa, nwa_to_mca, validate_mca
 from .oracle import evaluate_lasso
 from .reduce import reduce_width1
-from .starcond import StarWitness, check_star_condition
+from .starcond import StarWitness
 from .textio import (
     ParseError,
     header,
@@ -194,7 +194,7 @@ def _cmd_check(args) -> int:
             witness["site"] = site
     else:
         problems = validate_mca(obj)
-        witness = {"diagnostics": problems, "deterministic": obj.is_deterministic() if not problems else False}
+        witness = {"diagnostics": problems, "deterministic": obj.determinism if not problems else False}
     _emit("check", not problems, witness=witness)
     return 0 if not problems else 1
 
@@ -265,8 +265,8 @@ def _cmd_universal(args) -> int:
 
 def _cmd_star(args) -> int:
     nwa = _require_nwa(_load(args.file))
-    _, graph = explore(nwa, args.k, stop=check_star_condition)
-    witness = check_star_condition(graph)
+    _, graph = explore(nwa, args.k, stop=True)
+    witness = graph.descent
     if witness is None:
         _emit("star", False)
         return 1

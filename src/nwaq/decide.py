@@ -37,7 +37,7 @@ from .core import (
 from .determinize import ACCEPT, RELEASE, TICK, explore, qualifying_parts
 from .graphs import sccs, shortest_path
 from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
-from .starcond import StarWitness, check_star_condition, pump_witness
+from .starcond import StarWitness, pump_witness
 
 
 class Certificate(NamedTuple):
@@ -73,10 +73,9 @@ class Pipeline:
             ok, site = is_deterministic(nwa)
             if not ok:
                 raise NondeterministicInputError(site or "universality needs a deterministic automaton")
-        # stops at the first descent the star test finds, which it finds again here
-        _, graph = explore(nwa, k, sign, stop=check_star_condition)
+        _, graph = explore(nwa, k, sign, stop=True)
         self.graph = graph
-        self.star: Optional[StarWitness] = check_star_condition(graph)
+        self.star: Optional[StarWitness] = graph.descent
         self.ratio: Optional[RatioGraph] = None
         self.value, self._witness = NEG_INFINITY, None
         if self.star is None:
@@ -210,6 +209,10 @@ def universality_deterministic(nwa: Nwa, k: int, t: Threshold) -> bool:
     the liminf question too: the infimum argument, negated, bounds every
     word's limsup by the greatest cycle ratio R, and lassos, whose averages
     converge, reach or approach R. With a descent the limsup question's
-    answer is no at every t; whether the liminf question's is too is open.
+    answer is no at every t, and this function answers no. For the liminf
+    that answer can be wrong: on `tests/data/spike.nwa` at k = 2 no word's
+    liminf passes 1, yet the negated graph descends and `t = 1` gets no
+    (`test_spike_universal_at_most` holds the right answers as strict
+    xfails).
     """
     return not Pipeline(nwa, k, sign=-1).below(Threshold(-t.value, not t.strict))

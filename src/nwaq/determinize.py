@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import gc
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import LassoWord, Nwa, width_error
 from .graphs import negative_cycle, sccs, shortest_path
+from .starcond import StarWitness, check_star_condition
+from .width import has_width
 
 # the edge kinds: a non-silent invocation, an accepting master target, and a
 # release of slot position 1 or a target with no slot
@@ -160,8 +162,9 @@ class ConfigGraph:
     then the order `StepTables.step` emits them; the edges of configuration
     u are `start[u]` to `start[u + 1] - 1`, and `len` counts them. `nwa` and `k` are the
     automaton and width cap it was explored from. `comp` gives each
-    configuration's strongly connected component, and `qualifying` the
-    components an accepted run can repeat, both computed on first use.
+    configuration's strongly connected component, `qualifying` the
+    components an accepted run can repeat, and `descent` the star test's
+    witness or None, each computed on first use.
     """
 
     def __init__(self, nwa: Nwa, k: int, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
@@ -179,6 +182,10 @@ class ConfigGraph:
     @cached_property
     def comp(self) -> list[int]:
         return sccs(self.start, self.dst)
+
+    @cached_property
+    def descent(self) -> Optional[StarWitness]:
+        return check_star_condition(self)
 
     @cached_property
     def qualifying(self) -> list[list[int]]:
@@ -232,9 +239,7 @@ def qualifying_parts(part: list[int], edges, kinds: list[int]) -> list[list[int]
     return [ns for ns, got in zip(inner, held) if got == TICK | ACCEPT | RELEASE]
 
 
-def explore(
-    nwa: Nwa, k: int, sign: int = 1, stop: Optional[Callable[[ConfigGraph], object]] = None
-) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
+def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
     """The keys (master state, slot ids) of the reachable configurations
     under width cap k in canonical order, and the graph over them, its
     weights times `sign` (see `StepTables`).
@@ -246,16 +251,16 @@ def explore(
     (below). No `Configuration` is built here.
 
     The graph is complete unless stopped at a descent after the width search.
-    When `stop` is given and the tables allow a descent (`may_descend`),
-    `stop` is called on the graph induced by the configurations expanded so
-    far at checkpoints: at 16 expanded, then at 4 times as many each time,
-    so the partial graphs stay a bounded share of the work, while at least
-    as many discovered configurations wait as have been expanded, since a
-    short queue suggests little is left. The first call that returns
-    something other than None ends the exploration: the rest might still
-    pass the cap, so `has_width` runs and raises the width error as above,
-    and otherwise that partial graph is returned (`starcond` proves its
-    descent witnesses are the complete graph's).
+    When `stop` holds and the tables allow a descent (`may_descend`), the
+    graph induced by the configurations expanded so far is built at
+    checkpoints: at 16 expanded, then at 4 times as many each time, so the
+    partial graphs stay a bounded share of the work, while at least as many
+    discovered configurations wait as have been expanded, since a short
+    queue suggests little is left. The first whose `descent` is not None
+    ends the exploration: the rest might still pass the cap, so `has_width`
+    runs and raises the width error as above, and otherwise that partial
+    graph is returned, its `descent` already found (`starcond` proves its
+    witnesses are the complete graph's).
     """
     tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
@@ -263,7 +268,7 @@ def explore(
     # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
     dst, letter, slot_weights, returned, kinds = steps = tuple([] for _ in range(5))
     ends = [0]  # per discovery number, the end of its steps
-    check = 16 if stop is not None and tables.may_descend else -1  # the expanded count of the next checkpoint
+    check = 16 if stop and tables.may_descend else -1  # the expanded count of the next checkpoint
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -272,15 +277,13 @@ def explore(
                 check *= 4
                 if len(keys) >= 2 * (len(ends) - 1):
                     graph = _induced(nwa, k, tables, keys, ends, steps)
-                    if stop(graph) is not None:
-                        from .width import has_width  # width imports this module
+                    if graph.descent is not None:
                         fits, witness = has_width(nwa, k)
                         if not fits:
                             raise width_error(k, witness)
                         return graph.keys, graph
             for a, target, weights, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    from .width import has_width
                     raise width_error(k, has_width(nwa, k)[1])
                 d = found.get(target)
                 if d is None:

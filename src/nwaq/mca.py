@@ -86,9 +86,6 @@ class Mca:
         computed on first use."""
         return len(self.initials) == 1 and all(len(v) <= 1 for v in self.by_source.values())
 
-    def is_deterministic(self) -> bool:
-        return self.determinism
-
 
 def transition_order(t: tuple[int, int, int, tuple[Instr, ...]]) -> tuple:
     """Sort key of the canonical transition order: source, letter, target,
@@ -117,7 +114,7 @@ def evaluate_lasso_mca(mca: Mca, w: LassoWord) -> ValueResult:
     values the run from the values that terminations return, with the state
     and the active counters' values and ages as its snapshot.
     """
-    if not mca.is_deterministic():
+    if not mca.determinism:
         raise NondeterministicInputError("evaluate_lasso_mca needs a deterministic automaton")
     state = next(iter(mca.initials))
     counters: dict[int, list[int]] = {}  # counter -> [value, age]
@@ -162,7 +159,7 @@ def mca_to_nwa(mca: Mca) -> Nwa:
     add amount for counter i and accepting exactly where counter i terminates.
     The master invokes slave i on transitions starting counter i.
     """
-    if not mca.is_deterministic():
+    if not mca.determinism:
         raise NondeterministicInputError("mca_to_nwa is stated for deterministic input")
     k = mca.n_counters
     dummy_index = k + 1

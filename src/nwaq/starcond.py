@@ -21,24 +21,27 @@ joint choice of master and slave moves, so each path is a run, and a word's
 value is the least over its runs.
 
 The graph is complete unless stopped at a descent after the width search:
-`explore` calls this test on the graph induced by the configurations it has
-expanded so far, and stops at the first witness. A witness on such a partial
-graph is a witness of the complete graph. Every edge of the partial graph is
-an edge of the complete one, with the same letter, slot weights, releases
-and kinds, so each of its components lies inside a component of the
-complete graph, and each of its internal edges is internal there too. A
-qualifying partial component therefore lies in a qualifying complete one,
-and the witness's cycle, its closing path and the access path to its anchor
-are paths of the complete graph.
+`explore` reads this test's witness, `ConfigGraph.descent`, on the graph
+induced by the configurations it has expanded so far, and returns the first
+graph that has one. A witness on such a partial graph is a witness of the
+complete graph. Every edge of the partial graph is an edge of the complete
+one, with the same letter, slot weights, releases and kinds, so each of its
+components lies inside a component of the complete graph, and each of its
+internal edges is internal there too. A qualifying partial component
+therefore lies in a qualifying complete one, and the witness's cycle, its
+closing path and the access path to its anchor are paths of the complete
+graph.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import LassoWord
-from .determinize import ACCEPT, ConfigGraph
 from .graphs import negative_cycle, shortest_path
+
+if TYPE_CHECKING:
+    from .determinize import ConfigGraph
 
 
 class StarWitness(NamedTuple):
@@ -107,7 +110,7 @@ def _closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
     starting slots still alive, accepting seen). The starting slots still
     alive are always the oldest, a prefix of the slot list.
     """
-    comp = graph.comp
+    comp, keys, accepting = graph.comp, graph.keys, graph.nwa.master.accepting
 
     def moves(state):
         u, alive, seen = state
@@ -115,8 +118,8 @@ def _closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
             v = graph.dst[n]
             if comp[v] == comp[anchor]:
                 left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
-                yield n, (v, left, seen or bool(graph.kinds[n] & ACCEPT))
+                yield n, (v, left, seen or keys[v][0] in accepting)
 
-    q, slots = graph.keys[anchor]
-    start = (anchor, len(slots), q in graph.nwa.master.accepting)
+    q, slots = keys[anchor]
+    start = (anchor, len(slots), q in accepting)
     return shortest_path([start], moves, lambda state: state == (anchor, 0, True))

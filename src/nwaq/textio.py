@@ -52,6 +52,12 @@ def _alphabet(n: int, col: int, toks: list[str]) -> Alphabet:
     return Alphabet(tuple(toks[1:]))
 
 
+def _once(first: bool, n: int, col: int, what: str) -> None:
+    """Raise at line n unless it is the first `what` of the text."""
+    if not first:
+        raise ParseError(n, col, f"repeated {what}")
+
+
 class _Section:
     """The states, initial, accepting and trans lines of one automaton, as
     (line number, tokens) under their keyword."""
@@ -112,21 +118,27 @@ def parse_nwa(text: str) -> Nwa:
     if not lines or lines[0][1] != ["nwa"]:
         raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'nwa'")
     alphabet = None
-    sections: list[tuple[str, ValueFn | None, _Section]] = []
+    sections: dict[str | int, tuple[ValueFn | None, _Section]] = {}  # "master" or a slave number
     current: _Section | None = None
     for n, toks, col in lines[1:]:
         head = toks[0]
         if head == "alphabet":
+            _once(alphabet is None, n, col, "alphabet line")
             alphabet = _alphabet(n, col, toks)
         elif head == "master":
+            _once("master" not in sections, n, col, "master section")
             current = _Section()
-            sections.append(("master", None, current))
+            sections["master"] = None, current
         elif head == "slave":
             if len(toks) != 4 or toks[2] != "valuefn" or toks[3] not in ("sum", "sum+"):
                 raise ParseError(n, col, "expected: slave N valuefn sum|sum+")
+            try:
+                number = int(toks[1])
+            except ValueError:
+                raise ParseError(n, col, f"bad slave index {toks[1]}") from None
+            _once(number not in sections, n, col, f"slave {number} section")
             current = _Section()
-            fn = ValueFn.SUM if toks[3] == "sum" else ValueFn.SUM_PLUS
-            sections.append((toks[1], fn, current))
+            sections[number] = ValueFn.SUM if toks[3] == "sum" else ValueFn.SUM_PLUS, current
         elif head in ("states", "initial", "accepting", "trans"):
             if current is None:
                 raise ParseError(n, col, f"'{head}' outside a section")
@@ -137,15 +149,11 @@ def parse_nwa(text: str) -> Nwa:
         raise ParseError(1, 0, "missing alphabet")
     master = None
     slaves: dict[int, WeightedAutomaton] = {}
-    for name, fn, sec in sections:
+    for name, (fn, sec) in sections.items():
         if name == "master":
             master = _build_labeled(alphabet, sec, "master")
         else:
-            try:
-                number = int(name)
-            except ValueError:
-                raise ParseError(1, 0, f"bad slave index {name}") from None
-            slaves[number] = WeightedAutomaton(_build_labeled(alphabet, sec, "slave"), fn)
+            slaves[name] = WeightedAutomaton(_build_labeled(alphabet, sec, "slave"), fn)
     if master is None:
         raise ParseError(1, 0, "missing master section")
     if sorted(slaves) != list(range(1, len(slaves) + 1)):
@@ -184,8 +192,10 @@ def parse_mca(text: str) -> Mca:
     for n, toks, col in lines[1:]:
         head = toks[0]
         if head == "alphabet":
+            _once(alphabet is None, n, col, "alphabet line")
             alphabet = _alphabet(n, col, toks)
         elif head == "counters":
+            _once(counters is None, n, col, "counters line")
             if len(toks) != 2 or not toks[1].isdigit():
                 raise ParseError(n, col, "expected: counters N")
             counters = int(toks[1])

@@ -15,7 +15,6 @@ from bisect import bisect_left
 from typing import Optional
 
 from .core import Nwa
-from .determinize import StepTables
 from .graphs import shortest_path
 
 
@@ -30,6 +29,7 @@ def has_width(nwa: Nwa, k: int) -> tuple[bool, Optional[tuple[str, ...]]]:
     witness ends with the violating invocation's letter: replayed in the
     oracle at cap k, it blows up at its last position.
     """
+    from .determinize import StepTables  # which imports this module
     if k < 1:
         raise ValueError("k must be positive")
     tables = StepTables(nwa)

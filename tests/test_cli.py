@@ -68,6 +68,11 @@ NWA_TEXT = (DATA / "art1.nwa").read_text()
         (".nwa", NWA_TEXT.replace("accepting u_idle", "accepting u_idle u_nowhere"), "unknown state u_nowhere"),
         (".mca", MCA_TEXT.replace("initial q0", "initial q9"), "unknown state q9"),
         (".mca", MCA_TEXT.replace("accepting q0", "accepting q9"), "unknown state q9"),
+        (".nwa", NWA_TEXT.replace("slave 1 valuefn sum+", "master"), "repeated master section"),
+        (".nwa", NWA_TEXT.replace("slave 2 valuefn sum", "slave 1 valuefn sum"), "repeated slave 1 section"),
+        (".nwa", NWA_TEXT.replace("  accepting d0", "alphabet r g hash"), "repeated alphabet line"),
+        (".mca", MCA_TEXT.replace("accepting q0", "counters 1"), "repeated counters line"),
+        (".mca", MCA_TEXT.replace("counters 1", "alphabet hash a"), "repeated alphabet line"),
     ],
     ids=[
         "nwa-repeated-letter",
@@ -79,11 +84,17 @@ NWA_TEXT = (DATA / "art1.nwa").read_text()
         "nwa-unknown-accepting",
         "mca-unknown-initial",
         "mca-unknown-accepting",
+        "nwa-repeated-master",
+        "nwa-repeated-slave",
+        "nwa-repeated-alphabet",
+        "mca-repeated-counters",
+        "mca-repeated-alphabet",
     ],
 )
 def test_malformed_sections_are_parse_errors(capsys, tmp_path, suffix, text, message):
     # a repeated letter, an empty alphabet, a repeated state name or an
-    # unknown one is a parse error in both formats, reported at the one
+    # unknown one, and a second alphabet, counters, master or same-numbered
+    # slave header, is a parse error in both formats, reported at the one
     # edited line, and `check` exits 2 on it
     parse = parse_nwa if suffix == ".nwa" else parse_mca
     with pytest.raises(ParseError, match=message) as err:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nwaq.cli import main
 from nwaq.core import (
     Alphabet,
     LabeledAutomaton,
@@ -36,7 +37,7 @@ from nwaq.decide import Pipeline, emptiness, infimum, universality_deterministic
 from nwaq.determinize import StepTables, explore
 from nwaq.oracle import Oracle, enumerate_lasso_infimum, evaluate_lasso, min_partial_average
 from nwaq.starcond import check_star_condition
-from nwaq.textio import parse_nwa, parse_word
+from nwaq.textio import parse_nwa, parse_word, render_nwa
 from nwaq.width import has_width
 
 
@@ -324,9 +325,8 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
     it runs at most once per `Pipeline`, and only when the exploration stops
     at a descent. Re-exploring, with the same table or a fresh one, fails."""
     import nwaq.determinize
-    import nwaq.width
 
-    original, width = nwaq.determinize.StepTables.step, nwaq.width.has_width
+    original, width = nwaq.determinize.StepTables.step, nwaq.determinize.has_width
     for nwa, k, queries, lowest, searches in (
         (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY, 0),
         (sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY, 1),
@@ -345,7 +345,7 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
                 return width(*args)
 
             monkeypatch.setattr(nwaq.determinize.StepTables, "step", counting)
-            monkeypatch.setattr(nwaq.width, "has_width", searching)
+            monkeypatch.setattr(nwaq.determinize, "has_width", searching)
             pipe = Pipeline(nwa, k)
             if query == "infimum":
                 assert pipe.infimum()[0] == lowest, nwa.name
@@ -354,6 +354,36 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
             assert calls and max(calls.values()) == 1, (nwa.name, query)
             assert len(widths) == searches, (nwa.name, query)
             assert len({tables for tables, _, _ in calls}) == 1 + searches, (nwa.name, query)
+
+
+def test_each_decision_finds_its_descent_once(monkeypatch, tmp_path):
+    """`Pipeline` and `nwaq star` read the descent off the graph `explore`
+    returns: one star test finds the witness, on the checkpoint graph that
+    stopped the exploration or on the complete graph, and the width search
+    runs once where the exploration stops early."""
+    import nwaq.determinize
+
+    star, width = nwaq.determinize.check_star_condition, nwaq.determinize.has_width
+    for nwa, k, searches in ((sign_masked(art_types(3), {2}), 3, 1), (cond_a2(), 2, 0)):
+        path = tmp_path / "in.nwa"
+        path.write_text(render_nwa(nwa))
+        for decide in (lambda: Pipeline(nwa, k).infimum()[0], lambda: main(["star", str(path), "--k", str(k)])):
+            found: list = []
+            widths: list = []
+
+            def testing(graph):
+                found.append(star(graph))
+                return found[-1]
+
+            def searching(*args):
+                widths.append(args)
+                return width(*args)
+
+            monkeypatch.setattr(nwaq.determinize, "check_star_condition", testing)
+            monkeypatch.setattr(nwaq.determinize, "has_width", searching)
+            assert decide() in (NEG_INFINITY, 0), nwa.name
+            assert sum(witness is not None for witness in found) == 1, (nwa.name, found)
+            assert [cap for _, cap in widths] == [k] * searches, nwa.name
 
 
 def test_a_stopped_exploration_decides_as_the_complete_graph():

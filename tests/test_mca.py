@@ -102,7 +102,7 @@ def test_determinism_is_checked_once():
 
     vars(m)["by_source"] = Watched(m.by_source)
     assert evaluate_lasso_mca(m, word) == ValueResult.finite(3)
-    assert m.is_deterministic() and not scans
+    assert m.determinism and not scans
 
 
 def test_add_zero_only():
@@ -198,7 +198,7 @@ def test_zero_counter_mca():
 def test_nwa_to_mca_art1_agreement():
     nwa = art1()
     m = nwa_to_mca(nwa, 1)
-    assert m.is_deterministic()
+    assert m.determinism
     for word in random_lassos(nwa.alphabet, 50, 3, 6, seed=202):
         assert evaluate_lasso(nwa, word, 1) == evaluate_lasso_mca(m, word), word
     # the dense request pattern must agree too
@@ -218,7 +218,7 @@ def test_nwa_to_mca_ae_negative_values():
 
 def test_round_trip(m_counter):
     again = nwa_to_mca(mca_to_nwa(m_counter), 1)
-    assert again.is_deterministic()
+    assert again.determinism
     for word in random_lassos(m_counter.alphabet, 50, 3, 6, seed=404):
         assert evaluate_lasso_mca(m_counter, word) == evaluate_lasso_mca(again, word), word
 
