@@ -72,21 +72,26 @@ class StepTables:
         self.may_descend = negative_cycle(len(self.slot_of), [
             (g, t, w) for table in self.moves for g, moves in enumerate(table) if moves for t, w in moves
         ]) is not None
-        self.master = tuple(
-            tuple((a, ms) for a in letters if (ms := tuple(self._master_moves(nwa, ids, q, a))))
-            for q in range(nwa.master.n_states)
-        )
+        # each slave's starts on each letter, shared by every master move that invokes it
+        starts = [
+            [
+                sum((table[ids[i, s0]] for s0 in sorted(sl.base.initials - sl.base.accepting)), ())
+                + (None,) * bool(sl.base.initials & sl.base.accepting)
+                for table in self.moves
+            ]
+            for i, sl in slaves
+        ]
+        rows: list[list] = [[] for _ in range(nwa.master.n_states)]
+        for (q, a), succs in nwa.master.by_source.items():
+            ms = []
+            for q2, label in succs:
+                if new := starts[label - 1][a]:
+                    accept = ACCEPT * (q2 in nwa.master.accepting)
+                    ms.append((q2, accept, TICK | accept, new))
+            if ms:
+                rows[q].append((a, tuple(ms)))
+        self.master = tuple(tuple(sorted(row)) for row in rows)  # by letter, each once in a row
         self.payloads: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _master_moves(self, nwa: Nwa, ids: dict, q: int, a: int):
-        for q2, label in nwa.master.succ(q, a):
-            aut = nwa.slave(label).base
-            starts = sum((self.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)), ())
-            starts += (None,) * bool(aut.initials & aut.accepting)
-            if not starts:
-                continue
-            accept = ACCEPT * (q2 in nwa.master.accepting)
-            yield q2, accept, TICK | accept, starts
 
     def step(self, q: int, slots: tuple[int, ...]) -> list[tuple]:
         """Every joint choice from configuration (q, slots), slots given as
@@ -248,7 +253,7 @@ def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[t
     one `StepTables.step` call, with the garbage collector paused. The first
     step past the cap stops it and raises `width_error` with the witness of
     `has_width`, the one width search, which runs only then and at a stop
-    (below). No `Configuration` is built here.
+    (below), on these tables. No `Configuration` is built here.
 
     The graph is complete unless stopped at a descent after the width search.
     When `stop` holds and the tables allow a descent (`may_descend`), the
@@ -258,7 +263,9 @@ def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[t
     discovered configurations wait as have been expanded, since a short
     queue suggests little is left. The first whose `descent` is not None
     ends the exploration: the rest might still pass the cap, so `has_width`
-    runs and raises the width error as above, and otherwise that partial
+    resumes from the keys found but not expanded (its docstring proves this
+    decides as a fresh search) and the width error is raised as above, and
+    otherwise that partial
     graph is returned, its `descent` already found (`starcond` proves its
     witnesses are the complete graph's).
     """
@@ -278,13 +285,14 @@ def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[t
                 if len(keys) >= 2 * (len(ends) - 1):
                     graph = _induced(nwa, k, tables, keys, ends, steps)
                     if graph.descent is not None:
-                        fits, witness = has_width(nwa, k)
+                        expanded = len(ends) - 1
+                        fits, witness = has_width(nwa, k, tables, keys[:expanded], keys[expanded:])
                         if not fits:
                             raise width_error(k, witness)
                         return graph.keys, graph
             for a, target, weights, released, kind in tables.step(*keys[len(ends) - 1]):
                 if len(target[1]) > k:
-                    raise width_error(k, has_width(nwa, k)[1])
+                    raise width_error(k, has_width(nwa, k, tables)[1])
                 d = found.get(target)
                 if d is None:
                     d = found[target] = len(keys)

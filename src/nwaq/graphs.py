@@ -63,19 +63,22 @@ def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
     return [closed - 1 - c for c in comp]
 
 
-def shortest_path(starts, moves, goal) -> Optional[list[int]]:
+def shortest_path(starts, moves, goal, seen=()) -> Optional[list[int]]:
     """Edge indexes of a shortest path from a start state to a goal state,
     breadth first; `moves(state)` yields (edge index, next state) pairs in a
     fixed order, so the first shortest path in that order is returned. The
     starts are tested in order, and every other state when it is first
     reached: states are popped in the order they are reached, so this finds
-    the path a test on popping would."""
-    parent = {}
+    the path a test on popping would. States in `seen` count as reached
+    already: they are neither tested nor left, starts among them too."""
+    parent = dict.fromkeys(seen)
+    queue = deque()
     for s in starts:
-        if goal(s):
-            return []
-        parent[s] = None
-    queue = deque(parent)
+        if s not in parent:
+            if goal(s):
+                return []
+            parent[s] = None
+            queue.append(s)
     while queue:
         state = queue.popleft()
         for n, nxt in moves(state):

@@ -5,7 +5,9 @@ value of a weight sequence, the normalization of slave accepting states,
 the dict-adjacency component search and per-j descent test that the
 configuration graph's components and star test were rewritten from, and the
 mirrored automaton and least slave weight that universality and the star
-test's quick exit read before the step tables took the sign.
+test's quick exit read before the step tables took the sign, and the
+per-(master state, letter) derivation of `StepTables.master` that the
+tables compiled before they walked the master's transitions.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -32,7 +34,7 @@ from nwaq.core import (
     check64,
     is_deterministic,
 )
-from nwaq.determinize import TICK, ConfigGraph, StepTables, explore
+from nwaq.determinize import ACCEPT, TICK, ConfigGraph, StepTables, explore
 from nwaq.graphs import negative_cycle
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
 from nwaq.oracle import Configuration
@@ -55,6 +57,27 @@ def decode_configurations(nwa: Nwa, keys) -> tuple[Configuration, ...]:
     by a fresh `StepTables(nwa).slot_of`."""
     slot_of = StepTables(nwa).slot_of
     return tuple(Configuration(q, tuple(slot_of[g] for g in slots)) for q, slots in keys)
+
+
+def master_table(nwa: Nwa, tables: StepTables) -> tuple:
+    """`tables.master` derived move by move, for every master state and
+    letter in order, the invoked slave's starts summed at each move."""
+    ids = {slot: g for g, slot in enumerate(tables.slot_of)}
+
+    def moves(q: int, a: int):
+        for q2, label in nwa.master.succ(q, a):
+            aut = nwa.slave(label).base
+            starts = sum((tables.moves[a][ids[label, s0]] for s0 in sorted(aut.initials - aut.accepting)), ())
+            starts += (None,) * bool(aut.initials & aut.accepting)
+            if starts:
+                accept = ACCEPT * (q2 in nwa.master.accepting)
+                yield q2, accept, TICK | accept, starts
+
+    letters = range(len(nwa.alphabet))
+    return tuple(
+        tuple((a, ms) for a in letters if (ms := tuple(moves(q, a))))
+        for q in range(nwa.master.n_states)
+    )
 
 
 def config_bound(nwa: Nwa, k: int) -> int:

@@ -19,6 +19,7 @@ from nwaq.core import (
     WeightedAutomaton,
     is_deterministic,
     validate_nwa,
+    width_error,
 )
 from helpers import (
     derived_invoked,
@@ -320,24 +321,26 @@ def test_emptiness_answers_from_infimum():
 
 
 def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
-    """One step table steps each configuration once, and only the width
-    search, which compiles its own table and steps sorted keys, adds another:
-    it runs at most once per `Pipeline`, and only when the exploration stops
-    at a descent. Re-exploring, with the same table or a fresh one, fails."""
+    """A `Pipeline` compiles one step table and steps each key on it once,
+    the width search included: that search runs at most once per
+    `Pipeline`, only when the exploration stops at a descent, on the
+    exploration's table, and steps only keys the exploration did not
+    expand. Re-exploring, with the same table or a fresh one, fails."""
     import nwaq.determinize
 
     original, width = nwaq.determinize.StepTables.step, nwaq.determinize.has_width
     for nwa, k, queries, lowest, searches in (
         (cond_a2(), 2, ("infimum", "emptiness"), NEG_INFINITY, 0),
         (sign_masked(art_types(3), {2}), 3, ("infimum",), NEG_INFINITY, 1),
+        (sign_masked(art_types(4), {1, 3}), 4, ("infimum",), NEG_INFINITY, 1),
         (twinned(k_art(3), 2), 3, ("infimum", "emptiness"), ValueResult.finite(1), 0),
     ):
         for query in queries:
-            calls: dict = {}
+            calls: dict = {}  # key -> [(tables, stepped by the width search)]
             widths: list = []
 
             def counting(tables, q, slots):
-                calls[tables, q, slots] = calls.get((tables, q, slots), 0) + 1
+                calls.setdefault((q, slots), []).append((tables, bool(widths)))
                 return original(tables, q, slots)
 
             def searching(*args):
@@ -351,16 +354,20 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
                 assert pipe.infimum()[0] == lowest, nwa.name
             else:
                 assert pipe.emptiness(Threshold(Fraction(-5)))[0] == (lowest is NEG_INFINITY), nwa.name
-            assert calls and max(calls.values()) == 1, (nwa.name, query)
+            assert calls and max(map(len, calls.values())) == 1, (nwa.name, query)
+            assert {tables for steps in calls.values() for tables, _ in steps} == {pipe.graph.tables}, nwa.name
             assert len(widths) == searches, (nwa.name, query)
-            assert len({tables for tables, _, _ in calls}) == 1 + searches, (nwa.name, query)
+            searched = {key for key, [(_, late)] in calls.items() if late}
+            assert bool(searched) == bool(searches) and searched.isdisjoint(pipe.graph.keys), (nwa.name, query)
+            assert all(args[2] is pipe.graph.tables for args in widths), (nwa.name, query)
 
 
 def test_each_decision_finds_its_descent_once(monkeypatch, tmp_path):
     """`Pipeline` and `nwaq star` read the descent off the graph `explore`
     returns: one star test finds the witness, on the checkpoint graph that
     stopped the exploration or on the complete graph, and the width search
-    runs once where the exploration stops early."""
+    runs once where the exploration stops early, on that graph's step table,
+    from the keys it expanded and the ones it found but did not expand."""
     import nwaq.determinize
 
     star, width = nwaq.determinize.check_star_condition, nwaq.determinize.has_width
@@ -372,8 +379,8 @@ def test_each_decision_finds_its_descent_once(monkeypatch, tmp_path):
             widths: list = []
 
             def testing(graph):
-                found.append(star(graph))
-                return found[-1]
+                found.append((graph, star(graph)))
+                return found[-1][1]
 
             def searching(*args):
                 widths.append(args)
@@ -382,8 +389,23 @@ def test_each_decision_finds_its_descent_once(monkeypatch, tmp_path):
             monkeypatch.setattr(nwaq.determinize, "check_star_condition", testing)
             monkeypatch.setattr(nwaq.determinize, "has_width", searching)
             assert decide() in (NEG_INFINITY, 0), nwa.name
-            assert sum(witness is not None for witness in found) == 1, (nwa.name, found)
-            assert [cap for _, cap in widths] == [k] * searches, nwa.name
+            [stopped] = [graph for graph, witness in found if witness is not None]
+            assert [args[1] for args in widths] == [k] * searches, nwa.name
+            for _, _, tables, expanded, frontier in widths:
+                assert tables is stopped.tables and sorted(expanded) == stopped.keys, nwa.name
+                assert frontier and set(frontier).isdisjoint(expanded), nwa.name
+
+
+def _stop_cases() -> list:
+    """Seeded random draws, and every sign-masked `art_types(3..4)` at its
+    width k and at k - 1, where some descend before they overflow."""
+    rng = random.Random(25)
+    cases = [(random_draw(rng), rng.randint(1, 3)) for _ in range(400)]
+    for k in (3, 4):
+        for mask in range(1, 1 << k):
+            nwa = sign_masked(art_types(k), {i + 1 for i in range(k) if mask >> i & 1})
+            cases += [(nwa, k), (nwa, k - 1)]
+    return cases
 
 
 def test_a_stopped_exploration_decides_as_the_complete_graph():
@@ -392,14 +414,8 @@ def test_a_stopped_exploration_decides_as_the_complete_graph():
     every witness found on a partial graph is a run of the complete graph
     whose partial averages dip below 0, and a stopped exploration still
     raises the width error."""
-    rng = random.Random(25)
-    cases = [(random_draw(rng), rng.randint(1, 3)) for _ in range(400)]
-    for k in (3, 4):
-        for mask in range(1, 1 << k):
-            nwa = sign_masked(art_types(k), {i + 1 for i in range(k) if mask >> i & 1})
-            cases += [(nwa, k), (nwa, k - 1)]  # below its width, some descend before they overflow
     early = decided = 0
-    for nwa, k in cases:
+    for nwa, k in _stop_cases():
         if not has_width(nwa, k)[0]:
             with pytest.raises(PreconditionError):
                 Pipeline(nwa, k)
@@ -416,6 +432,37 @@ def test_a_stopped_exploration_decides_as_the_complete_graph():
             assert min_partial_average(nwa, pumped, k, 8) < 0, (nwa.name, k)
             early += 1
     assert decided >= 300 + 22 and early >= 22, (decided, early)
+
+
+def test_a_stopped_exploration_proves_width_as_a_fresh_search(monkeypatch):
+    """An exploration that stops at a descent resumes the width search from
+    its frontier, and reruns it from the initial keys when that reaches past
+    the cap. On either sign it fits exactly when `has_width` from scratch
+    says so, and otherwise raises the same width error, witness included."""
+    import nwaq.determinize
+
+    width = nwaq.determinize.has_width
+    resumed: list = []
+
+    def searching(*args):
+        resumed.append(len(args) == 5)
+        return width(*args)
+
+    monkeypatch.setattr(nwaq.determinize, "has_width", searching)
+    stopped = overflowed = 0
+    for nwa, k in _stop_cases():
+        fits, witness = has_width(nwa, k)
+        for sign in (1, -1):
+            resumed.clear()
+            if fits:
+                explore(nwa, k, sign, stop=True)
+            else:
+                with pytest.raises(PreconditionError) as error:
+                    explore(nwa, k, sign, stop=True)
+                assert str(error.value) == str(width_error(k, witness)), (nwa.name, k, sign)
+            stopped += resumed == [True]
+            overflowed += resumed == [True] and not fits
+    assert stopped >= 60 and overflowed >= 20, (stopped, overflowed)
 
 
 def test_a_descent_stops_before_most_configurations_are_stepped(monkeypatch):

@@ -27,7 +27,14 @@ from nwaq.corpus import KNOWN_WIDTH, art_types, k_art
 from nwaq.determinize import TICK, StepTables, explore
 from nwaq.oracle import Configuration, enumerate_lasso_infimum
 from nwaq.width import has_width
-from reference import config_bound, count_configurations, decode_configurations, materialize_deterministic, normalize_slaves
+from reference import (
+    config_bound,
+    count_configurations,
+    decode_configurations,
+    master_table,
+    materialize_deterministic,
+    normalize_slaves,
+)
 
 
 def _tiny(alphabet, states, initials, trans, acc):
@@ -124,6 +131,17 @@ def test_nondet_master_and_slot_choices_multiply():
     choices = [edge for edge in tables.step(0, (tables.slot_of.index((1, 0)),)) if edge[0] == 0]
     # 2 master choices x 2 slot choices x 2 fresh-slot choices
     assert len(choices) == 8
+
+
+def test_master_table_matches_the_per_move_derivation(all_corpus):
+    # the tables walk the master's transitions, with each slave's starts once per letter
+    rng = random.Random(27)
+    automata = list(all_corpus.values()) + [random_draw(rng) for _ in range(150)]
+    automata += [nwa for seed in range(60) if (nwa := random_nondet(8400 + seed)) is not None]
+    for nwa in automata + [art_types(4), k_art(4)]:
+        for sign in (1, -1):
+            tables = StepTables(nwa, sign)
+            assert tables.master == master_table(nwa, tables), (nwa.name, sign)
 
 
 def test_forced_release_recorded(a_art1):

@@ -98,15 +98,16 @@ def test_has_width_matches_the_oracle_search(all_corpus):
 
 
 def test_minimal_width_bisects(monkeypatch, a_art):
-    # a linear scan over the caps would make m searches
+    # a linear scan over the caps would make m searches, all on one step table
     calls = []
 
-    def counted(nwa, k):
-        calls.append(k)
-        return has_width(nwa, k)
+    def counted(nwa, k, tables):
+        calls.append((k, tables))
+        return has_width(nwa, k, tables)
 
     monkeypatch.setattr(nwaq.width, "has_width", counted)
     for nwa, m, want in ((k_art(3), 4, 3), (k_art(3), 9, 3), (k_art(2), 2, 2), (a_art, 1, None), (a_art, 200, None)):
         calls.clear()
         assert minimal_width(nwa, m) == want
         assert 1 <= len(calls) <= math.ceil(math.log2(m)) + 1, (m, calls)
+        assert len({tables for _, tables in calls}) == 1, (m, calls)
