@@ -232,6 +232,7 @@ def _cmd_empty(args) -> int:
     t = _get_threshold(args)
     pipe = Pipeline(nwa, args.k)
     answer, cert = pipe.emptiness(t)
+    witness = _witness_json(cert, pipe)  # rendered once: a pumped word can run to millions of letters
     if args.certificate:
         payload = {
             "query": "empty",
@@ -239,11 +240,11 @@ def _cmd_empty(args) -> int:
             "answer": answer,
             "kind": cert.kind,
             "value": _value_json(cert.value),
-            "witness": _witness_json(cert, pipe),
+            "witness": witness,
             "flags": list(cert.flags),
         }
         _write(args.certificate, json.dumps(payload, indent=2) + "\n")
-    _emit("empty", answer, value=cert.value, witness=_witness_json(cert, pipe))
+    _emit("empty", answer, value=cert.value, witness=witness)
     return 0 if answer else 1
 
 

@@ -146,14 +146,17 @@ class StepTables:
 
 class ConfigGraph:
     """The reachable configuration graph of one exploration, on integer ids:
-    complete unless stopped at a descent after the width search (`explore`).
+    complete unless stopped at a descent after the width search (`explore`),
+    and then the exploration so far, whose configurations found but not
+    expanded have no out-edges.
 
-    Configurations are numbered in canonical (master state, slots) order;
+    Configurations are numbered in the order `explore` finds them;
     `keys[u]`, (master state, slot ids), is configuration u, and
     `tables.slot_of` names the (slave, state) pair of each slot id.
-    `initials` lists the ids of the slot-free initial ones. Edge n is one
-    joint step of master and active slaves: it runs from configuration
-    `src[n]` to `dst[n]` on letter `letter[n]`. `slot_weights[n]` aligns with
+    `initials` lists the ids of the slot-free initial ones, the first ids, in
+    master state order. Edge n is one joint step of master and active
+    slaves: it runs from configuration `src[n]` to `dst[n]` on letter
+    `letter[n]`. `slot_weights[n]` aligns with
     the source's surviving slots in order, the newly invoked slot last, and
     holds effective weights (absolute for Sum+ slaves) times the tables'
     sign; their sum is the edge's cost, which readers derive. `returned[n]`
@@ -173,7 +176,7 @@ class ConfigGraph:
     """
 
     def __init__(self, nwa: Nwa, k: int, keys: list[tuple[int, tuple[int, ...]]], tables: StepTables,
-                 start: list[int], initials: list[int], *columns: list):
+                 start: list[int], initials: range, *columns: list):
         self.nwa, self.k, self.keys, self.tables, self.start, self.initials = nwa, k, keys, tables, start, initials
         self.src, self.dst, self.letter, self.slot_weights, self.returned, self.kinds = columns
 
@@ -246,57 +249,65 @@ def qualifying_parts(part: list[int], edges, kinds: list[int]) -> list[list[int]
 
 def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[tuple[int, tuple[int, ...]]], ConfigGraph]:
     """The keys (master state, slot ids) of the reachable configurations
-    under width cap k in canonical order, and the graph over them, its
+    under width cap k in the order found, and the graph over them, its
     weights times `sign` (see `StepTables`).
 
     One breadth-first worklist over the keys expands each configuration with
-    one `StepTables.step` call, with the garbage collector paused. The first
-    step past the cap stops it and raises `width_error` with the witness of
-    `has_width`, the one width search, which runs only then and at a stop
-    (below), on these tables. No `Configuration` is built here.
+    one `StepTables.step` call, with the garbage collector paused. A key's id
+    is its discovery number, the initial keys first in master state order, so
+    the graph is built on the worklist's own columns and nothing is
+    renumbered. The first step past the cap stops it and raises
+    `width_error` with the witness of `has_width`, the one width search,
+    which runs only then and at a stop (below), on these tables. No
+    `Configuration` is built here.
 
     The graph is complete unless stopped at a descent after the width search.
     When `stop` holds and the tables allow a descent (`may_descend`), the
-    graph induced by the configurations expanded so far is built at
-    checkpoints: at 16 expanded, then at 4 times as many each time, so the
-    partial graphs stay a bounded share of the work, while at least as many
-    discovered configurations wait as have been expanded, since a short
-    queue suggests little is left. The first whose `descent` is not None
-    ends the exploration: the rest might still pass the cap, so `has_width`
-    resumes from the keys found but not expanded (its docstring proves this
-    decides as a fresh search) and the width error is raised as above, and
-    otherwise that partial
-    graph is returned, its `descent` already found (`starcond` proves its
-    witnesses are the complete graph's).
+    exploration so far is wrapped as a graph at checkpoints: at 16 expanded,
+    then at 4 times as many each time, so the partial graphs stay a bounded
+    share of the work, while at least as many found configurations wait as
+    have been expanded, since a short queue suggests little is left. In that
+    graph the configurations found but not expanded have no out-edges, so
+    its ids and edges are a prefix of the complete graph's. The first whose
+    `descent` is not None ends the exploration: the rest might still pass the
+    cap, so `has_width` resumes from the keys found but not expanded (its
+    docstring proves this decides as a fresh search) and the width error is
+    raised as above, and otherwise that partial graph is returned, its
+    `descent` already found (`starcond` proves its witnesses are the
+    complete graph's).
     """
     tables = StepTables(nwa, sign)
     keys = sorted((q, ()) for q in nwa.master.initials)
-    found = {key: n for n, key in enumerate(keys)}  # key -> discovery number
-    # the steps taken, by source in discovery order: targets' discovery numbers, then the other columns
-    dst, letter, slot_weights, returned, kinds = steps = tuple([] for _ in range(5))
-    ends = [0]  # per discovery number, the end of its steps
+    found = {key: n for n, key in enumerate(keys)}  # key -> id
+    initials = range(len(keys))
+    # the steps taken, by source: source and target ids, then the other columns
+    columns = src, dst, letter, slot_weights, returned, kinds = tuple([] for _ in range(6))
+    ends = [0]  # per id, the end of its steps
     check = 16 if stop and tables.may_descend else -1  # the expanded count of the next checkpoint
     collecting = gc.isenabled()
     gc.disable()
     try:
         while len(ends) <= len(keys):
-            if len(ends) - 1 == check:
+            u = len(ends) - 1
+            if u == check:
                 check *= 4
-                if len(keys) >= 2 * (len(ends) - 1):
-                    graph = _induced(nwa, k, tables, keys, ends, steps)
+                if len(keys) >= 2 * u:
+                    # the configurations found but not expanded have no steps yet; the graph
+                    # shares the worklist's lists, so it is read before the worklist resumes
+                    graph = ConfigGraph(nwa, k, keys, tables, ends + [len(dst)] * (len(keys) - u), initials, *columns)
                     if graph.descent is not None:
-                        expanded = len(ends) - 1
-                        fits, witness = has_width(nwa, k, tables, keys[:expanded], keys[expanded:])
+                        fits, witness = has_width(nwa, k, tables, keys[:u], keys[u:])
                         if not fits:
                             raise width_error(k, witness)
-                        return graph.keys, graph
-            for a, target, weights, released, kind in tables.step(*keys[len(ends) - 1]):
+                        return keys, graph
+            for a, target, weights, released, kind in tables.step(*keys[u]):
                 if len(target[1]) > k:
                     raise width_error(k, has_width(nwa, k, tables)[1])
                 d = found.get(target)
                 if d is None:
                     d = found[target] = len(keys)
                     keys.append(target)
+                src.append(u)
                 dst.append(d)
                 letter.append(a)
                 slot_weights.append(weights)
@@ -306,27 +317,4 @@ def explore(nwa: Nwa, k: int, sign: int = 1, stop: bool = False) -> tuple[list[t
     finally:
         if collecting:
             gc.enable()
-    graph = _induced(nwa, k, tables, keys, ends, steps)
-    return graph.keys, graph
-
-
-def _induced(nwa: Nwa, k: int, tables: StepTables, keys: list, ends: list[int], steps: tuple[list, ...]) -> ConfigGraph:
-    """The graph over the expanded keys, the first `len(ends) - 1` in
-    discovery order, and the steps among them, numbered in canonical order;
-    `steps` holds `explore`'s columns, by source in discovery order."""
-    expanded, dst = len(ends) - 1, steps[0]
-    partial = expanded < len(keys)
-    order = sorted(range(expanded), key=keys.__getitem__)
-    rank = [0] * expanded
-    start, perm, src = [0], [], []  # perm: the step numbers in edge order
-    for u, d in enumerate(order):
-        rank[d] = u
-        ns = range(ends[d], ends[d + 1])
-        if partial:
-            ns = [n for n in ns if dst[n] < expanded]
-        perm += ns
-        src += [u] * len(ns)
-        start.append(len(perm))
-    columns = [src, [rank[dst[n]] for n in perm]] + [[column[n] for n in perm] for column in steps[1:]]
-    initials = sorted(rank[: len(nwa.master.initials)])
-    return ConfigGraph(nwa, k, [keys[d] for d in order], tables, start, initials, *columns)
+    return keys, ConfigGraph(nwa, k, keys, tables, ends, initials, *columns)

@@ -21,16 +21,19 @@ joint choice of master and slave moves, so each path is a run, and a word's
 value is the least over its runs.
 
 The graph is complete unless stopped at a descent after the width search:
-`explore` reads this test's witness, `ConfigGraph.descent`, on the graph
-induced by the configurations it has expanded so far, and returns the first
-graph that has one. A witness on such a partial graph is a witness of the
-complete graph. Every edge of the partial graph is an edge of the complete
-one, with the same letter, slot weights, releases and kinds, so each of its
-components lies inside a component of the complete graph, and each of its
-internal edges is internal there too. A qualifying partial component
-therefore lies in a qualifying complete one, and the witness's cycle, its
-closing path and the access path to its anchor are paths of the complete
-graph.
+`explore` reads this test's witness, `ConfigGraph.descent`, on the
+exploration so far, in which the configurations found but not yet expanded
+have no out-edges, and returns the first such graph that has one. A witness
+on such a partial graph is a witness of the complete graph. Ids are
+discovery numbers and edges are sorted by source, so the partial graph's
+configurations and edges are a prefix of the complete graph's, with the same
+ids, edge indexes, letters, slot weights, releases and kinds. Each of its
+components therefore lies inside a component of the complete graph, and each
+of its internal edges is internal there too. The configurations not yet
+expanded are sinks, so each is a component with no internal edge and none
+qualifies. A qualifying partial component therefore lies in a qualifying
+complete one, and the witness's cycle, its closing path and the access path
+to its anchor are paths of the complete graph.
 """
 
 from __future__ import annotations

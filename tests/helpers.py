@@ -274,6 +274,18 @@ def derived_invoked(graph) -> list[Optional[int]]:
     return [slot_of[keys[v][1][-1]][0] if kind & TICK else None for v, kind in zip(graph.dst, graph.kinds)]
 
 
+def in_reference_order(nwa: Nwa, graph, ref_keys) -> list[tuple]:
+    """Each edge of `graph` as (source, target, letter, slot weights,
+    invoked, returned, kinds), its ids mapped through the keys to those of
+    `ref_keys`, the sorted keys of `reference_config_graph`, and stably
+    sorted by source: the order that function lists its edges in."""
+    ids = {key: n for n, key in enumerate(ref_keys)}
+    to_ref = [ids[c.master_state, c.slots] for c in decode_configurations(nwa, graph.keys)]
+    columns = zip(graph.src, graph.dst, graph.letter, graph.slot_weights, derived_invoked(graph), graph.returned,
+                  graph.kinds)
+    return sorted(((to_ref[u], to_ref[v], *rest) for u, v, *rest in columns), key=lambda e: e[0])
+
+
 def edge_records(nwa: Nwa, graph) -> list[tuple]:
     """Each edge of the configuration graph of `nwa`, in edge order, as
     (from_config, letter, to_config, slot_weights, returned)."""

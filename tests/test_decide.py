@@ -24,6 +24,7 @@ from nwaq.core import (
 from helpers import (
     derived_invoked,
     has_negative_cycle_fw,
+    in_reference_order,
     random_draw,
     random_nondet,
     reference_config_graph,
@@ -147,9 +148,11 @@ def test_negated_graph_is_the_mirrors_graph(all_corpus):
         for column in ("start", "initials", "src", "dst", "letter", "slot_weights", "returned", "kinds"):
             assert getattr(got, column) == getattr(want, column), (nwa.name, k, column)
         ref_keys, ref_edges, _ = reference_config_graph(nwa, k)
-        assert got.kinds == reference_kinds(ref_keys, ref_edges), (nwa.name, k)
-        assert list(map(sum, got.slot_weights)) == [-sum(e[3]) for e in ref_edges], (nwa.name, k)
-        assert derived_invoked(got) == derived_invoked(want) == [e[4] for e in ref_edges], (nwa.name, k)
+        mapped = in_reference_order(nwa, got, ref_keys)
+        assert [e[-1] for e in mapped] == reference_kinds(ref_keys, ref_edges), (nwa.name, k)
+        assert [sum(e[3]) for e in mapped] == [-sum(e[3]) for e in ref_edges], (nwa.name, k)
+        assert derived_invoked(got) == derived_invoked(want), (nwa.name, k)
+        assert [e[4] for e in mapped] == [e[4] for e in ref_edges], (nwa.name, k)
         # the star test's quick exit, on both signs
         assert got.tables.may_descend == _slave_has_negative_cycle(nwa, -1), (nwa.name, k)
         assert StepTables(nwa).may_descend == _slave_has_negative_cycle(nwa, 1), (nwa.name, k)
@@ -358,7 +361,10 @@ def test_pipeline_expands_each_configuration_letter_once(monkeypatch):
             assert {tables for steps in calls.values() for tables, _ in steps} == {pipe.graph.tables}, nwa.name
             assert len(widths) == searches, (nwa.name, query)
             searched = {key for key, [(_, late)] in calls.items() if late}
-            assert bool(searched) == bool(searches) and searched.isdisjoint(pipe.graph.keys), (nwa.name, query)
+            # the exploration steps its keys in id order, the first ones of its graph
+            explored = [key for key, [(_, late)] in calls.items() if not late]
+            assert explored == pipe.graph.keys[: len(explored)], (nwa.name, query)
+            assert bool(searched) == bool(searches) and searched.isdisjoint(explored), (nwa.name, query)
             assert all(args[2] is pipe.graph.tables for args in widths), (nwa.name, query)
 
 
@@ -392,8 +398,8 @@ def test_each_decision_finds_its_descent_once(monkeypatch, tmp_path):
             [stopped] = [graph for graph, witness in found if witness is not None]
             assert [args[1] for args in widths] == [k] * searches, nwa.name
             for _, _, tables, expanded, frontier in widths:
-                assert tables is stopped.tables and sorted(expanded) == stopped.keys, nwa.name
-                assert frontier and set(frontier).isdisjoint(expanded), nwa.name
+                assert tables is stopped.tables and expanded == stopped.keys[: len(expanded)], nwa.name
+                assert frontier and frontier == stopped.keys[len(expanded):], nwa.name
 
 
 def _stop_cases() -> list:
@@ -432,6 +438,50 @@ def test_a_stopped_exploration_decides_as_the_complete_graph():
             assert min_partial_average(nwa, pumped, k, 8) < 0, (nwa.name, k)
             early += 1
     assert decided >= 300 + 22 and early >= 22, (decided, early)
+
+
+def test_a_stopped_graph_is_a_prefix_of_the_complete_graph(monkeypatch):
+    """Configurations are numbered as the exploration finds them, so a
+    stopped exploration's keys are the first keys of the complete graph,
+    each configuration it expanded has the same out-edges there, in all six
+    columns, and the ones it found but did not expand have none."""
+    import nwaq.determinize
+
+    step, width = nwaq.determinize.StepTables.step, nwaq.determinize.has_width
+    stepped: list = []
+    expanded: list = []
+
+    def counting(tables, q, slots):
+        stepped.append((q, slots))
+        return step(tables, q, slots)
+
+    def searching(*args):
+        expanded.append(len(stepped))  # the width search at a stop steps keys too
+        return width(*args)
+
+    monkeypatch.setattr(nwaq.determinize.StepTables, "step", counting)
+    monkeypatch.setattr(nwaq.determinize, "has_width", searching)
+    stops = 0
+    for nwa, k in _stop_cases():
+        if not has_width(nwa, k)[0]:
+            continue
+        stepped.clear()
+        expanded.clear()
+        _, stopped = explore(nwa, k, stop=True)
+        _, complete = explore(nwa, k)
+        if not expanded:
+            assert stopped.keys == complete.keys and stopped.start == complete.start, (nwa.name, k)
+            continue
+        [m] = expanded
+        assert stepped[:m] == stopped.keys[:m] and m < len(stopped.keys), (nwa.name, k)
+        assert stopped.keys == complete.keys[: len(stopped.keys)], (nwa.name, k)
+        assert stopped.initials == complete.initials, (nwa.name, k)
+        for u in range(len(stopped.keys)):
+            assert stopped.out(u) == complete.out(u) if u < m else not stopped.out(u), (nwa.name, k, u)
+        for column in ("src", "dst", "letter", "slot_weights", "returned", "kinds"):
+            assert getattr(stopped, column) == getattr(complete, column)[: len(stopped)], (nwa.name, k, column)
+        stops += 1
+    assert stops >= 22, stops
 
 
 def test_a_stopped_exploration_proves_width_as_a_fresh_search(monkeypatch):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from helpers import (
-    derived_invoked,
     edge_records,
+    in_reference_order,
     random_draw,
     random_nondet,
     reference_config_graph,
@@ -99,9 +99,10 @@ def test_configs_decode_the_keys(all_corpus):
             except PreconditionError:
                 continue  # wider than k
             configs = decode_configurations(nwa, keys)
-            assert keys == graph.keys, (nwa.name, k)
+            assert keys == graph.keys and len(set(keys)) == len(keys), (nwa.name, k)
             # slot ids sort as the (slave, state) pairs they name
-            assert sorted(configs, key=lambda c: (c.master_state, c.slots)) == list(configs), (nwa.name, k)
+            by_ids = [configs[u] for u in sorted(range(len(keys)), key=keys.__getitem__)]
+            assert sorted(configs, key=lambda c: (c.master_state, c.slots)) == by_ids, (nwa.name, k)
 
 
 def test_edges_share_one_payload_per_value():
@@ -323,13 +324,17 @@ def test_explore_matches_reference_successors(all_corpus):
             overflows += 1
             continue
         _, got = explore(nwa, k)
-        columns = (got.src, got.dst, got.letter, got.slot_weights, derived_invoked(got), got.returned)
         assert (got.nwa, got.k) == (nwa, k)
-        assert [(c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)] == keys, nwa.name
-        assert list(zip(*columns)) == [e[:-1] for e in edges], nwa.name
-        assert got.kinds == reference_kinds(keys, edges), nwa.name
-        assert list(map(sum, got.slot_weights)) == [sum(e[3]) for e in edges]
-        assert got.start == [sum(1 for e in edges if e[0] < u) for u in range(len(keys) + 1)]
+        assert sorted((c.master_state, c.slots) for c in decode_configurations(nwa, got.keys)) == keys, nwa.name
+        # ids are discovery numbers: the initials, then each configuration
+        # where it is first a target, in edge order
+        assert list(dict.fromkeys([*got.initials, *got.dst])) == list(range(len(keys))), nwa.name
+        mapped = in_reference_order(nwa, got, keys)
+        assert [e[:-1] for e in mapped] == [e[:-1] for e in edges], nwa.name
+        assert [e[-1] for e in mapped] == reference_kinds(keys, edges), nwa.name
+        assert [sum(e[3]) for e in mapped] == [sum(e[3]) for e in edges]
+        assert got.src == sorted(got.src), nwa.name
+        assert got.start == [sum(1 for u2 in got.src if u2 < u) for u in range(len(keys) + 1)]
     assert overflows >= 4
 
 
@@ -342,10 +347,10 @@ def test_tick_edges_append_the_invoked_slot(all_corpus):
         if not has_width(nwa, k)[0]:
             continue
         _, graph = explore(nwa, k)
-        _, edges, _ = reference_config_graph(nwa, k)
+        ref_keys, edges, _ = reference_config_graph(nwa, k)
         for n, (u, v) in enumerate(zip(graph.src, graph.dst)):
             survivors = len(graph.keys[u][1]) - len(graph.returned[n])
             assert len(graph.keys[v][1]) - survivors == bool(graph.kinds[n] & TICK), (nwa.name, k, n)
-        assert derived_invoked(graph) == [e[4] for e in edges], (nwa.name, k)
+        assert [e[4] for e in in_reference_order(nwa, graph, ref_keys)] == [e[4] for e in edges], (nwa.name, k)
         edges_checked += len(graph)
     assert edges_checked >= 700
