@@ -55,42 +55,36 @@ class StepTables:
     """
 
     def __init__(self, nwa: Nwa, sign: int = 1):
-        letters = range(len(nwa.alphabet))
-        slaves = tuple(enumerate(nwa.slaves, start=1))
-        self.slot_of = tuple((i, s) for i, sl in slaves for s in range(sl.base.n_states))
-        ids = {slot: g for g, slot in enumerate(self.slot_of)}
-        self.moves = tuple(
-            tuple(
-                None if s in sl.base.accepting
-                else tuple((ids[i, s2], sign * sl.effective_weight(w)) for s2, w in sl.base.succ(s, a))
-                for i, sl in slaves
-                for s in range(sl.base.n_states)
-            )
-            for a in letters
-        )
+        self.slot_of = tuple((i, s) for i, sl in enumerate(nwa.slaves, start=1) for s in range(sl.base.n_states))
+        # one pass over each slave's transitions, sorted as `succ` lists them, from its first id on
+        moves = [[()] * len(self.slot_of) for _ in nwa.alphabet.letters]
+        arcs, starts, first = [], [], 0
+        for sl in nwa.slaves:
+            aut = sl.base
+            for q, a, q2, w in sorted(aut.transitions):
+                if q not in aut.accepting:
+                    arcs.append((first + q, first + q2, sign * sl.effective_weight(w)))
+                    moves[a][first + q] += (arcs[-1][1:],)  # (target id, weight)
+            for table in moves:
+                for s in aut.accepting:
+                    table[first + s] = None
+            # the slave's starts on each letter, shared by every master move that invokes it
+            initial_ids = [first + s0 for s0 in sorted(aut.initials - aut.accepting)]
+            silent = (None,) * bool(aut.initials & aut.accepting)
+            starts.append([sum((table[g] for g in initial_ids), ()) + silent for table in moves])
+            first += aut.n_states
+        self.moves = tuple(map(tuple, moves))
         # ids of different slaves never meet, and accepting ids have no moves, so no cycle passes one
-        self.may_descend = negative_cycle(len(self.slot_of), [
-            (g, t, w) for table in self.moves for g, moves in enumerate(table) if moves for t, w in moves
-        ]) is not None
-        # each slave's starts on each letter, shared by every master move that invokes it
-        starts = [
-            [
-                sum((table[ids[i, s0]] for s0 in sorted(sl.base.initials - sl.base.accepting)), ())
-                + (None,) * bool(sl.base.initials & sl.base.accepting)
-                for table in self.moves
-            ]
-            for i, sl in slaves
-        ]
+        self.may_descend = negative_cycle(first, arcs) is not None
+        # one pass over the master's sorted transitions: a row lists each letter once, in order
         rows: list[list] = [[] for _ in range(nwa.master.n_states)]
-        for (q, a), succs in nwa.master.by_source.items():
-            ms = []
-            for q2, label in succs:
-                if new := starts[label - 1][a]:
-                    accept = ACCEPT * (q2 in nwa.master.accepting)
-                    ms.append((q2, accept, TICK | accept, new))
-            if ms:
-                rows[q].append((a, tuple(ms)))
-        self.master = tuple(tuple(sorted(row)) for row in rows)  # by letter, each once in a row
+        for q, a, q2, label in sorted(nwa.master.transitions):
+            if new := starts[label - 1][a]:
+                row, accept = rows[q], ACCEPT * (q2 in nwa.master.accepting)
+                if not row or row[-1][0] != a:
+                    row.append((a, []))
+                row[-1][1].append((q2, accept, TICK | accept, new))
+        self.master = tuple(tuple((a, tuple(ms)) for a, ms in row) for row in rows)
         self.payloads: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def step(self, q: int, slots: tuple[int, ...]) -> list[tuple]:

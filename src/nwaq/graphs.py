@@ -26,14 +26,18 @@ def reachable(sources, edge_list) -> set[int]:
 def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
     """Component id per node, node u having the successors
     `dst[start[u]:start[u + 1]]`: one iterative Tarjan search, with roots in
-    node order and successors in ascending order. Components are numbered
-    down from the last one it closes, as Kosaraju numbers them.
+    node order and successors in ascending order, where a node without
+    successors closes as its own component when first reached. Components
+    are numbered down from the last one it closes, as Kosaraju numbers them.
     """
     n = len(start) - 1
-    index, low, comp = [0] * n, [0] * n, [-1] * n  # index: discovery number from 1, 0 while unvisited
+    index, low, comp = [0] * n, [0] * n, [-1] * n  # index: discovery number from 1, -1 for a sink, 0 while unvisited
     stack, closed, found = [], 0, 0
     for root in range(n):
         if index[root]:
+            continue
+        if start[root] == start[root + 1]:
+            index[root], comp[root], closed = -1, closed, closed + 1
             continue
         found += 1
         index[root] = low[root] = found
@@ -43,6 +47,9 @@ def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
             u, succ = work[-1]
             for v in succ:
                 if not index[v]:
+                    if start[v] == start[v + 1]:
+                        index[v], comp[v], closed = -1, closed, closed + 1
+                        continue
                     found += 1
                     index[v] = low[v] = found
                     stack.append(v)

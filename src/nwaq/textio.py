@@ -29,131 +29,149 @@ class ParseError(NwaError):
         self.col = col
 
 
-def _tokenize(text: str):
-    """(line number, tokens, indent) for each nonempty line in turn, comments stripped."""
-    for n, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split(";", 1)[0].split()
-        if tokens:
-            yield n, tokens, len(raw) - len(raw.lstrip())
+_KEYWORDS = ("trans", "states", "initial", "accepting")  # the lines of a section
+
+
+def _tokens(line: str) -> list[str]:
+    """The tokens of a line, its comment cut."""
+    return (line[: line.index(";")] if ";" in line else line).split()
 
 
 def header(text: str) -> str | None:
     """The first token of `text`, which names its format, or None when it
     has none; lines after it are not tokenized."""
-    return next((tokens[0] for _, tokens, _ in _tokenize(text)), None)
+    return next((tokens[0] for line in text.splitlines() if (tokens := _tokens(line))), None)
 
 
-def _alphabet(n: int, col: int, toks: list[str]) -> Alphabet:
-    """The alphabet on an `alphabet` line."""
-    if len(toks) < 2:
-        raise ParseError(n, col, "alphabet needs letters")
-    if len(set(toks[1:])) < len(toks) - 1:
-        raise ParseError(n, col, "alphabet letters must be distinct")
-    return Alphabet(tuple(toks[1:]))
+def _indent(line: str) -> int:
+    """The column of a line's first token, where a directive's error points."""
+    return len(line) - len(line.lstrip())
 
 
-def _once(first: bool, n: int, col: int, what: str) -> None:
+def _once(first: bool, n: int, line: str, what: str) -> None:
     """Raise at line n unless it is the first `what` of the text."""
     if not first:
-        raise ParseError(n, col, f"repeated {what}")
+        raise ParseError(n, _indent(line), f"repeated {what}")
 
 
-class _Section:
-    """The states, initial, accepting and trans lines of one automaton, as
-    (line number, tokens) under their keyword."""
+def _read(text: str, kind: str) -> tuple[Alphabet | None, int | None, dict]:
+    """The alphabet, the counter count and the sections of a text with the
+    header `kind`, "nwa" or "mca", read in one loop over its lines.
 
-    def __init__(self):
-        self.lines: dict[str, list[tuple[int, list[str]]]] = {"states": [], "initial": [], "accepting": [], "trans": []}
+    A section maps `states`, `initial`, `accepting` and `trans` to their
+    lines as (line number, tokens). Sections are keyed by "master" or a slave
+    number, each with its slave's value function (None for the master), and
+    open at a `master` or `slave N valuefn sum|sum+` line; an MCA has one,
+    keyed "mca" and open from the start.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    n, tokens = next(((n, tokens) for n, line in lines if (tokens := _tokens(line))), (1, None))
+    if tokens != [kind]:
+        raise ParseError(n, 0, f"expected header '{kind}'")
+    alphabet = counters = current = None
+    sections: dict[str | int, tuple[ValueFn | None, dict]] = {}
+    if kind == "mca":
+        sections["mca"] = None, (current := {keyword: [] for keyword in _KEYWORDS})
+    for n, line in lines:
+        tokens = (line[: line.index(";")] if ";" in line else line).split()  # `_tokens` inlined: one call fewer per line
+        if not tokens:
+            continue
+        head = tokens[0]
+        if head in _KEYWORDS:
+            if current is None:
+                raise ParseError(n, _indent(line), f"'{head}' outside a section")
+            current[head].append((n, tokens))
+        elif head == "alphabet":
+            _once(alphabet is None, n, line, "alphabet line")
+            if len(tokens) < 2:
+                raise ParseError(n, _indent(line), "alphabet needs letters")
+            if len(set(tokens[1:])) < len(tokens) - 1:
+                raise ParseError(n, _indent(line), "alphabet letters must be distinct")
+            alphabet = Alphabet(tuple(tokens[1:]))
+        elif kind == "nwa" and head == "master":
+            _once("master" not in sections, n, line, "master section")
+            sections["master"] = None, (current := {keyword: [] for keyword in _KEYWORDS})
+        elif kind == "nwa" and head == "slave":
+            if len(tokens) != 4 or tokens[2] != "valuefn" or tokens[3] not in ("sum", "sum+"):
+                raise ParseError(n, _indent(line), "expected: slave N valuefn sum|sum+")
+            try:
+                number = int(tokens[1])
+            except ValueError:
+                raise ParseError(n, _indent(line), f"bad slave index {tokens[1]}") from None
+            _once(number not in sections, n, line, f"slave {number} section")
+            sections[number] = ValueFn(tokens[3]), (current := {keyword: [] for keyword in _KEYWORDS})
+        elif kind == "mca" and head == "counters":
+            _once(counters is None, n, line, "counters line")
+            if len(tokens) != 2 or not tokens[1].isdigit():
+                raise ParseError(n, _indent(line), "expected: counters N")
+            counters = int(tokens[1])
+        else:
+            raise ParseError(n, _indent(line), f"unknown directive {head}")
+    return alphabet, counters, sections
 
-    def read(self, n: int, toks: list[str]) -> None:
-        self.lines[toks[0]].append((n, toks))
 
-    def fields(self, transition, key=None) -> dict:
-        """The automaton's states, numbered in order, its initial and
-        accepting ids, and `transition(n, toks, state)` of each trans line,
-        sorted by `key`; `state(n, name)` gives a state's id."""
-        idx: dict[str, int] = {}
-        for n, toks in self.lines["states"]:
-            for s in toks[1:]:
-                if s in idx:
-                    raise ParseError(n, 0, f"duplicate state {s}")
-                idx[s] = len(idx)
-
-        def state(n, name):
-            if name not in idx:
-                raise ParseError(n, 0, f"unknown state {name}")
-            return idx[name]
-
-        transitions = [transition(n, toks, state) for n, toks in self.lines["trans"]]
-        return {
-            "n_states": len(idx),
-            "state_names": tuple(idx),
-            "initials": frozenset(state(n, s) for n, toks in self.lines["initial"] for s in toks[1:]),
-            "transitions": tuple(sorted(transitions, key=key)),
-            "accepting": frozenset(state(n, s) for n, toks in self.lines["accepting"] for s in toks[1:]),
-        }
+def _ids(lines: list[tuple[int, list[str]]], idx: dict[str, int]) -> frozenset[int]:
+    """The ids of the states named on `lines`."""
+    for n, tokens in lines:
+        if unknown := [s for s in tokens[1:] if s not in idx]:
+            raise ParseError(n, 0, f"unknown state {unknown[0]}")
+    return frozenset(idx[s] for _, tokens in lines for s in tokens[1:])
 
 
-def _build_labeled(alphabet: Alphabet, sec: _Section, kind: str) -> LabeledAutomaton:
-    def transition(n, toks, state):
-        # trans q a q' invoke I   |   trans q a q' weight W
-        if len(toks) != 6 or toks[4] not in ("invoke", "weight"):
-            raise ParseError(n, 0, "expected: trans SRC LETTER DST invoke|weight N")
-        want = "invoke" if kind == "master" else "weight"
-        if toks[4] != want:
+def _fields(section: dict, transitions, key=None) -> dict:
+    """The automaton's states, numbered in order, its initial and accepting
+    ids, and `transitions(trans lines, state ids)`, sorted by `key`."""
+    idx: dict[str, int] = {}
+    for n, tokens in section["states"]:
+        for s in tokens[1:]:
+            if s in idx:
+                raise ParseError(n, 0, f"duplicate state {s}")
+            idx[s] = len(idx)
+    return {  # in the order their errors are reported
+        "n_states": len(idx),
+        "state_names": tuple(idx),
+        "transitions": tuple(sorted(transitions(section["trans"], idx), key=key)),
+        "initials": _ids(section["initial"], idx),
+        "accepting": _ids(section["accepting"], idx),
+    }
+
+
+def _labeled_transitions(lines, idx: dict[str, int], letters: dict[str, int], kind: str) -> list[tuple]:
+    """Each `trans q a q' invoke|weight N` line as (source id, letter id,
+    target id, N), `invoke` in a master and `weight` in a slave."""
+    want = "invoke" if kind == "master" else "weight"
+    out = []
+    for n, tokens in lines:
+        if len(tokens) != 6 or tokens[4] != want:
+            if len(tokens) != 6 or tokens[4] not in ("invoke", "weight"):
+                raise ParseError(n, 0, "expected: trans SRC LETTER DST invoke|weight N")
             raise ParseError(n, 0, f"expected '{want}' in a {kind} transition")
-        if toks[2] not in alphabet.index:
-            raise ParseError(n, 0, f"unknown letter {toks[2]}")
+        _, q, a, q2, _, label = tokens
+        if a not in letters:
+            raise ParseError(n, 0, f"unknown letter {a}")
         try:
-            label = int(toks[5])
+            label = int(label)
         except ValueError:
-            raise ParseError(n, 0, f"bad integer {toks[5]}") from None
-        return state(n, toks[1]), alphabet.id_of(toks[2]), state(n, toks[3]), label
-
-    return LabeledAutomaton(alphabet=alphabet, **sec.fields(transition))
+            raise ParseError(n, 0, f"bad integer {label}") from None
+        if q not in idx or q2 not in idx:
+            raise ParseError(n, 0, f"unknown state {q2 if q in idx else q}")
+        out.append((idx[q], letters[a], idx[q2], label))
+    return out
 
 
 def parse_nwa(text: str) -> Nwa:
-    lines = list(_tokenize(text))
-    if not lines or lines[0][1] != ["nwa"]:
-        raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'nwa'")
-    alphabet = None
-    sections: dict[str | int, tuple[ValueFn | None, _Section]] = {}  # "master" or a slave number
-    current: _Section | None = None
-    for n, toks, col in lines[1:]:
-        head = toks[0]
-        if head == "alphabet":
-            _once(alphabet is None, n, col, "alphabet line")
-            alphabet = _alphabet(n, col, toks)
-        elif head == "master":
-            _once("master" not in sections, n, col, "master section")
-            current = _Section()
-            sections["master"] = None, current
-        elif head == "slave":
-            if len(toks) != 4 or toks[2] != "valuefn" or toks[3] not in ("sum", "sum+"):
-                raise ParseError(n, col, "expected: slave N valuefn sum|sum+")
-            try:
-                number = int(toks[1])
-            except ValueError:
-                raise ParseError(n, col, f"bad slave index {toks[1]}") from None
-            _once(number not in sections, n, col, f"slave {number} section")
-            current = _Section()
-            sections[number] = ValueFn.SUM if toks[3] == "sum" else ValueFn.SUM_PLUS, current
-        elif head in ("states", "initial", "accepting", "trans"):
-            if current is None:
-                raise ParseError(n, col, f"'{head}' outside a section")
-            current.read(n, toks)
-        else:
-            raise ParseError(n, col, f"unknown directive {head}")
+    alphabet, _, sections = _read(text, "nwa")
     if alphabet is None:
         raise ParseError(1, 0, "missing alphabet")
     master = None
     slaves: dict[int, WeightedAutomaton] = {}
-    for name, (fn, sec) in sections.items():
-        if name == "master":
-            master = _build_labeled(alphabet, sec, "master")
+    for name, (fn, section) in sections.items():
+        kind = "master" if fn is None else "slave"
+        fields = _fields(section, lambda lines, idx: _labeled_transitions(lines, idx, alphabet.index, kind))
+        if fn is None:
+            master = LabeledAutomaton(alphabet=alphabet, **fields)
         else:
-            slaves[name] = WeightedAutomaton(_build_labeled(alphabet, sec, "slave"), fn)
+            slaves[name] = WeightedAutomaton(LabeledAutomaton(alphabet=alphabet, **fields), fn)
     if master is None:
         raise ParseError(1, 0, "missing master section")
     if sorted(slaves) != list(range(1, len(slaves) + 1)):
@@ -183,60 +201,41 @@ def _render_section(aut: LabeledAutomaton, keyword: str) -> list[str]:
 
 
 def parse_mca(text: str) -> Mca:
-    lines = list(_tokenize(text))
-    if not lines or lines[0][1] != ["mca"]:
-        raise ParseError(lines[0][0] if lines else 1, 0, "expected header 'mca'")
-    alphabet = None
-    counters = None
-    sec = _Section()
-    for n, toks, col in lines[1:]:
-        head = toks[0]
-        if head == "alphabet":
-            _once(alphabet is None, n, col, "alphabet line")
-            alphabet = _alphabet(n, col, toks)
-        elif head == "counters":
-            _once(counters is None, n, col, "counters line")
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise ParseError(n, col, "expected: counters N")
-            counters = int(toks[1])
-        elif head in ("states", "initial", "accepting", "trans"):
-            sec.read(n, toks)
-        else:
-            raise ParseError(n, col, f"unknown directive {head}")
+    alphabet, counters, sections = _read(text, "mca")
     if alphabet is None or counters is None:
         raise ParseError(1, 0, "missing alphabet or counters")
+    letters = alphabet.index
+    instrs = {"s": Instr.start(), "t": Instr.terminate(), ".": Instr.skip()}
 
-    def transition(n, toks, state):
+    def transitions(lines, idx):
         # trans q a q' [s, 2, t, .]
-        text_line = " ".join(toks)
-        if "[" not in text_line or not text_line.endswith("]"):
-            raise ParseError(n, 0, "expected: trans SRC LETTER DST [instr, ...]")
-        head_part, vec_part = text_line.split("[", 1)
-        head_toks = head_part.split()
-        if len(head_toks) != 4:
-            raise ParseError(n, 0, "expected: trans SRC LETTER DST [instr, ...]")
-        if head_toks[2] not in alphabet.index:
-            raise ParseError(n, 0, f"unknown letter {head_toks[2]}")
-        body = vec_part[:-1].strip()
-        items = [x.strip() for x in body.split(",")] if body else []
-        if len(items) != counters:
-            raise ParseError(n, 0, f"instruction vector needs {counters} entries")
-        vec = []
-        for item in items:
-            if item == "s":
-                vec.append(Instr.start())
-            elif item == "t":
-                vec.append(Instr.terminate())
-            elif item == ".":
-                vec.append(Instr.skip())
-            else:
+        out = []
+        for n, tokens in lines:
+            text_line = " ".join(tokens)
+            head_part, _, vec_part = text_line.partition("[")
+            head_tokens = head_part.split()
+            if not vec_part or not text_line.endswith("]") or len(head_tokens) != 4:
+                raise ParseError(n, 0, "expected: trans SRC LETTER DST [instr, ...]")
+            _, q, a, q2 = head_tokens
+            if a not in letters:
+                raise ParseError(n, 0, f"unknown letter {a}")
+            body = vec_part[:-1].strip()
+            items = [x.strip() for x in body.split(",")] if body else []
+            if len(items) != counters:
+                raise ParseError(n, 0, f"instruction vector needs {counters} entries")
+            vec = []
+            for item in items:
                 try:
-                    vec.append(Instr.add(int(item)))
+                    vec.append(instrs[item] if item in instrs else Instr.add(int(item)))
                 except ValueError:
                     raise ParseError(n, 0, f"bad instruction {item!r}") from None
-        return state(n, head_toks[1]), alphabet.id_of(head_toks[2]), state(n, head_toks[3]), tuple(vec)
+            if q not in idx or q2 not in idx:
+                raise ParseError(n, 0, f"unknown state {q2 if q in idx else q}")
+            out.append((idx[q], letters[a], idx[q2], tuple(vec)))
+        return out
 
-    return Mca(alphabet=alphabet, n_counters=counters, **sec.fields(transition, key=transition_order))
+    (_, section), = sections.values()
+    return Mca(alphabet=alphabet, n_counters=counters, **_fields(section, transitions, key=transition_order))
 
 
 def render_mca(mca: Mca) -> str:

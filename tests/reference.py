@@ -7,7 +7,9 @@ configuration graph's components and star test were rewritten from, and the
 mirrored automaton and least slave weight that universality and the star
 test's quick exit read before the step tables took the sign, and the
 per-(master state, letter) derivation of `StepTables.master` that the
-tables compiled before they walked the master's transitions.
+tables compiled before they walked the master's transitions, and the
+per-(letter, slave state) derivation of `StepTables.moves` that they
+compiled before they walked each slave's transitions.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -77,6 +79,23 @@ def master_table(nwa: Nwa, tables: StepTables) -> tuple:
     return tuple(
         tuple((a, ms) for a in letters if (ms := tuple(moves(q, a))))
         for q in range(nwa.master.n_states)
+    )
+
+
+def slave_moves(nwa: Nwa, sign: int = 1) -> tuple:
+    """`StepTables(nwa, sign).moves` derived state by state, for every
+    letter and every (slave, state) pair in order: None for an accepting
+    state, else its `succ` moves as (target id, effective weight times sign)."""
+    slaves = tuple(enumerate(nwa.slaves, start=1))
+    ids = {(i, s): g for g, (i, s) in enumerate((i, s) for i, sl in slaves for s in range(sl.base.n_states))}
+    return tuple(
+        tuple(
+            None if s in sl.base.accepting
+            else tuple((ids[i, s2], sign * sl.effective_weight(w)) for s2, w in sl.base.succ(s, a))
+            for i, sl in slaves
+            for s in range(sl.base.n_states)
+        )
+        for a in range(len(nwa.alphabet))
     )
 
 

@@ -108,6 +108,76 @@ def test_malformed_sections_are_parse_errors(capsys, tmp_path, suffix, text, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suffix, text, message, line, col",
+    [
+        (".nwa", NWA_TEXT.replace("nwa\n", "nwa2\n", 1), "expected header 'nwa'", 1, 0),
+        (".mca", "; a note\n\n  counters 1\n", "expected header 'mca'", 3, 0),
+        (".nwa", NWA_TEXT.replace("u_wait invoke 1", "u_wait invoke x"), "bad integer x", 7, 0),
+        (".nwa", NWA_TEXT.replace("u_wait invoke 1", "u_wait weight 1"),
+         "expected 'invoke' in a master transition", 7, 0),
+        (".nwa", NWA_TEXT.replace("s0 r s0 weight 1", "s0 r s0 invoke 1"),
+         "expected 'weight' in a slave transition", 16, 0),
+        (".nwa", NWA_TEXT.replace("u_wait invoke 1", "u_wait invoke"),
+         "expected: trans SRC LETTER DST invoke|weight N", 7, 0),
+        (".nwa", NWA_TEXT.replace("s0 g s1 weight 0", "s0 zz s1 weight 0"), "unknown letter zz", 17, 0),
+        (".nwa", NWA_TEXT.replace("s0 g s1 weight 0", "s0 g s9 weight 0"), "unknown state s9", 17, 0),
+        (".nwa", NWA_TEXT.replace("alphabet r g hash", "alphabet r g hash\n  states x"),
+         "'states' outside a section", 3, 2),
+        (".nwa", NWA_TEXT.replace("  accepting s1", "  accept s1"), "unknown directive accept", 15, 2),
+        (".nwa", NWA_TEXT.replace("valuefn sum+", "valuefn max"), "expected: slave N valuefn sum|sum+", 12, 0),
+        (".nwa", NWA_TEXT.replace("slave 1 valuefn", "slave one valuefn"), "bad slave index one", 12, 0),
+        (".nwa", NWA_TEXT.replace("alphabet r g hash\n", ""), "missing alphabet", 1, 0),
+        (".nwa", "nwa\nalphabet a\nslave 1 valuefn sum\n  states s\n  initial s\n", "missing master section", 1, 0),
+        (".nwa", NWA_TEXT.replace("slave 2 valuefn", "slave 3 valuefn"), "slave indexes must be 1..l", 1, 0),
+        (".mca", MCA_TEXT.replace("q1 a q1 [1]", "q1 a q1 [x]"), "bad instruction 'x'", 10, 0),
+        (".mca", MCA_TEXT.replace("q0 hash q1 [s]", "q0 hash q1 [s, t]"), "instruction vector needs 1 entries", 7, 0),
+        (".mca", MCA_TEXT.replace("q0 a q0 [.]", "q0 a q0 ."), "expected: trans SRC LETTER DST \\[instr", 8, 0),
+        (".mca", MCA_TEXT.replace("q0 a q0 [.]", "q0 a [.]"), "expected: trans SRC LETTER DST \\[instr", 8, 0),
+        (".mca", MCA_TEXT.replace("q0 a q0 [.]", "q0 b q0 [.]"), "unknown letter b", 8, 0),
+        (".mca", MCA_TEXT.replace("q0 a q0 [.]", "q0 a q7 [.]"), "unknown state q7", 8, 0),
+        (".mca", MCA_TEXT.replace("counters 1", "counters one"), "expected: counters N", 3, 0),
+        (".mca", MCA_TEXT.replace("counters 1\n", ""), "missing alphabet or counters", 1, 0),
+        (".mca", MCA_TEXT.replace("initial q0", "  master"), "unknown directive master", 5, 2),
+    ],
+    ids=[
+        "nwa-header",
+        "mca-header-past-blank-lines",
+        "nwa-bad-integer",
+        "nwa-weight-in-master",
+        "nwa-invoke-in-slave",
+        "nwa-five-token-trans",
+        "nwa-unknown-letter-in-slave",
+        "nwa-unknown-state-in-slave",
+        "nwa-states-before-a-section",
+        "nwa-indented-unknown-directive",
+        "nwa-malformed-slave-header",
+        "nwa-bad-slave-index",
+        "nwa-missing-alphabet",
+        "nwa-missing-master",
+        "nwa-slave-numbers-not-1-to-l",
+        "mca-bad-instruction",
+        "mca-wrong-vector-length",
+        "mca-no-vector",
+        "mca-four-token-trans",
+        "mca-unknown-letter",
+        "mca-unknown-state",
+        "mca-malformed-counters",
+        "mca-missing-counters",
+        "mca-indented-unknown-directive",
+    ],
+)
+def test_parse_errors_carry_message_line_and_column(suffix, text, message, line, col):
+    # every ParseError branch, each reported at its own line and column:
+    # lines are numbered from 1, a directive's column is its indentation,
+    # a transition's is 0, and what only the whole text shows is at line 1
+    parse = parse_nwa if suffix == ".nwa" else parse_mca
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"line {line}, col {col}: ")
+
+
 def test_word_syntax():
     w = parse_word("r g | r r g")
     assert w.prefix == ("r", "g") and w.period == ("r", "r", "g")

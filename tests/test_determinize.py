@@ -11,6 +11,7 @@ from helpers import (
     reference_config_graph,
     reference_kinds,
     reference_width_witness,
+    sign_masked,
     twinned,
 )
 from nwaq.core import (
@@ -33,6 +34,7 @@ from reference import (
     decode_configurations,
     master_table,
     materialize_deterministic,
+    slave_moves,
     normalize_slaves,
 )
 
@@ -143,6 +145,31 @@ def test_master_table_matches_the_per_move_derivation(all_corpus):
         for sign in (1, -1):
             tables = StepTables(nwa, sign)
             assert tables.master == master_table(nwa, tables), (nwa.name, sign)
+
+
+def test_slave_moves_match_the_per_state_derivation(all_corpus):
+    # the tables walk each slave's sorted transitions once; the moves equal
+    # those of one `succ` call per letter and slave state, in the same order
+    rng = random.Random(29)
+    automata = list(all_corpus.values()) + [random_draw(rng) for _ in range(150)]
+    automata += [nwa for seed in range(60) if (nwa := random_nondet(8400 + seed)) is not None]
+    automata += [twinned(k_art(3), 2), twinned(art_types(2), 2, slave=1), twinned(all_corpus["cond_a2"], 5, slave=2)]
+    # sign masking negates weights, which leaves a Sum slave's transitions out of order
+    automata += [sign_masked(art_types(4), {2, 3}), art_types(4), k_art(4)]
+    sigma = Alphabet(("a", "b"))
+    plus = WeightedAutomaton(
+        _tiny(sigma, ["s0", "s1", "s2"], ["s0"],
+              [("s0", "a", "s0", -3), ("s0", "a", "s1", 2), ("s0", "b", "s0", -1), ("s1", "b", "s2", -5),
+               ("s1", "b", "s1", 0), ("s1", "a", "s2", 4)], ["s2"]),
+        ValueFn.SUM_PLUS,
+    )
+    master = _tiny(sigma, ["m0"], ["m0"], [("m0", "a", "m0", 1), ("m0", "b", "m0", 1)], ["m0"])
+    automata.append(Nwa(master, (plus,)))
+    for nwa in automata:
+        for sign in (1, -1):
+            assert StepTables(nwa, sign).moves == slave_moves(nwa, sign), (nwa.name, sign)
+    # Sum+ stores absolute weights, times the sign
+    assert StepTables(automata[-1], -1).moves[0][0] == ((0, -3), (1, -2))
 
 
 def test_forced_release_recorded(a_art1):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import reference
-from helpers import edge_records, has_negative_cycle_fw, random_draw, random_nondet
+from helpers import edge_records, has_negative_cycle_fw, random_draw, random_nondet, sign_masked
 from nwaq.core import (
     PLUS_INFINITY,
     Alphabet,
@@ -13,9 +13,9 @@ from nwaq.core import (
     WeightedAutomaton,
     is_deterministic,
 )
-from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, k_art
+from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
 from nwaq.determinize import explore
-from nwaq.graphs import negative_cycle
+from nwaq.graphs import negative_cycle, sccs
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
 from nwaq.starcond import _closing_path, check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
@@ -311,6 +311,37 @@ def test_components_and_descent_witness_match_the_reference(all_corpus):
             assert found == reference.check_star_condition(graph), (nwa.name, k, sign)
             hits[sign] += found is not None
     assert min(hits.values()) >= 8, hits
+
+
+def test_components_of_graphs_with_sinks_match_the_reference():
+    # a node with no successors closes as its own component at once, and the
+    # ids stay those of the dict-adjacency Kosaraju: on random graphs with
+    # many sinks, and on the checkpoint graphs of the descent inputs, whose
+    # configurations found but not expanded are sinks
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        succ = [[rng.randrange(n) for _ in range(rng.randint(1, 4))] if rng.random() < 0.6 else [] for _ in range(n)]
+        start = [0]
+        for targets in succ:
+            start.append(start[-1] + len(targets))
+        dst = [v for targets in succ for v in targets]
+        assert sccs(start, dst) == reference.sccs(n, [(u, v) for u, targets in enumerate(succ) for v in targets])
+    cases = [(sign_masked(art_types(4), {i + 1 for i in range(4) if mask >> i & 1}), 4, 1) for mask in range(1, 16)]
+    cases += [(cond_a2(), 2, 1), (art_types(4), 4, -1)] + [(k_art(k), k, -1) for k in range(2, 7)]
+    sinks = 0
+    for nwa, k, sign in cases:
+        _, graph = explore(nwa, k, sign, stop=True)
+        assert graph.descent is not None, (nwa.name, sign)
+        n = len(graph.keys)
+        # the graph returned at the stop, and those of the checkpoints before it
+        for u in [16, 64, 256, 1024, n]:
+            if u <= n:
+                start = graph.start[: u + 1] + [graph.start[u]] * (n - u)
+                dst = graph.dst[: start[-1]]
+                assert sccs(start, dst) == reference.sccs(n, zip(graph.src, dst)), (nwa.name, u)
+                sinks += n - u
+    assert sinks > 1000
 
 
 def test_qualifying_components_are_the_descent_tests_rule(all_corpus):
