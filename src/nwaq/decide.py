@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     LassoWord,
@@ -35,7 +35,7 @@ from .core import (
     validate_nwa,
 )
 from .determinize import ACCEPT, RELEASE, TICK, explore, qualifying_parts
-from .graphs import sccs, shortest_path
+from .graphs import sccs
 from .meanpayoff import RatioGraph, check_ratio_bound, infimum_ratio
 from .starcond import StarWitness, pump_witness
 
@@ -123,7 +123,7 @@ class Pipeline:
         # and a release: (n*a + c) / (n*b + d) falls towards a/b as n grows
         comp = self.graph.comp
         root = g.src[w.cycle[0]]
-        detour = self._closed_walk(root, lambda n: comp[g.dst[n]] == comp[root], ACCEPT | RELEASE)
+        detour = self.graph.closed_walk(root, lambda n: comp[g.dst[n]] == comp[root], ACCEPT | RELEASE)
         a, b = sum(g.cost[n] for n in w.cycle), sum(g.ticks[n] for n in w.cycle)
         c, d = sum(g.cost[n] for n in detour), sum(g.ticks[n] for n in detour)
         n = 8
@@ -161,20 +161,7 @@ class Pipeline:
         # each of its nodes has an edge inside it: its first edge leaves its least node
         inside = min(pieces, key=lambda ns: g.src[ns[0]])
         root = g.src[inside[0]]
-        return root, self._closed_walk(root, set(inside).__contains__, TICK | ACCEPT | RELEASE)
-
-    def _closed_walk(self, root: int, allowed: Callable[[int], bool], need: int) -> list[int]:
-        """Edge indexes of a shortest closed walk from configuration `root`
-        over allowed edges that passes every edge kind in `need`."""
-        cg, kinds = self.graph, self.graph.kinds
-
-        def moves(state):
-            u, got = state
-            for n in cg.out(u):
-                if allowed(n):
-                    yield n, (cg.dst[n], got | kinds[n] & need)
-
-        return shortest_path([(root, 0)], moves, (root, need).__eq__)
+        return root, self.graph.closed_walk(root, set(inside).__contains__, TICK | ACCEPT | RELEASE)
 
 
 def _pumps_for(star: StarWitness, t: Threshold, k: int) -> int:

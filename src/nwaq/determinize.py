@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import LassoWord, Nwa, width_error
 from .graphs import negative_cycle, sccs, shortest_path
@@ -213,6 +213,35 @@ class ConfigGraph:
           component also has a TICK edge.
         """
         return qualifying_parts(self.comp, zip(range(len(self)), self.src, self.dst), self.kinds)
+
+    def closed_walk(self, root: int, allowed: Callable[[int], bool], need: int, free: int = 0) -> Optional[list[int]]:
+        """Edge indexes of the first shortest closed walk from configuration
+        `root` over allowed edges that passes every edge kind in `need` and
+        releases the `free` oldest slots of `root`, or None.
+
+        The search runs breadth first over (configuration, number of those
+        slots still alive, kinds passed). The slots still alive are always
+        the oldest, a prefix of the slot list.
+        """
+        dst, returned, kinds = self.dst, self.returned, self.kinds
+
+        def moves(state):
+            u, alive, got = state
+            for n in self.out(u):
+                if allowed(n):
+                    yield n, (dst[n], alive - sum(1 for pos in returned[n] if pos <= alive), got | kinds[n] & need)
+
+        return shortest_path([(root, free, 0)], moves, (root, 0, need).__eq__)
+
+    def way_back(self, anchor: int) -> Optional[list[int]]:
+        """The closed walk that closes a pumped period at `anchor`: inside its
+        component, releasing every slot alive at `anchor` and passing an
+        accepting master state. A walk back to an accepting anchor ends in
+        one, so ACCEPT is needed only when the anchor's master state is not
+        accepting."""
+        comp, (q, slots) = self.comp, self.keys[anchor]
+        need = 0 if q in self.nwa.master.accepting else ACCEPT
+        return self.closed_walk(anchor, lambda n: comp[self.dst[n]] == comp[anchor], need, len(slots))
 
     def access(self, u: int) -> list[int]:
         """Edge indexes of a shortest path from an initial configuration to

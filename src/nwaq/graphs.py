@@ -31,13 +31,10 @@ def sccs(start: Sequence[int], dst: Sequence[int]) -> list[int]:
     are numbered down from the last one it closes, as Kosaraju numbers them.
     """
     n = len(start) - 1
-    index, low, comp = [0] * n, [0] * n, [-1] * n  # index: discovery number from 1, -1 for a sink, 0 while unvisited
+    index, low, comp = [0] * n, [0] * n, [-1] * n  # index: discovery number from 1, -1 for a successor sink, 0 while unvisited
     stack, closed, found = [], 0, 0
     for root in range(n):
         if index[root]:
-            continue
-        if start[root] == start[root + 1]:
-            index[root], comp[root], closed = -1, closed, closed + 1
             continue
         found += 1
         index[root] = low[root] = found

@@ -32,8 +32,9 @@ components therefore lies inside a component of the complete graph, and each
 of its internal edges is internal there too. The configurations not yet
 expanded are sinks, so each is a component with no internal edge and none
 qualifies. A qualifying partial component therefore lies in a qualifying
-complete one, and the witness's cycle, its closing path and the access path
-to its anchor are paths of the complete graph.
+complete one, and the witness's cycle, its way back
+(`ConfigGraph.way_back`) and the access path to its anchor are paths of the
+complete graph.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import LassoWord
-from .graphs import negative_cycle, shortest_path
+from .graphs import negative_cycle
 
 if TYPE_CHECKING:
     from .determinize import ConfigGraph
@@ -54,16 +55,13 @@ class StarWitness(NamedTuple):
     in path order; its anchor is the source of its first edge. The cycle
     never terminates a slot at position <= j, so slot identity is stable
     along it; j_sum is the (negative) total of those slots' weights over one
-    turn. The anchor lies in a qualifying component, and `closing` lists the
-    edge indexes of a shortest path inside it from the anchor back to it that
-    passes a configuration whose master state is accepting and releases
-    every slot alive at the anchor.
+    turn. The anchor lies in a qualifying component, so it has a way back
+    (`ConfigGraph.way_back`).
     """
 
     j: int
     cycle: tuple[int, ...]
     j_sum: int
-    closing: tuple[int, ...]
 
 
 def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
@@ -86,43 +84,18 @@ def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
                     arcs.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), sum(w[:j]) if j > 1 else w[0]))
             cycle = negative_cycle(len(ids), arcs)
             if cycle is not None:
-                return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
-                                   closing=tuple(_closing_path(graph, src[ns[cycle[0]]])))
+                return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle))
     return None
 
 
 def pump_witness(graph: ConfigGraph, witness: StarWitness, pumps: int) -> LassoWord:
-    """Lasso (path to the cycle, cycle^pumps . closing path), for a witness
-    found in `graph`.
+    """Lasso (path to the cycle, cycle^pumps . way back), for a witness found
+    in `graph`.
 
-    The witness's closing path passes a configuration with an accepting
-    master state and releases every slot that was alive when it started,
-    the pumped slots among them, so each period terminates every slave that
-    entered it.
+    The way back (`ConfigGraph.way_back`) passes a configuration with an
+    accepting master state and releases every slot that was alive when it
+    started, the pumped slots among them, so each period terminates every
+    slave that entered it.
     """
     anchor = graph.src[witness.cycle[0]]
-    return graph.lasso(anchor, list(witness.cycle * pumps + witness.closing))
-
-
-def _closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
-    """Edge indexes of a shortest path from configuration `anchor` back to it
-    that releases every slot alive at its start and passes a configuration
-    with an accepting master state, or None.
-
-    The search runs breadth first over (configuration, number of the
-    starting slots still alive, accepting seen). The starting slots still
-    alive are always the oldest, a prefix of the slot list.
-    """
-    comp, keys, accepting = graph.comp, graph.keys, graph.nwa.master.accepting
-
-    def moves(state):
-        u, alive, seen = state
-        for n in graph.out(u):
-            v = graph.dst[n]
-            if comp[v] == comp[anchor]:
-                left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
-                yield n, (v, left, seen or keys[v][0] in accepting)
-
-    q, slots = keys[anchor]
-    start = (anchor, len(slots), q in accepting)
-    return shortest_path([start], moves, lambda state: state == (anchor, 0, True))
+    return graph.lasso(anchor, list(witness.cycle * pumps) + graph.way_back(anchor))

@@ -3,13 +3,15 @@ determinization, the width-1 fragment summary, threshold emptiness on a
 ratio graph, configuration counts and their eager decoding, the finite
 value of a weight sequence, the normalization of slave accepting states,
 the dict-adjacency component search and per-j descent test that the
-configuration graph's components and star test were rewritten from, and the
+configuration graph's components and star test were rewritten from, the
 mirrored automaton and least slave weight that universality and the star
-test's quick exit read before the step tables took the sign, and the
+test's quick exit read before the step tables took the sign, the
 per-(master state, letter) derivation of `StepTables.master` that the
-tables compiled before they walked the master's transitions, and the
+tables compiled before they walked the master's transitions, the
 per-(letter, slave state) derivation of `StepTables.moves` that they
-compiled before they walked each slave's transitions.
+compiled before they walked each slave's transitions, and the two
+closed-walk searches that `ConfigGraph.closed_walk` replaced: the descent
+witness's closing path and the pipeline's walk through given edge kinds.
 
 Tests use these as second implementations to compare the pipeline with, and
 `materialize_deterministic` as the paper's construction that criterion 8
@@ -37,10 +39,10 @@ from nwaq.core import (
     is_deterministic,
 )
 from nwaq.determinize import ACCEPT, TICK, ConfigGraph, StepTables, explore
-from nwaq.graphs import negative_cycle
+from nwaq.graphs import negative_cycle, shortest_path
 from nwaq.meanpayoff import CycleWitness, RatioGraph, infimum_ratio
 from nwaq.oracle import Configuration
-from nwaq.starcond import StarWitness, _closing_path
+from nwaq.starcond import StarWitness
 from nwaq.width import has_width
 
 
@@ -330,13 +332,49 @@ def check_star_condition(graph: ConfigGraph) -> Optional[StarWitness]:
                 continue
             # pumping needs a way back that releases the pumped slots; either
             # every configuration of a component has one or none has
-            closing = _closing_path(g, g.src[ns[cycle[0]]])
-            if closing is None:
+            if g.way_back(g.src[ns[cycle[0]]]) is None:
                 live.remove(ci)
                 continue
-            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle),
-                               closing=tuple(closing))
+            return StarWitness(j=j, cycle=tuple(ns[i] for i in cycle), j_sum=sum(arcs[i][2] for i in cycle))
     return None
+
+
+def closing_path(graph: ConfigGraph, anchor: int) -> Optional[list[int]]:
+    """Edge indexes of a shortest path from configuration `anchor` back to it
+    that releases every slot alive at its start and passes a configuration
+    with an accepting master state, or None.
+
+    The search runs breadth first over (configuration, number of the
+    starting slots still alive, accepting seen). The starting slots still
+    alive are always the oldest, a prefix of the slot list.
+    """
+    comp, keys, accepting = graph.comp, graph.keys, graph.nwa.master.accepting
+
+    def moves(state):
+        u, alive, seen = state
+        for n in graph.out(u):
+            v = graph.dst[n]
+            if comp[v] == comp[anchor]:
+                left = alive - sum(1 for pos in graph.returned[n] if pos <= alive)
+                yield n, (v, left, seen or keys[v][0] in accepting)
+
+    q, slots = keys[anchor]
+    start = (anchor, len(slots), q in accepting)
+    return shortest_path([start], moves, lambda state: state == (anchor, 0, True))
+
+
+def closed_walk(graph: ConfigGraph, root: int, allowed, need: int) -> Optional[list[int]]:
+    """Edge indexes of a shortest closed walk from configuration `root`
+    over allowed edges that passes every edge kind in `need`."""
+    kinds = graph.kinds
+
+    def moves(state):
+        u, got = state
+        for n in graph.out(u):
+            if allowed(n):
+                yield n, (graph.dst[n], got | kinds[n] & need)
+
+    return shortest_path([(root, 0)], moves, (root, need).__eq__)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ import `StepTables`. Only the explorer raises the width error, so every
 configuration graph is complete; its witness comes from the width check,
 which keeps no edges and so does not explore. The shared graph routines
 (`graphs`) import nothing from the package, and the mean-payoff solver only
-`core`. No module imports another's private (underscore) names or stores
-data in an object's `__dict__`. Only the four automaton classes, whose
-`cached_property` tables need an instance dict, are dataclasses: the value
-records are named tuples, which cost a fraction of a dataclass to define at
-import.
+`core`. Only `determinize` and the width check import the breadth-first
+search (`graphs.shortest_path`): every closed walk a certificate prints is
+found by the configuration graph's one search. No module imports another's
+private (underscore) names or stores data in an object's `__dict__`. Only
+the four automaton classes, whose `cached_property` tables need an instance
+dict, are dataclasses: the value records are named tuples, which cost a
+fraction of a dataclass to define at import.
 """
 
 import ast
@@ -105,6 +107,19 @@ def test_oracle_imports_only_core_and_the_standard_library():
 
 def test_graphs_imports_only_the_standard_library():
     assert _package_imports("graphs.py") == set()
+
+
+def test_only_determinize_and_the_width_check_import_the_breadth_first_search():
+    # every other search runs through the configuration graph's own methods:
+    # `access` and `closed_walk`, its one closed-walk search
+    importers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "graphs"
+        and any(alias.name == "shortest_path" for alias in node.names)
+    }
+    assert importers == {"determinize.py", "width.py"}
 
 
 def test_meanpayoff_imports_only_core_and_the_standard_library():

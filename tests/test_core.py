@@ -89,7 +89,7 @@ RECORDS = [
     (lambda: CycleWitness((0,), Fraction(2), ()), "cycle ratio potentials"),
     (_step, "position config_before letter invoked returned"),
     (lambda: RunTrace((_step(),)), "steps"),
-    (lambda: StarWitness(1, (0, 1), -1, (2,)), "j cycle j_sum closing"),
+    (lambda: StarWitness(1, (0, 1), -1), "j cycle j_sum"),
 ]
 
 

@@ -14,10 +14,10 @@ from nwaq.core import (
     is_deterministic,
 )
 from nwaq.corpus import KNOWN_WIDTH, STAR_FAILING, art_types, cond_a2, k_art
-from nwaq.determinize import explore
+from nwaq.determinize import ACCEPT, RELEASE, TICK, explore
 from nwaq.graphs import negative_cycle, sccs
 from nwaq.oracle import enumerate_lasso_infimum, evaluate_lasso, min_partial_average
-from nwaq.starcond import _closing_path, check_star_condition, pump_witness
+from nwaq.starcond import check_star_condition, pump_witness
 from nwaq.textio import parse_nwa
 from nwaq.width import has_width
 
@@ -365,7 +365,40 @@ def test_qualifying_components_are_the_descent_tests_rule(all_corpus):
             accepting = {comp[u] for u, (q, _) in enumerate(graph.keys) if q in nwa.master.accepting}
             for u, (_, slots) in enumerate(graph.keys):
                 if slots and comp[u] in internal:
-                    old = comp[u] in accepting and _closing_path(graph, u) is not None
+                    old = comp[u] in accepting and graph.way_back(u) is not None
                     assert (comp[u] in qualifying) == old, (nwa.name, k, sign, u)
                     verdicts[old] += 1
     assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_closed_walks_match_the_searches_they_replaced(all_corpus):
+    # `ConfigGraph.way_back` is the old closing path from every configuration
+    # with a slot, and `ConfigGraph.closed_walk` the pipeline's old walk from
+    # the least node of each qualifying component, through all three kinds
+    # on its internal edges and through ACCEPT and RELEASE in the component,
+    # on complete graphs and on those stopped at a descent
+    cases = [(nwa, k) for nwa in all_corpus.values() for k in (1, 2, 3)] + [(art_types(4), 4), (k_art(5), 5)]
+    rng = random.Random(30)
+    cases += [(random_draw(rng), rng.randint(1, 3)) for _ in range(300)]
+    cases += [(nwa, 1 + seed % 2) for seed in range(60) if (nwa := random_nondet(9000 + seed)) is not None]
+    walks, found = 0, 0
+    for nwa, k in cases:
+        for sign, stop in ((1, False), (1, True), (-1, False), (-1, True)):
+            try:
+                _, graph = explore(nwa, k, sign, stop)
+            except PreconditionError:
+                break  # wider than k
+            comp = graph.comp
+            for u, (_, slots) in enumerate(graph.keys):
+                if slots:
+                    walk = graph.way_back(u)
+                    assert walk == reference.closing_path(graph, u), (nwa.name, k, sign, stop, u)
+                    walks, found = walks + 1, found + (walk is not None)
+            for ns in graph.qualifying:
+                root, inside = graph.src[ns[0]], set(ns).__contains__
+                for allowed, need in ((inside, TICK | ACCEPT | RELEASE),
+                                      (lambda n: comp[graph.dst[n]] == comp[root], ACCEPT | RELEASE)):
+                    walk = graph.closed_walk(root, allowed, need)
+                    assert walk == reference.closed_walk(graph, root, allowed, need), (nwa.name, k, sign, stop, root)
+                    walks, found = walks + 1, found + (walk is not None)
+    assert walks >= 5000 and 4000 <= found < walks, (walks, found)
