@@ -11,18 +11,24 @@ tables compiled before they walked the master's transitions, the
 per-(letter, slave state) derivation of `StepTables.moves` that they
 compiled before they walked each slave's transitions, and the two
 closed-walk searches that `ConfigGraph.closed_walk` replaced: the descent
-witness's closing path and the pipeline's walk through given edge kinds.
+witness's closing path and the pipeline's walk through given edge kinds,
+and the command-line parser that built every command's arguments on every
+call.
 
-Tests use these as second implementations to compare the pipeline with, and
+Tests use these as second implementations to compare the pipeline with,
 `materialize_deterministic` as the paper's construction that criterion 8
-checks the oracle against. Nothing under `src/` imports this module.
+checks the oracle against, and `build_parser` as the parser whose output
+and parsed arguments `nwaq.cli.main` must reproduce. Nothing under `src/`
+imports this module.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from nwaq.cli import _positive, _threshold_args
 from nwaq.core import (
     NEG_INFINITY,
     Alphabet,
@@ -776,3 +782,56 @@ def mirror(nwa: Nwa) -> Nwa:
         for sl in nwa.slaves
     )
     return Nwa(nwa.master, slaves, nwa.master_value_fn, nwa.name + ".mirror" if nwa.name else "")
+
+
+# ---------------------------------------------------------------------------
+# The full command-line parser, built whichever command is asked
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nwaq", description="nested weighted automata queries")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="validate a file and report determinism")
+    p.add_argument("file")
+
+    p = sub.add_parser("width", help="check width k or search the minimal width")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--max", type=_positive)
+
+    p = sub.add_parser("eval", help="evaluate a lasso word")
+    p.add_argument("file")
+    p.add_argument("--word", required=True)
+    p.add_argument("--cap", type=_positive, default=64, help="width cap for nwa files; an mca's counters bound its width")
+
+    p = sub.add_parser("empty", help="threshold emptiness")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive, required=True)
+    _threshold_args(p)
+    p.add_argument("--certificate", metavar="OUT")
+
+    p = sub.add_parser("infimum", help="exact infimum over all words")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive, required=True)
+
+    p = sub.add_parser("universal", help="deterministic universality")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive, required=True)
+    _threshold_args(p)
+
+    p = sub.add_parser("star", help="negative-descent condition")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive, required=True)
+
+    p = sub.add_parser("translate", help="translate between nwa and mca")
+    p.add_argument("file")
+    p.add_argument("--to", choices=("mca", "nwa"), required=True)
+    p.add_argument("--k", type=_positive)
+    p.add_argument("-o", "--output", required=True)
+
+    p = sub.add_parser("reduce", help="reduce a width-k automaton to width 1")
+    p.add_argument("file")
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("-o", "--output", required=True)
+    return parser

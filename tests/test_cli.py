@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from dataclasses import replace
@@ -5,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from helpers import sign_masked, twinned
+from nwaq import cli
 from nwaq.cli import main
 from nwaq.corpus import art_types, cond_a2, k_art
 from nwaq.oracle import min_partial_average
@@ -395,6 +398,90 @@ def test_cli_usage_errors(capsys):
     code = main(["eval", str(DATA / "art1.nwa"), "--word", "| r zz"])  # unknown letter
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("width", "{tmp}/missing.nwa"), "width needs exactly one of --k or --max"),
+        (("translate", "{tmp}/missing.nwa", "--to", "mca", "-o", "{tmp}/out.mca"), "translate --to mca needs --k"),
+    ],
+    ids=["width", "translate"],
+)
+def test_flag_usage_errors_come_before_the_file_is_read(capsys, tmp_path, argv, message):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out.mca").exists()
+
+
+COMMANDS = ("check", "width", "eval", "empty", "infimum", "universal", "star", "translate", "reduce")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        *([command, "--help"] for command in COMMANDS),
+        *([command] for command in COMMANDS),
+        ["infimum", "a.nwa", "--k", "0"],
+        ["empty", "a.nwa", "--k", "1", "--le", "0", "--lt", "0"],
+        ["check", "a.nwa", "--bogus"],
+        ["translate", "a.nwa", "--to", "xyz", "-o", "out"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        reference.build_parser().parse_args(argv)
+    want = (0 if exit_.value.code in (0, None) else 2, *capsys.readouterr())
+    assert (main(list(argv)), *capsys.readouterr()) == want
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert tuple(capsys.readouterr()) == want[1:]
+
+
+def test_main_parses_every_snapshot_argv_as_the_full_parser_does(monkeypatch):
+    parsed, build = [], cli.build_parser
+
+    def recording(*args):
+        parser = build(*args)
+        parse = parser.parse_args
+
+        def parse_only(argv):  # keep what it parsed and run no command
+            parsed.append(parse(argv))
+            raise SystemExit(0)
+
+        parser.parse_args = parse_only
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    snapshot = json.loads((Path(__file__).resolve().parent / "data" / "cli_snapshot.json").read_text(encoding="utf-8"))
+    for argv, *_ in snapshot:
+        argv = [*argv, "out"] if argv[-1] in ("--certificate", "-o") else argv
+        assert main(argv) == 0, argv
+        assert parsed.pop() == reference.build_parser().parse_args(argv), argv
+
+
+def test_a_command_parser_adds_only_its_own_arguments():
+    parser = cli.build_parser("eval")
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == COMMANDS
+    added = {name: [a.dest for a in p._actions if a.dest != "help"] for name, p in sub.choices.items()}
+    assert added == {name: ["file", "word", "cap"] if name == "eval" else [] for name in COMMANDS}
+
+
+def test_main_without_argv_reads_the_process_arguments(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nwaq", "eval", str(DATA / "k_art_2.nwa"), "--word", "| r r g"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["query"] == "eval"
+    monkeypatch.setattr(sys, "argv", ["nwaq", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: nwaq ")
 
 
 def test_cli_validates_what_every_command_loads(capsys, tmp_path):
